@@ -9,7 +9,6 @@ Exit codes: 0 all checks verified, 1 a mathematical mismatch was found,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import sys
@@ -21,7 +20,6 @@ from .complexes import (
 )
 from .cyclo_family import (
     CycloComplexData,
-    all_subsets,
     build_family_complex,
     coefficient_vector_is_coboundary,
 )
@@ -29,13 +27,14 @@ from .cyclotomic import cyclotomic
 from .groups import FiniteAbelianGroup
 from .sweeps import (
     DEFAULT_SEED,
-    color_group,
+    bounded_subsets,
     default_sweep_report,
     random_index_subsets,
     random_point_subsets,
     run_coboundary_sweep,
     run_family_sweep,
     run_pullback_sweep,
+    verified_counts,
 )
 
 
@@ -71,7 +70,7 @@ def _parse_groups(text: str) -> tuple[FiniteAbelianGroup, ...]:
     for color in data:
         if not isinstance(color, list) or not all(isinstance(m, int) and m >= 1 for m in color):
             raise UsageError("each color must be a list of positive cyclic orders")
-        colors.append(color_group(color))
+        colors.append(FiniteAbelianGroup(tuple(color)))
     return tuple(colors)
 
 
@@ -140,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--groups", required=True)
     p.add_argument("--set", dest="subset", help="one point set as JSON")
-    p.add_argument("--all-subsets", action="store_true")
+    p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--random", type=int, default=0, metavar="N")
     common(p)
@@ -151,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--primes", required=True)
     p.add_argument("--set", dest="subset", help="comma list of residues (may be empty)")
-    p.add_argument("--all-subsets", action="store_true")
+    p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--random", type=int, default=0, metavar="N")
     common(p)
@@ -162,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--primes", required=True)
     p.add_argument("--set", dest="subset", help="one nonempty comma list of residues")
-    p.add_argument("--all-subsets", action="store_true")
+    p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--random", type=int, default=0, metavar="N")
     common(p)
@@ -237,13 +236,8 @@ def _cmd_verify_coboundaries(args):
     colors = _parse_groups(args.groups)
     if args.subset is not None:
         point_sets = [_parse_point_set(args.subset, colors)]
-    elif args.all_subsets:
-        points = list(nested_elements(colors))
-        if args.max_size is not None:
-            sizes = range(min(args.max_size, len(points)) + 1)
-        else:
-            sizes = range(len(points) + 1)
-        point_sets = [tuple(c) for size in sizes for c in itertools.combinations(points, size)]
+    elif args.exhaustive:
+        point_sets = list(bounded_subsets(nested_elements(colors), 0, args.max_size))
     elif args.random > 0:
         point_sets = sorted(random_point_subsets(colors, args.random, random.Random(args.seed)))
     else:
@@ -267,11 +261,8 @@ def _index_subsets_from_args(args, totient: int, nonempty: bool):
         if nonempty and not subset:
             raise UsageError("this command needs a nonempty subset")
         return [subset]
-    if args.all_subsets:
-        subsets = list(all_subsets(totient, include_empty=not nonempty))
-        if args.max_size is not None:
-            subsets = [s for s in subsets if len(s) <= args.max_size]
-        return subsets
+    if args.exhaustive:
+        return list(bounded_subsets(range(totient + 1), int(nonempty), args.max_size))
     if args.random > 0:
         drawn = random_index_subsets(totient, args.random, random.Random(args.seed), nonempty)
         return sorted(drawn, key=lambda s: (len(s), s))
@@ -330,10 +321,8 @@ def _cmd_sweep(args):
     report = default_sweep_report(args.seed)
     lines = []
     for name, section in report["sections"].items():
-        flat = json.dumps(section)
-        total = flat.count('"ok":')
-        bad = flat.count('"ok": false') + flat.count('"ok":false')
-        lines.append(f"{name}: {total - bad}/{total} verified")
+        verified, total = verified_counts(section)
+        lines.append(f"{name}: {verified}/{total} verified")
     lines.append("all verified" if report["ok"] else "MISMATCH FOUND")
     return report, report["ok"], "\n".join(lines)
 

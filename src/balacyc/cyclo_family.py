@@ -12,7 +12,6 @@ data, and verifies every step exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
@@ -325,10 +324,6 @@ def quotient_presentation(primes, subset) -> PresentationReport:
     return PresentationReport(expected, ambient, small, tuple(checks))
 
 
-def quotient_presentation_check(primes, subset) -> bool:
-    return quotient_presentation(primes, subset).ok
-
-
 @dataclass(frozen=True)
 class HomologyVerification:
     """Computed versus predicted (co)homology for one configuration."""
@@ -404,11 +399,3 @@ def verify_homology_tables(primes, subset) -> HomologyVerification:
         euler_poincare=euler,
         uct=uct_consistent(x),
     )
-
-
-def all_subsets(totient: int, include_empty: bool = True):
-    """Every subset of {0, ..., totient}, smallest first, lex within size."""
-    universe = range(totient + 1)
-    start = 0 if include_empty else 1
-    for size in range(start, totient + 2):
-        yield from itertools.combinations(universe, size)

@@ -4,22 +4,17 @@ Sweep sizes are configuration: the defaults below pin the standard runs
 (exhaustive at n = 6, all small subsets plus 50 seeded-random ones at
 n = 30, ten seeded-random ones at n = 42). Every randomized choice is
 drawn from a seeded generator, so a (command, parameters, seed) triple
-reproduces byte-identical reports. Items may be evaluated in a thread
-pool capped by BALACYC_THREADS; results are always emitted in input
-order, independent of scheduling.
+reproduces byte-identical reports.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 from .complexes import coboundary_matches_fourier, nested_elements
 from .cyclo_family import (
     CycloComplexData,
-    all_subsets,
     coefficient_vector_is_coboundary,
     product_group_of,
     pullback_matches_root_kernel,
@@ -28,10 +23,6 @@ from .cyclo_family import (
     verify_homology_tables,
 )
 from .groups import FiniteAbelianGroup, GroupFunction
-
-
-def color_group(orders) -> FiniteAbelianGroup:
-    return FiniteAbelianGroup(tuple(orders))
 
 DEFAULT_SEED = 0
 
@@ -55,21 +46,18 @@ DEFAULT_PULLBACK_PLANS = (
 DEFAULT_COEFFICIENT_PRIMES = ((2, 3), (2, 3, 5), (2, 3, 7))
 
 
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("BALACYC_THREADS", "1")))
-    except ValueError:
-        return 1
+def bounded_subsets(universe, min_size=0, max_size=None):
+    """Subsets of universe with min_size <= size <= max_size, as tuples.
 
-
-def run_ordered(func, items):
-    """Map func over items, in order; threaded when BALACYC_THREADS > 1."""
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [func(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
+    Smallest first, lexicographic in the order of universe within a size.
+    Only the requested sizes are generated, so a small max_size stays cheap
+    however large universe is. max_size None means no upper bound; a
+    max_size below min_size selects nothing.
+    """
+    universe = tuple(universe)
+    top = len(universe) if max_size is None else min(max_size, len(universe))
+    for size in range(min_size, top + 1):
+        yield from itertools.combinations(universe, size)
 
 
 def random_index_subsets(totient: int, count: int, rng: random.Random, nonempty: bool):
@@ -83,36 +71,23 @@ def random_index_subsets(totient: int, count: int, rng: random.Random, nonempty:
     return out
 
 
-def family_subsets(primes, exhaustive_max, random_count, seed):
-    """Nonempty subsets for a homology-table sweep, deduplicated, sorted."""
+def family_subsets(primes, exhaustive_max, random_count, seed, min_size=1):
+    """Subsets of {0, ..., phi(n)} for a sweep, deduplicated, sorted.
+
+    Every subset of size min_size..exhaustive_max (every size from min_size
+    when exhaustive_max is None), plus random_count seeded-random ones,
+    nonempty when min_size is positive.
+    """
     data = CycloComplexData.build(primes, ())
-    chosen = set()
-    if exhaustive_max is None:
-        chosen.update(all_subsets(data.totient, include_empty=False))
-    elif exhaustive_max > 0:
-        for s in all_subsets(data.totient, include_empty=False):
-            if len(s) <= exhaustive_max:
-                chosen.add(s)
+    chosen = set(bounded_subsets(range(data.totient + 1), min_size, exhaustive_max))
     rng = random.Random(seed)
-    for s in random_index_subsets(data.totient, random_count, rng, nonempty=True):
-        chosen.add(s)
+    chosen.update(random_index_subsets(data.totient, random_count, rng, nonempty=min_size > 0))
     return sorted(chosen, key=lambda s: (len(s), s))
 
 
 def pullback_subsets(primes, exhaustive_max, random_count, seed):
     """Subsets (empty allowed) for a lattice-pullback sweep."""
-    data = CycloComplexData.build(primes, ())
-    chosen = set()
-    if exhaustive_max is None:
-        chosen.update(all_subsets(data.totient, include_empty=True))
-    elif exhaustive_max >= 0:
-        for s in all_subsets(data.totient, include_empty=True):
-            if len(s) <= exhaustive_max:
-                chosen.add(s)
-    rng = random.Random(seed)
-    for s in random_index_subsets(data.totient, random_count, rng, nonempty=False):
-        chosen.add(s)
-    return sorted(chosen, key=lambda s: (len(s), s))
+    return family_subsets(primes, exhaustive_max, random_count, seed, min_size=0)
 
 
 def random_point_subsets(colors, count, rng: random.Random):
@@ -134,24 +109,22 @@ def run_family_sweep(primes, subsets) -> list[dict]:
         item["ok"] = report.match and report.euler_poincare and report.uct
         return item
 
-    return run_ordered(one, subsets)
+    return [one(subset) for subset in subsets]
 
 
 def run_coboundary_sweep(colors, point_sets) -> list[dict]:
     """Coboundary-versus-transform lattice items over point subsets."""
-
-    def one(points):
-        ok = coboundary_matches_fourier(colors, points)
-        return {"A": [[list(v) for v in a] for a in points], "ok": ok}
-
-    return run_ordered(one, point_sets)
+    return [
+        {
+            "A": [[list(v) for v in a] for a in points],
+            "ok": coboundary_matches_fourier(colors, points),
+        }
+        for points in point_sets
+    ]
 
 
 def run_pullback_sweep(primes, subsets) -> list[dict]:
-    def one(subset):
-        return {"A": list(subset), "ok": pullback_matches_root_kernel(primes, subset)}
-
-    return run_ordered(one, subsets)
+    return [{"A": list(s), "ok": pullback_matches_root_kernel(primes, s)} for s in subsets]
 
 
 def run_presentation_sweep(primes, subsets) -> list[dict]:
@@ -163,7 +136,7 @@ def run_presentation_sweep(primes, subsets) -> list[dict]:
             "ok": report.ok,
         }
 
-    return run_ordered(one, subsets)
+    return [one(subset) for subset in subsets]
 
 
 def run_transform_pullback_sweep(primes, function_count, bound, seed) -> list[dict]:
@@ -179,10 +152,10 @@ def run_transform_pullback_sweep(primes, function_count, bound, seed) -> list[di
 
 
 def run_coefficient_coboundary_sweep(prime_tuples) -> list[dict]:
-    def one(primes):
-        return {"primes": list(primes), "ok": coefficient_vector_is_coboundary(primes)}
-
-    return run_ordered(one, prime_tuples)
+    return [
+        {"primes": list(primes), "ok": coefficient_vector_is_coboundary(primes)}
+        for primes in prime_tuples
+    ]
 
 
 def default_sweep_report(seed: int = DEFAULT_SEED) -> dict:
@@ -197,17 +170,12 @@ def default_sweep_report(seed: int = DEFAULT_SEED) -> dict:
 
     cob = []
     for raw in DEFAULT_COBOUNDARY_EXHAUSTIVE:
-        colors = tuple(color_group(raw_color) for raw_color in raw)
-        points = list(nested_elements(colors))
-        subsets = [
-            tuple(sorted(combo))
-            for size in range(len(points) + 1)
-            for combo in itertools.combinations(points, size)
-        ]
+        colors = tuple(FiniteAbelianGroup(tuple(orders)) for orders in raw)
+        subsets = bounded_subsets(nested_elements(colors))
         cob.append({"groups": raw, "items": run_coboundary_sweep(colors, subsets)})
     rng = random.Random(seed)
     for raw in DEFAULT_COBOUNDARY_RANDOM:
-        colors = tuple(color_group(raw_color) for raw_color in raw)
+        colors = tuple(FiniteAbelianGroup(tuple(orders)) for orders in raw)
         subsets = random_point_subsets(colors, DEFAULT_COBOUNDARY_RANDOM_COUNT, rng)
         cob.append({"groups": raw, "items": run_coboundary_sweep(colors, subsets)})
     sections["coboundary_lattices"] = cob
@@ -240,15 +208,21 @@ def default_sweep_report(seed: int = DEFAULT_SEED) -> dict:
         DEFAULT_COEFFICIENT_PRIMES
     )
 
-    ok = _all_ok(sections)
+    verified, total = verified_counts(sections)
+    ok = verified == total
     return {"schema": 1, "command": "sweep", "seed": seed, "ok": ok, "sections": sections}
 
 
-def _all_ok(node) -> bool:
+def verified_counts(node) -> tuple[int, int]:
+    """(verified, total) over the dicts that carry "ok" in a report dict or list."""
+    verified = total = 0
     if isinstance(node, dict):
-        if "ok" in node and not node["ok"]:
-            return False
-        return all(_all_ok(v) for k, v in node.items() if k != "ok")
-    if isinstance(node, list):
-        return all(_all_ok(v) for v in node)
-    return True
+        if "ok" in node:
+            verified, total = int(bool(node["ok"])), 1
+        node = node.values()
+    for child in node:
+        if isinstance(child, (dict, list)):
+            v, t = verified_counts(child)
+            verified += v
+            total += t
+    return verified, total

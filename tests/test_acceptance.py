@@ -21,7 +21,6 @@ from balacyc.complexes import (
 )
 from balacyc.cyclo_family import (
     CycloComplexData,
-    all_subsets,
     build_family_complex,
     coefficient_vector_is_coboundary,
     product_group_of,
@@ -37,7 +36,7 @@ from balacyc.intlinalg import (
     hermite_normal_form,
     smith_normal_form,
 )
-from balacyc.sweeps import random_index_subsets, random_point_subsets
+from balacyc.sweeps import bounded_subsets, random_index_subsets, random_point_subsets
 
 ACCEPTANCE_SEED = 20260808
 
@@ -181,8 +180,8 @@ def test_criterion_4_single_coefficient_homology():
 
 def _criterion_5_subsets():
     plans = []
-    plans.append(((2, 3), list(all_subsets(2, include_empty=False))))
-    small = [s for s in all_subsets(8, include_empty=False) if len(s) <= 2]
+    plans.append(((2, 3), list(bounded_subsets(range(3), 1))))
+    small = list(bounded_subsets(range(9), 1, 2))
     rng = random.Random(ACCEPTANCE_SEED)
     plans.append(((2, 3, 5), small + random_index_subsets(8, 50, rng, nonempty=True)))
     rng42 = random.Random(ACCEPTANCE_SEED + 1)
@@ -216,7 +215,7 @@ def test_criterion_5_subset_homology_tables():
 def _run_pullback_lattices():
     start = time.perf_counter()
     ok = True
-    for subset in all_subsets(2, include_empty=True):
+    for subset in bounded_subsets(range(3)):
         ok = ok and pullback_matches_root_kernel((2, 3), subset)
         _remember(build_family_complex((2, 3), subset))
     rng = random.Random(ACCEPTANCE_SEED)

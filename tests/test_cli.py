@@ -1,8 +1,14 @@
 """CLI behaviour: flags, formats, determinism, exit codes."""
 
+import hashlib
 import json
+from pathlib import Path
 
-from balacyc import cli
+import pytest
+
+from balacyc import cli, sweeps
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -175,3 +181,49 @@ def test_sweep_small_seeded(capsys):
     code, out, _ = run(capsys, "sweep", "--seed", "1")
     assert code == 0
     assert "all verified" in out
+
+
+def test_sweep_table_counts_a_failing_item(capsys, monkeypatch):
+    real = sweeps.run_coefficient_coboundary_sweep
+
+    def one_failing(prime_tuples):
+        items = real(prime_tuples)
+        items[0]["ok"] = False
+        return items
+
+    monkeypatch.setattr(sweeps, "run_coefficient_coboundary_sweep", one_failing)
+    code, out, _ = run(capsys, "sweep", "--seed", "0")
+    assert code == 1
+    assert out.splitlines() == [
+        "homology_tables: 90/90 verified",
+        "coboundary_lattices: 280/280 verified",
+        "pullback_lattices: 41/41 verified",
+        "transform_pullback: 40/40 verified",
+        "presentations: 20/20 verified",
+        "coefficient_coboundary: 2/3 verified",
+        "MISMATCH FOUND",
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 37])
+def test_sweep_report_bytes_match_recorded_digest(tmp_path, capsys, seed):
+    digests = json.loads((ROOT / "perfbench" / "sweep_digests.json").read_text())
+    target = tmp_path / "sweep.json"
+    argv = ("sweep", "--seed", str(seed), "--format", "json", "--out", str(target))
+    assert run(capsys, *argv)[0] == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digests[str(seed)]
+
+
+def test_verify_pullback_max_size_zero_on_a_large_universe(capsys):
+    # n = 105 has 2^49 index subsets; only the requested sizes are built
+    argv = ("verify-pullback", "--primes", "3,5,7", "--all-subsets", "--max-size", "0")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "A=[]: ok\n1/1 verified\n"
+
+
+def test_verify_homology_max_size_one_on_a_large_universe(capsys):
+    argv = ("verify-homology", "--primes", "3,5,7", "--all-subsets", "--max-size", "1")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert [item["A"] for item in json.loads(out)["items"]] == [[i] for i in range(49)]

@@ -1,13 +1,15 @@
-"""Sweep determinism and the threaded runner."""
+"""Sweep determinism and subset generation."""
 
 import json
 
+import pytest
+
 from balacyc.sweeps import (
+    bounded_subsets,
     family_subsets,
     pullback_subsets,
     random_index_subsets,
     run_family_sweep,
-    run_ordered,
     run_transform_pullback_sweep,
 )
 
@@ -37,21 +39,33 @@ def test_pullback_subsets_include_empty():
     assert len(subsets) == 8
 
 
-def test_run_ordered_threaded_matches_sequential(monkeypatch):
-    work = list(range(30))
-    fn = lambda x: x * x
-    sequential = run_ordered(fn, work)
-    monkeypatch.setenv("BALACYC_THREADS", "4")
-    threaded = run_ordered(fn, work)
-    assert sequential == threaded == [x * x for x in work]
-    monkeypatch.setenv("BALACYC_THREADS", "not-a-number")
-    assert run_ordered(fn, work) == sequential
+@pytest.mark.parametrize(
+    "min_size, max_size, expected",
+    [
+        (0, None, [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]),
+        (1, None, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]),
+        (1, 7, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]),
+        (0, 1, [(), (0,), (1,), (2,)]),
+        (1, 0, []),
+        (0, -1, []),
+    ],
+)
+def test_bounded_subsets_sizes_and_order(min_size, max_size, expected):
+    assert list(bounded_subsets(range(3), min_size, max_size)) == expected
 
 
-def test_family_sweep_reports_are_reproducible(monkeypatch):
+def test_family_subsets_singletons_of_a_large_universe():
+    # phi(105) = 48: 2^49 index subsets in all, 49 singletons
+    assert family_subsets((3, 5, 7), 1, 0, 0) == [(i,) for i in range(49)]
+
+
+def test_pullback_subsets_empty_only_of_a_large_universe():
+    assert pullback_subsets((3, 5, 7), 0, 0, 0) == [()]
+
+
+def test_family_sweep_reports_are_reproducible():
     subsets = family_subsets((2, 3), None, 0, 0)
     once = json.dumps(run_family_sweep((2, 3), subsets), sort_keys=True)
-    monkeypatch.setenv("BALACYC_THREADS", "3")
     twice = json.dumps(run_family_sweep((2, 3), subsets), sort_keys=True)
     assert once == twice
 
