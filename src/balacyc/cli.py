@@ -3,15 +3,18 @@
 Output is either a human table or schema-versioned JSON; identical
 (command, parameters, seed) invocations produce byte-identical JSON.
 Exit codes: 0 all checks verified, 1 a mathematical mismatch was found,
-2 usage error.
+2 usage error (including an exhaustive enumeration over MAX_ENUMERATED_SETS
+sets), 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
+import traceback
 
 from .complexes import (
     build_complex,
@@ -36,6 +39,10 @@ from .sweeps import (
     run_pullback_sweep,
     verified_counts,
 )
+
+
+# --all-subsets refuses to enumerate more sets than this.
+MAX_ENUMERATED_SETS = 2**16
 
 
 class UsageError(Exception):
@@ -225,6 +232,19 @@ def _cmd_homology(args):
     return report, True, "\n".join(lines)
 
 
+def _exhaustive_subsets(universe, min_size: int, max_size) -> list:
+    """All subsets with min_size..max_size elements, refused when too many."""
+    universe = tuple(universe)
+    top = len(universe) if max_size is None else min(max_size, len(universe))
+    count = sum(math.comb(len(universe), size) for size in range(min_size, top + 1))
+    if count > MAX_ENUMERATED_SETS:
+        raise UsageError(
+            f"--all-subsets would enumerate {count} sets, over the limit of "
+            f"{MAX_ENUMERATED_SETS}; lower --max-size"
+        )
+    return list(bounded_subsets(universe, min_size, max_size))
+
+
 def _subset_items_table(items) -> str:
     lines = [f"A={item['A']}: {'ok' if item['ok'] else 'MISMATCH'}" for item in items]
     good = sum(1 for item in items if item["ok"])
@@ -237,7 +257,7 @@ def _cmd_verify_coboundaries(args):
     if args.subset is not None:
         point_sets = [_parse_point_set(args.subset, colors)]
     elif args.exhaustive:
-        point_sets = list(bounded_subsets(nested_elements(colors), 0, args.max_size))
+        point_sets = _exhaustive_subsets(nested_elements(colors), 0, args.max_size)
     elif args.random > 0:
         point_sets = sorted(random_point_subsets(colors, args.random, random.Random(args.seed)))
     else:
@@ -262,7 +282,7 @@ def _index_subsets_from_args(args, totient: int, nonempty: bool):
             raise UsageError("this command needs a nonempty subset")
         return [subset]
     if args.exhaustive:
-        return list(bounded_subsets(range(totient + 1), int(nonempty), args.max_size))
+        return _exhaustive_subsets(range(totient + 1), int(nonempty), args.max_size)
     if args.random > 0:
         drawn = random_index_subsets(totient, args.random, random.Random(args.seed), nonempty)
         return sorted(drawn, key=lambda s: (len(s), s))
@@ -352,6 +372,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:

@@ -23,7 +23,7 @@ from .complexes import (
     homology_profile,
     is_coboundary,
     nested_elements,
-    uct_consistent,
+    uct_holds,
 )
 from .cyclotomic import CycInt, cyclotomic, euler_phi, is_prime, root_power
 from .groups import FiniteAbelianGroup, GroupFunction, fourier_transform
@@ -366,11 +366,11 @@ class HomologyVerification:
 def verify_homology_tables(primes, subset) -> HomologyVerification:
     """Compute all reduced (co)homology of the complex and grade it.
 
-    Every dimension 0..k is computed by Smith reduction and compared with
-    the coefficient predictions, including the dimensions where the
-    prediction is zero. The rank bookkeeping identity
-    rank H_k - rank H_(k-1) = |A| - 1 and universal-coefficient
-    consistency are checked alongside.
+    Every dimension 0..k is computed from the invariant factors of the
+    boundary maps and compared with the coefficient predictions, including
+    the dimensions where the prediction is zero. The rank bookkeeping
+    identity rank H_k - rank H_(k-1) = |A| - 1 and universal-coefficient
+    consistency of the two computed profiles are checked alongside.
     """
     data = CycloComplexData.build(primes, subset)
     if not data.subset:
@@ -397,5 +397,5 @@ def verify_homology_tables(primes, subset) -> HomologyVerification:
         predicted_cohomology=tuple(predicted_c[i] for i in range(k + 1)),
         match=match,
         euler_poincare=euler,
-        uct=uct_consistent(x),
+        uct=uct_holds(computed_h, computed_c),
     )

@@ -8,6 +8,7 @@ equality is literal matrix equality.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -304,6 +305,88 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     d = IntMatrix(rows, cols, tuple(x for r in a for x in r))
     return SmithForm(d, IntMatrix(rows, rows, tuple(x for r in u for x in r)), IntMatrix(cols, cols, tuple(x for r in v for x in r)), t)
+
+
+def sparse_invariant_factors(rows) -> tuple[int, ...]:
+    """Nonzero invariant factors of a sparse integer matrix; no transforms.
+
+    `rows` holds one {column index: entry} mapping per row and is not
+    modified. Entries of absolute value 1 are eliminated first, one pivot
+    at a time, each chosen by least Markowitz cost
+    (row count - 1) * (column count - 1) from a heap, so fill-in stays
+    small; a queued cost that has since changed is corrected when it
+    surfaces. Clearing the pivot column by row operations
+    leaves the pivot alone in its column; the pivot row is then dropped,
+    since column operations would clear it without touching the rest.
+    Each unit pivot contributes the factor 1. What is left, a core without
+    unit entries, goes to smith_normal_form. The result equals
+    smith_normal_form(m).invariant_factors for the dense m, and the rank is
+    its length.
+
+    >>> sparse_invariant_factors([{0: 2, 1: 4}, {0: 6, 1: 8}])
+    (2, 4)
+    >>> sparse_invariant_factors([{0: 1, 2: 1}, {1: 3}, {}])
+    (1, 3)
+    """
+    work = {}
+    cols: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        row = {c: x for c, x in row.items() if x}
+        if row:
+            work[r] = row
+            for c in row:
+                cols.setdefault(c, set()).add(r)
+
+    def unit_entries(r, row):
+        return [((len(row) - 1) * (len(cols[c]) - 1), r, c) for c, x in row.items() if x in (1, -1)]
+
+    heap = [entry for r, row in work.items() for entry in unit_entries(r, row)]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        cost, r, c = heapq.heappop(heap)
+        prow = work.get(r)
+        if prow is None or prow.get(c) not in (1, -1):
+            continue
+        now = (len(prow) - 1) * (len(cols[c]) - 1)
+        if now != cost:
+            # counts moved since this entry was queued: requeue at its cost now
+            heapq.heappush(heap, (now, r, c))
+            continue
+        units += 1
+        pivot = prow[c]
+        del work[r]
+        for j in prow:
+            cols[j].discard(r)
+        for i in cols.pop(c):
+            row = work[i]
+            f = row.pop(c) * pivot
+            for j, x in prow.items():
+                if j == c:
+                    continue
+                y = row.get(j, 0) - f * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if row:
+                for entry in unit_entries(i, row):
+                    heapq.heappush(heap, entry)
+            else:
+                del work[i]
+    if not work:
+        return (1,) * units
+    core_cols = {c: k for k, c in enumerate(sorted(c for c, members in cols.items() if members))}
+    core = []
+    for r in sorted(work):
+        dense = [0] * len(core_cols)
+        for c, x in work[r].items():
+            dense[core_cols[c]] = x
+        core.append(dense)
+    return (1,) * units + smith_normal_form(IntMatrix.from_rows(core)).invariant_factors
 
 
 def hermite_normal_form(m: IntMatrix) -> HermiteForm:

@@ -35,6 +35,7 @@ from balacyc.intlinalg import (
     determinant,
     hermite_normal_form,
     smith_normal_form,
+    sparse_invariant_factors,
 )
 from balacyc.sweeps import bounded_subsets, random_index_subsets, random_point_subsets
 
@@ -271,13 +272,18 @@ def test_criterion_8_coefficient_vector_coboundary():
 # --- criterion 9 -------------------------------------------------------------
 
 
-def test_criterion_9_foundational_properties():
-    # make sure the registry holds every complex from criteria 2-6
+def _registry():
+    """Every complex from criteria 2-6."""
     _run_wedge_homology()
     _run_lattice_sweep()
     _run_single_index_tables()
     _run_subset_tables()
     _run_pullback_lattices()
+    return list(_COMPLEXES.values())
+
+
+def test_criterion_9_foundational_properties():
+    _registry()
 
     start = time.perf_counter()
     ok = True
@@ -312,3 +318,19 @@ def test_criterion_9_foundational_properties():
     _report(9, "boundary, inversion, normal-form and UCT suites", ok, elapsed)
     assert ok
     assert len(_COMPLEXES) > 200
+
+
+def test_criterion_9_sparse_factors_match_dense_smith():
+    complexes = _registry()
+    start = time.perf_counter()
+    ok = True
+    for x in complexes:
+        for i in range(x.top_dim + 1):
+            d = boundary_matrix(x, i)
+            for m in (d, d.transpose()):
+                rows = [{j: e for j, e in enumerate(m.row(r)) if e} for r in range(m.rows)]
+                ok = ok and sparse_invariant_factors(rows) == smith_normal_form(m).invariant_factors
+    elapsed = time.perf_counter() - start
+    _report(9, "sparse invariant factors == dense Smith on every boundary and coboundary", ok, elapsed)
+    assert ok
+    assert len(complexes) > 200

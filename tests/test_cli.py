@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -227,3 +228,27 @@ def test_verify_homology_max_size_one_on_a_large_universe(capsys):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert [item["A"] for item in json.loads(out)["items"]] == [[i] for i in range(49)]
+
+
+def test_exhaustive_enumeration_over_the_cap_is_refused(capsys):
+    # Z2 * Z3 * Z5 has 30 points, so 2^30 point sets
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-coboundaries", "--groups", "[[2],[3],[5]]", "--all-subsets")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert "1073741824" in err
+    # the count covers only the sizes asked for: 1 + 49 + 1176 + 18424 + 211876
+    argv = ("verify-pullback", "--primes", "3,5,7", "--all-subsets", "--max-size", "4")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "231526" in err
+
+
+def test_internal_failure_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "cyclo", broken)
+    code, out, err = run(capsys, "cyclo", "6")
+    assert code == 3 and out == ""
+    assert "internal error: RuntimeError: boom" in err

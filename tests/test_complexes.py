@@ -21,6 +21,7 @@ from balacyc.complexes import (
     reduced_homology,
     top_coboundary_domain,
     uct_consistent,
+    uct_holds,
 )
 from balacyc.groups import (
     FiniteAbelianGroup,
@@ -29,7 +30,7 @@ from balacyc.groups import (
     positive_dual_block,
     product_group,
 )
-from balacyc.intlinalg import smith_normal_form
+from balacyc.intlinalg import AbelianGroupStructure, smith_normal_form
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -201,6 +202,13 @@ def test_uct_consistency_on_samples():
         for _ in range(4):
             tops = rng.sample(points, rng.randint(0, len(points)))
             assert uct_consistent(build_complex(colors, tops))
+
+
+def test_uct_holds_flags_misplaced_torsion():
+    z, c2, zero = AbelianGroupStructure(1), AbelianGroupStructure(0, (2,)), AbelianGroupStructure(0)
+    assert uct_holds({0: zero, 1: c2, 2: z}, {0: zero, 1: zero, 2: AbelianGroupStructure(1, (2,))})
+    assert not uct_holds({0: zero, 1: c2, 2: z}, {0: zero, 1: c2, 2: z})
+    assert not uct_holds({0: zero, 1: z}, {0: zero, 1: zero})
 
 
 def test_cohomology_direct_route():

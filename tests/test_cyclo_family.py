@@ -185,6 +185,16 @@ def test_torsion_branch_at_n105():
     assert str(presentation.ambient_quotient) == "C2"
 
 
+def test_torsion_at_n210():
+    # the 210th cyclotomic polynomial has coefficient 2 at degree 7: C2 in
+    # homology one below the top and in cohomology at the top
+    assert CycloComplexData.build((2, 3, 5, 7), ()).coeffs[7] == 2
+    report = verify_homology_tables((2, 3, 5, 7), (7,))
+    assert report.match and report.euler_poincare and report.uct
+    assert report.computed_homology[2] == AbelianGroupStructure(0, (2,))
+    assert report.computed_cohomology[3] == AbelianGroupStructure(0, (2,))
+
+
 def test_verification_report_json_shape():
     report = verify_homology_tables((2, 3, 5), (2, 6))
     data = report.to_json_dict()

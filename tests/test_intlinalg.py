@@ -24,6 +24,7 @@ from balacyc.intlinalg import (
     lattice_equal,
     smith_normal_form,
     solve_in_lattice,
+    sparse_invariant_factors,
 )
 
 
@@ -160,6 +161,42 @@ def test_snf_invariant_under_unimodular_action(m, seed):
     left = random_unimodular(m.rows, rng)
     right = random_unimodular(m.cols, rng)
     assert smith_normal_form(left @ m @ right).invariant_factors == smith_normal_form(m).invariant_factors
+
+
+# --- sparse invariant factors ----------------------------------------------------
+
+
+def sparse_rows(m: IntMatrix):
+    return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
+
+
+# sparse, with units and non-units mixed, and shapes down to 0 x 0
+sparse_test_matrices = st.integers(0, 7).flatmap(
+    lambda r: st.integers(0, 7).flatmap(
+        lambda c: st.lists(
+            st.sampled_from((0, 0, 0, 1, -1, 2, -3, 4, 6)), min_size=r * c, max_size=r * c
+        ).map(lambda e: IntMatrix(r, c, tuple(e)))
+    )
+)
+
+
+@settings(max_examples=150)
+@given(sparse_test_matrices, st.sampled_from((2, 3, 6)))
+def test_sparse_invariant_factors_match_dense_smith(m, scale):
+    # scaled by a non-unit, the whole matrix is the core left for the dense SNF
+    scaled = IntMatrix(m.rows, m.cols, tuple(scale * x for x in m.entries))
+    for a in (m, m.transpose(), scaled):
+        rows = sparse_rows(a)
+        snapshot = [dict(row) for row in rows]
+        assert sparse_invariant_factors(rows) == smith_normal_form(a).invariant_factors
+        assert rows == snapshot
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5)])
+def test_sparse_invariant_factors_of_empty_and_zero_matrices(shape):
+    m = IntMatrix.zero(*shape)
+    assert sparse_invariant_factors(sparse_rows(m)) == smith_normal_form(m).invariant_factors == ()
+    assert sparse_invariant_factors([{0: 0, 2: 0}] * shape[0]) == ()
 
 
 # --- Hermite normal form ------------------------------------------------------
