@@ -25,8 +25,9 @@ canonical basis everywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd
 
 from .cyclotomic import euler_phi
 from .groups import FiniteAbelianGroup, positive_dual_block, product_group
@@ -47,6 +48,9 @@ Cell = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 class BalancedComplex:
     colors: tuple[FiniteAbelianGroup, ...]
     cells_by_dim: tuple[tuple[Cell, ...], ...]
+    # Sparse boundaries and invariant factors computed for this complex.
+    # Outside equality, hashing and repr; it lives and dies with the complex.
+    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     @property
     def top_dim(self) -> int:
@@ -112,16 +116,23 @@ def build_complex(colors, top_cells) -> BalancedComplex:
     return BalancedComplex(colors, tuple(cells))
 
 
-@lru_cache(maxsize=64)
 def _sparse_boundary(x: BalancedComplex, i: int):
     """The boundary map of boundary_matrix, assembled sparse.
 
     Returns (rows, columns): rows[r] maps column indices to the nonzero
     entries of row r, columns[c] maps row indices to those of column c.
-    Both are shared through the cache and must not be modified.
+    Assembled once per (complex, dimension) and kept on the complex, so
+    homology and cohomology share it; the result must not be modified.
     """
     if not 0 <= i <= x.top_dim:
         raise ValueError("dimension out of range")
+    key = ("boundary", i)
+    if key not in x._memo:
+        x._memo[key] = _assemble_boundary(x, i)
+    return x._memo[key]
+
+
+def _assemble_boundary(x: BalancedComplex, i: int):
     if i == 0:
         n_rows = 1
         columns = tuple({0: 1} for _ in x.cells_by_dim[0])
@@ -160,17 +171,20 @@ def boundary_matrix(x: BalancedComplex, i: int) -> IntMatrix:
     return IntMatrix(len(rows), width, tuple(entries))
 
 
-@lru_cache(maxsize=256)
 def _boundary_factors(x: BalancedComplex, i: int, over_columns: bool) -> tuple[int, ...]:
     """Invariant factors of the boundary map from i-chains.
 
     Eliminated over its rows, or over its columns (the coboundary) when
     over_columns is set. One above the top dimension the map is zero.
+    Kept on the complex, like the sparse assembly.
     """
     if i == x.top_dim + 1:
         return ()
-    rows, columns = _sparse_boundary(x, i)
-    return sparse_invariant_factors(columns if over_columns else rows)
+    key = ("factors", i, over_columns)
+    if key not in x._memo:
+        rows, columns = _sparse_boundary(x, i)
+        x._memo[key] = sparse_invariant_factors(columns if over_columns else rows)
+    return x._memo[key]
 
 
 def reduced_homology(x: BalancedComplex, i: int) -> AbelianGroupStructure:
@@ -313,19 +327,29 @@ def coboundary_lattice(colors, top_cells) -> HermiteForm:
 def fourier_vanishing_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     """Integer matrix whose kernel is cut out by transform vanishing.
 
-    For each character nontrivial in every slot, the transform value of a
-    function on the product group is a cyclotomic integer with phi(N)
-    integer coordinates; each coordinate contributes one row. A function
-    vector lies in the kernel exactly when its transform vanishes on the
-    whole all-slots-nontrivial block.
+    A function vector lies in the kernel exactly when its transform
+    vanishes on every character nontrivial in every slot. For an integer
+    function f and a unit u mod the exponent N, the transform at u * chi
+    is the Galois conjugate sigma_u of the transform at chi, so it
+    vanishes exactly when that one does: the conditions are constant on
+    each orbit chi -> u * chi. One character per orbit is kept, the first
+    in the lexicographic order of positive_dual_block, and each
+    contributes phi(N) rows, the power-basis coordinates of its transform
+    value in Z[zeta_N]. On Z3 * Z5 * Z7 the 48 characters form one orbit:
+    48 rows instead of 2304, with the same kernel.
     """
     colors = tuple(colors)
     g = product_group(colors)
     n = g.exponent
     phi = euler_phi(n)
+    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
     points = g.elements()
+    seen = set()
     rows = []
     for chi in positive_dual_block(colors):
+        if chi in seen:
+            continue
+        seen.update(tuple(u * a % m for a, m in zip(chi, g.orders)) for u in units)
         cols = [g.char_value(chi, x).coords for x in points]
         for t in range(phi):
             rows.append([col[t] for col in cols])

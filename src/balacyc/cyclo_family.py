@@ -33,7 +33,6 @@ from .intlinalg import (
     IntMatrix,
     cokernel_structure,
     hermite_normal_form,
-    kernel_basis,
     solve_in_lattice,
 )
 
@@ -185,15 +184,22 @@ def predicted_cohomology(primes, subset, i: int) -> AbelianGroupStructure:
 
 @lru_cache(maxsize=None)
 def _root_relation_kernel(n: int) -> IntMatrix:
-    """Saturated kernel of evaluating integer vectors at zeta_n.
+    """Saturated kernel of evaluating integer vectors at zeta_n, canonical.
 
-    Column l of the evaluated matrix holds the power-basis coordinates of
-    zeta_n**l, so the kernel is the lattice of integer functions on Z_n
-    whose root-of-unity evaluation vanishes.
+    A vector f on Z_n is read as the polynomial f(z) of degree < n, and
+    evaluation at zeta_n vanishes exactly when Phi_n divides f(z). Phi_n is
+    monic, so division by it stays in Z[z]: the kernel is Phi_n * Z[z]
+    truncated to degree < n, with the Z-basis z**j * Phi_n(z) for
+    0 <= j < n - phi(n). That banded basis is built from the coefficients
+    of cyclotomic(n) and brought to Hermite form once here; projecting the
+    canonical basis is much cheaper for every later hermite_normal_form
+    than projecting the band. The argument is division by Phi_n alone,
+    independent of the coboundary route it is compared with.
     """
-    cols = [root_power(n, e).coords for e in range(n)]
-    matrix = IntMatrix.from_columns(cols, rows=euler_phi(n))
-    return kernel_basis(matrix)
+    coeffs = cyclotomic(n).coeffs
+    width = n - euler_phi(n)
+    band = [[0] * j + list(coeffs) + [0] * (width - 1 - j) for j in range(width)]
+    return hermite_normal_form(IntMatrix.from_columns(band, rows=n)).h
 
 
 def root_relation_lattice(primes, subset) -> HermiteForm:

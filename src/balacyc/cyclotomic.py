@@ -172,12 +172,35 @@ def xn_minus_1(n: int) -> IntPoly:
     return IntPoly((-1,) + (0,) * (n - 1) + (1,))
 
 
+def mobius(n: int) -> int:
+    """Moebius function: 0 unless n is squarefree, else (-1)**(prime count).
+
+    >>> [mobius(n) for n in (1, 2, 4, 6, 30)]
+    [1, -1, 0, 1, -1]
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    sign = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, monic of degree phi(n).
 
-    Computed by exact division of z**n - 1 by the product of the
-    cyclotomic polynomials of the proper divisors of n.
+    Computed from Moebius inversion of z**n - 1 = prod_{d | n} Phi_d:
+    Phi_n = prod_{d | n} (z**d - 1)**mu(n/d). The binomials with mu = +1
+    are multiplied in first, then those with mu = -1 are divided out
+    exactly; each step is one shift-and-subtract pass over the
+    coefficients.
 
     >>> cyclotomic(1).coeffs
     (-1, 1)
@@ -190,15 +213,25 @@ def cyclotomic(n: int) -> IntPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return IntPoly((-1, 1))
-    cofactor = IntPoly((1,))
-    for d in divisors(n)[:-1]:
-        cofactor = cofactor * cyclotomic(d)
-    quot, rem = divmod(xn_minus_1(n), cofactor)
-    if not rem.is_zero():
-        raise AssertionError(f"non-exact cyclotomic division at n={n}")
-    return quot
+    up = [d for d in divisors(n) if mobius(n // d) == 1]
+    down = [d for d in divisors(n) if mobius(n // d) == -1]
+    poly = [1]
+    for d in up:
+        # times (z**d - 1): c_i <- c_(i-d) - c_i
+        shifted = [0] * d + poly
+        for i, c in enumerate(poly):
+            shifted[i] -= c
+        poly = shifted
+    for d in down:
+        # over (z**d - 1): q_i = q_(i-d) - c_i, low degree first; the top d
+        # places then hold the remainder
+        quot = [-c for c in poly]
+        for i in range(d, len(quot)):
+            quot[i] += quot[i - d]
+        if any(quot[-d:]):
+            raise AssertionError(f"non-exact cyclotomic division at n={n}")
+        poly = quot[:-d]
+    return IntPoly(tuple(poly))
 
 
 @dataclass(frozen=True)

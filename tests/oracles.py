@@ -1,0 +1,53 @@
+"""Reference routes that the closed forms in balacyc replaced.
+
+Each is the generic computation the library used before it switched to a
+closed form. They are slow but follow the definitions directly, so the
+tests compare the library's results against them.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from balacyc.cyclotomic import IntPoly, divisors, euler_phi, root_power, xn_minus_1
+from balacyc.groups import positive_dual_block, product_group
+from balacyc.intlinalg import IntMatrix, kernel_basis
+
+
+@lru_cache(maxsize=None)
+def cofactor_cyclotomic(n: int) -> IntPoly:
+    """Phi_n as z**n - 1 divided by the product of Phi_d over the proper divisors d."""
+    if n == 1:
+        return IntPoly((-1, 1))
+    cofactor = IntPoly((1,))
+    for d in divisors(n)[:-1]:
+        cofactor = cofactor * cofactor_cyclotomic(d)
+    quot, rem = divmod(xn_minus_1(n), cofactor)
+    assert rem.is_zero()
+    return quot
+
+
+def evaluation_kernel(n: int) -> IntMatrix:
+    """Saturated kernel of Z[Z_n] -> Z[zeta_n] from the Smith column transform.
+
+    Column l of the evaluated matrix holds the power-basis coordinates of
+    zeta_n**l.
+    """
+    cols = [root_power(n, e).coords for e in range(n)]
+    return kernel_basis(IntMatrix.from_columns(cols, rows=euler_phi(n)))
+
+
+def full_block_vanishing_matrix(colors) -> IntMatrix:
+    """phi(N) coordinate rows for every character nontrivial in every slot."""
+    colors = tuple(colors)
+    g = product_group(colors)
+    phi = euler_phi(g.exponent)
+    points = g.elements()
+    rows = []
+    for chi in positive_dual_block(colors):
+        cols = [g.char_value(chi, x).coords for x in points]
+        for t in range(phi):
+            rows.append([col[t] for col in cols])
+    if not rows:
+        return IntMatrix.zero(0, len(points))
+    return IntMatrix.from_rows(rows)

@@ -1,10 +1,15 @@
 """Balanced complexes: boundaries, homology, and the lattice comparison."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
+from oracles import full_block_vanishing_matrix
+
+from balacyc import complexes
 from balacyc.complexes import (
     apply_top_coboundary,
     boundary_matrix,
@@ -13,8 +18,11 @@ from balacyc.complexes import (
     coboundary_matches_fourier,
     coboundary_top_matrix,
     cochain_vector,
+    cohomology_profile,
     complex_json,
     fourier_lattice,
+    fourier_vanishing_matrix,
+    homology_profile,
     is_coboundary,
     nested_elements,
     reduced_cohomology,
@@ -30,12 +38,14 @@ from balacyc.groups import (
     positive_dual_block,
     product_group,
 )
-from balacyc.intlinalg import AbelianGroupStructure, smith_normal_form
+from balacyc.cyclo_family import build_family_complex
+from balacyc.intlinalg import AbelianGroupStructure, hermite_normal_form, kernel_basis, smith_normal_form
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
 Z4 = FiniteAbelianGroup((4,))
 Z5 = FiniteAbelianGroup((5,))
+Z7 = FiniteAbelianGroup((7,))
 Z22 = FiniteAbelianGroup((2, 2))
 
 
@@ -257,6 +267,31 @@ def test_lattice_match_composite_orders():
         assert coboundary_matches_fourier((Z4, z6), tops)
 
 
+@pytest.mark.parametrize(
+    "colors, full_rows, orbit_rows",
+    [
+        ((Z2, Z3), 4, 2),
+        ((Z4, Z3), 24, 8),
+        ((Z22, Z3), 12, 6),
+        ((Z2, Z2, Z2), 1, 1),
+        ((Z2, Z2, Z3), 4, 2),
+        ((Z4, Z2), 6, 4),
+        ((Z2, Z3, Z5), 64, 8),
+        ((Z3, Z5, Z7), 2304, 48),
+    ],
+)
+def test_orbit_vanishing_matrix_matches_full_block(colors, full_rows, orbit_rows):
+    # one block of phi(N) rows per Galois orbit of characters cuts out the
+    # same kernel as the blocks of every character in the orbit
+    full_block = full_block_vanishing_matrix(colors)
+    reduced = fourier_vanishing_matrix(colors)
+    assert (full_block.rows, reduced.rows) == (full_rows, orbit_rows)
+    kernel = complexes._fourier_kernel(colors)
+    assert hermite_normal_form(kernel) == hermite_normal_form(kernel_basis(full_block))
+    # the oracle's Smith form of the full block is large: drop it from the cache
+    smith_normal_form.cache_clear()
+
+
 # --- membership ------------------------------------------------------------------
 
 
@@ -290,3 +325,33 @@ def test_complex_json_shape():
     assert set(data["homology"]) == {"0", "1"}
     # two disjoint edges on 5 vertices: three components
     assert data["homology"]["0"] == {"rank": 2, "torsion": []}
+
+
+# --- per-complex memo --------------------------------------------------------------
+
+
+def test_boundary_assembled_once_per_complex_and_dimension(monkeypatch):
+    calls = []
+    assemble = complexes._assemble_boundary
+    monkeypatch.setattr(complexes, "_assemble_boundary", lambda x, i: calls.append(i) or assemble(x, i))
+    x = build_family_complex((2, 3, 5), (2, 6))
+    homology_profile(x)
+    cohomology_profile(x)
+    assert sorted(calls) == [0, 1, 2]
+    assert complexes._sparse_boundary(x, 2) is complexes._sparse_boundary(x, 2)
+    # the memo stays outside equality, hashing and repr
+    y = build_family_complex((2, 3, 5), (2, 6))
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+
+
+def test_verified_complexes_are_released():
+    refs = []
+    for subset in [(0,), (2, 6), (1, 4, 7), (0, 3, 5, 8)]:
+        x = build_family_complex((2, 3, 5), subset)
+        homology_profile(x)
+        cohomology_profile(x)
+        boundary_matrix(x, 1)
+        refs.append(weakref.ref(x))
+        del x
+    gc.collect()
+    assert all(ref() is None for ref in refs)

@@ -1,11 +1,16 @@
 """The cyclotomic-coefficient complex family and its verifications."""
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from balacyc.complexes import reduced_homology
+from oracles import evaluation_kernel
+
+from balacyc import complexes, cyclo_family
+from balacyc.complexes import fourier_lattice, nested_elements, reduced_homology
 from balacyc.cyclo_family import (
     CycloComplexData,
     build_family_complex,
@@ -22,9 +27,9 @@ from balacyc.cyclo_family import (
     upper_indices,
     verify_homology_tables,
 )
-from balacyc.cyclotomic import cyclotomic, root_power
-from balacyc.groups import GroupFunction
-from balacyc.intlinalg import AbelianGroupStructure, IntMatrix, lattice_contains
+from balacyc.cyclotomic import CycInt, cyclotomic, euler_phi, root_power
+from balacyc.groups import FiniteAbelianGroup, GroupFunction
+from balacyc.intlinalg import AbelianGroupStructure, IntMatrix, hermite_normal_form, lattice_contains
 from balacyc.sweeps import bounded_subsets
 
 
@@ -218,6 +223,38 @@ def test_root_relation_lattice_frozen():
     assert empty.h == IntMatrix.identity(3)
 
 
+@pytest.mark.parametrize("n", [6, 30, 42, 105, 385])
+def test_root_relation_kernel_matches_evaluation_kernel(n):
+    # the banded z**j * Phi_n basis spans the saturated kernel of evaluation
+    # at zeta_n that the Smith column transform finds
+    assert cyclo_family._root_relation_kernel(n) == hermite_normal_form(evaluation_kernel(n)).h
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=2, max_size=3, unique=True).filter(
+        lambda primes: prod(primes) <= 300
+    )
+)
+def test_root_relation_kernel_matches_evaluation_kernel_on_prime_products(primes):
+    n = prod(primes)
+    kernel = cyclo_family._root_relation_kernel(n)
+    assert kernel == hermite_normal_form(evaluation_kernel(n)).h
+    assert (kernel.rows, kernel.cols) == (n, n - euler_phi(n))
+
+
+def test_lattice_routes_do_not_use_the_coboundary(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("lattice route reached the coboundary code")
+
+    monkeypatch.setattr(complexes, "coboundary_top_matrix", forbidden)
+    monkeypatch.setattr(complexes, "coboundary_restriction", forbidden)
+    monkeypatch.setattr(cyclo_family, "coboundary_restriction", forbidden)
+    assert root_relation_lattice((2, 3, 5), (2, 6)).rank > 0
+    colors = tuple(FiniteAbelianGroup((p,)) for p in (2, 3, 5))
+    assert fourier_lattice(colors, nested_elements(colors)).rank == 22
+
+
 def test_coefficient_vector_lies_in_lattice():
     from balacyc.cyclotomic import euler_phi
 
@@ -300,6 +337,26 @@ def test_presentation_frozen_cases():
 
     with pytest.raises(ValueError):
         quotient_presentation((2, 3), ())
+
+
+def test_presentation_rejects_a_corrupted_generator(monkeypatch):
+    # the membership check must catch a wrong rewriting of an upper class:
+    # shift the constant coordinate of zeta_30**9 by one
+    primes, subset = (2, 3, 5), tuple(range(9))
+    assert quotient_presentation(primes, subset).ok
+
+    def corrupted(n, e):
+        value = root_power(n, e)
+        if e != 9:
+            return value
+        return CycInt(n, (value.coords[0] + 1,) + value.coords[1:])
+
+    monkeypatch.setattr(cyclo_family, "root_power", corrupted)
+    report = quotient_presentation(primes, subset)
+    assert report.quotient_ok
+    assert dict(report.generator_membership)[9] is False
+    assert all(ok for t, ok in report.generator_membership if t != 9)
+    assert not report.ok
 
 
 def test_presentation_sweep_n6():

@@ -7,12 +7,16 @@ computed with that oracle.
 """
 
 import cmath
+import importlib
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import cofactor_cyclotomic
 
 from balacyc.cyclotomic import (
     CycInt,
@@ -21,9 +25,13 @@ from balacyc.cyclotomic import (
     divisors,
     eval_at_root,
     euler_phi,
+    mobius,
     root_power,
     xn_minus_1,
 )
+
+# the package exports the function cyclotomic under the module's name
+cyclotomic_module = importlib.import_module("balacyc.cyclotomic")
 
 
 # --- independent oracle -------------------------------------------------
@@ -82,10 +90,19 @@ def test_divisors_brute_force():
         assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
+def test_mobius_from_prime_factors():
+    for n in range(1, 200):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+        squarefree = all(n % (p * p) for p in primes)
+        assert mobius(n) == ((-1) ** len(primes) if squarefree else 0)
+
+
 def test_rejects_nonpositive():
     for bad in (0, -3):
         with pytest.raises(ValueError):
             euler_phi(bad)
+        with pytest.raises(ValueError):
+            mobius(bad)
         with pytest.raises(ValueError):
             cyclotomic(bad)
 
@@ -145,6 +162,29 @@ def test_cyclotomic_frozen_small():
 def test_cyclotomic_against_oracle():
     for n in (1, 2, 3, 4, 6, 8, 9, 12, 15, 30, 36):
         assert list(cyclotomic(n).coeffs) == oracle_cyclotomic(n)
+
+
+def test_cyclotomic_matches_cofactor_division():
+    # the Moebius product of binomials against the division of z**n - 1 by
+    # the product of the smaller cyclotomic polynomials
+    for n in list(range(1, 401)) + [1155, 2310]:
+        assert cyclotomic(n) == cofactor_cyclotomic(n)
+
+
+def test_cyclotomic_15015_is_fast():
+    # the first five-prime case; its largest coefficient is 23 in absolute value
+    start = time.perf_counter()
+    p = cyclotomic.__wrapped__(15015)
+    assert time.perf_counter() - start < 1.0
+    assert p.is_monic() and p.degree == 5760
+    assert max(abs(c) for c in p.coeffs) == 23
+
+
+def test_cyclotomic_inexact_division_raises(monkeypatch):
+    # wrong Moebius exponents leave a nonzero remainder, which must not pass
+    monkeypatch.setattr(cyclotomic_module, "mobius", lambda m: -1)
+    with pytest.raises(AssertionError, match="non-exact"):
+        cyclotomic.__wrapped__(6)
 
 
 def test_cyclotomic_105_coefficient():
