@@ -5,6 +5,11 @@ Output is either a human table or schema-versioned JSON; identical
 Exit codes: 0 all checks verified, 1 a mathematical mismatch was found,
 2 usage error (including an exhaustive enumeration over MAX_ENUMERATED_SETS
 sets), 3 internal error.
+
+Input is validated here, before any computation starts, with the library's
+own checks (check_primes, CycloComplexData.build, normalize_top_cells,
+build_complex); only their ValueErrors become usage errors. A ValueError
+raised later, inside a computation, is an internal error.
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ from .complexes import (
     build_complex,
     complex_json,
     nested_elements,
+    normalize_top_cells,
 )
 from .cyclo_family import (
     CycloComplexData,
     build_family_complex,
+    check_primes,
     coefficient_vector_is_coboundary,
 )
 from .cyclotomic import cyclotomic
@@ -49,6 +56,14 @@ class UsageError(Exception):
     pass
 
 
+def _checked(check, *args):
+    """check(*args), its ValueError reported as a usage error."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -61,9 +76,10 @@ def _positive_int(text: str) -> int:
 
 def _parse_primes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
+        primes = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise UsageError(f"malformed prime list: {text!r}") from exc
+    return _checked(check_primes, primes)
 
 
 def _parse_groups(text: str) -> tuple[FiniteAbelianGroup, ...]:
@@ -207,13 +223,13 @@ def _cmd_homology(args):
             points = nested_elements(colors)
         else:
             points = _parse_point_set(args.subset, colors)
-        x = build_complex(colors, points)
+        x = _checked(build_complex, colors, points)
         body = complex_json(x)
         report = {"schema": 1, "command": "homology", **body}
     else:
         primes = _parse_primes(args.primes)
         subset = _parse_index_set(args.subset or "")
-        data = CycloComplexData.build(primes, subset)
+        data = _checked(CycloComplexData.build, primes, subset)
         x = build_family_complex(primes, subset)
         body = complex_json(x)
         report = {
@@ -255,7 +271,9 @@ def _subset_items_table(items) -> str:
 def _cmd_verify_coboundaries(args):
     colors = _parse_groups(args.groups)
     if args.subset is not None:
-        point_sets = [_parse_point_set(args.subset, colors)]
+        points = _parse_point_set(args.subset, colors)
+        _checked(normalize_top_cells, colors, points)
+        point_sets = [points]
     elif args.exhaustive:
         point_sets = _exhaustive_subsets(nested_elements(colors), 0, args.max_size)
     elif args.random > 0:
@@ -275,16 +293,18 @@ def _cmd_verify_coboundaries(args):
     return report, ok, _subset_items_table(items)
 
 
-def _index_subsets_from_args(args, totient: int, nonempty: bool):
+def _index_subsets_from_args(args, data: CycloComplexData, nonempty: bool):
     if args.subset is not None:
         subset = _parse_index_set(args.subset)
         if nonempty and not subset:
             raise UsageError("this command needs a nonempty subset")
+        # checks the range 0..phi(n)
+        _checked(CycloComplexData.build, data.primes, subset)
         return [subset]
     if args.exhaustive:
-        return _exhaustive_subsets(range(totient + 1), int(nonempty), args.max_size)
+        return _exhaustive_subsets(range(data.totient + 1), int(nonempty), args.max_size)
     if args.random > 0:
-        drawn = random_index_subsets(totient, args.random, random.Random(args.seed), nonempty)
+        drawn = random_index_subsets(data.totient, args.random, random.Random(args.seed), nonempty)
         return sorted(drawn, key=lambda s: (len(s), s))
     raise UsageError("choose one of --set, --all-subsets, --random N")
 
@@ -292,7 +312,7 @@ def _index_subsets_from_args(args, totient: int, nonempty: bool):
 def _cmd_verify_pullback(args):
     primes = _parse_primes(args.primes)
     data = CycloComplexData.build(primes, ())
-    subsets = _index_subsets_from_args(args, data.totient, nonempty=False)
+    subsets = _index_subsets_from_args(args, data, nonempty=False)
     items = run_pullback_sweep(primes, subsets)
     ok = all(item["ok"] for item in items)
     report = {
@@ -310,7 +330,7 @@ def _cmd_verify_pullback(args):
 def _cmd_verify_homology(args):
     primes = _parse_primes(args.primes)
     data = CycloComplexData.build(primes, ())
-    subsets = _index_subsets_from_args(args, data.totient, nonempty=True)
+    subsets = _index_subsets_from_args(args, data, nonempty=True)
     items = run_family_sweep(primes, subsets)
     ok = all(item["ok"] for item in items)
     report = {
@@ -367,9 +387,6 @@ def main(argv=None) -> int:
     try:
         report, ok, table = _DISPATCH[args.command](args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

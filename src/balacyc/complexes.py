@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import euler_phi
+from .cyclotomic import euler_phi, root_power
 from .groups import FiniteAbelianGroup, positive_dual_block, product_group
 from .intlinalg import (
     AbelianGroupStructure,
@@ -335,7 +335,8 @@ def fourier_vanishing_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatri
     each orbit chi -> u * chi. One character per orbit is kept, the first
     in the lexicographic order of positive_dual_block, and each
     contributes phi(N) rows, the power-basis coordinates of its transform
-    value in Z[zeta_N]. On Z3 * Z5 * Z7 the 48 characters form one orbit:
+    value in Z[zeta_N], read off the powers of zeta_N through
+    pairing_exponent. On Z3 * Z5 * Z7 the 48 characters form one orbit:
     48 rows instead of 2304, with the same kernel.
     """
     colors = tuple(colors)
@@ -344,13 +345,14 @@ def fourier_vanishing_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatri
     phi = euler_phi(n)
     units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
     points = g.elements()
+    powers = [root_power(n, e).coords for e in range(n)]
     seen = set()
     rows = []
     for chi in positive_dual_block(colors):
         if chi in seen:
             continue
         seen.update(tuple(u * a % m for a, m in zip(chi, g.orders)) for u in units)
-        cols = [g.char_value(chi, x).coords for x in points]
+        cols = [powers[g.pairing_exponent(chi, x)] for x in points]
         for t in range(phi):
             rows.append([col[t] for col in cols])
     if not rows:

@@ -25,7 +25,7 @@ from .complexes import (
     nested_elements,
     uct_holds,
 )
-from .cyclotomic import CycInt, cyclotomic, euler_phi, is_prime, root_power
+from .cyclotomic import cyclotomic, euler_phi, eval_at_root, is_prime, root_power
 from .groups import FiniteAbelianGroup, GroupFunction, fourier_transform
 from .intlinalg import (
     AbelianGroupStructure,
@@ -37,7 +37,7 @@ from .intlinalg import (
 )
 
 
-def _check_primes(primes) -> tuple[int, ...]:
+def check_primes(primes) -> tuple[int, ...]:
     primes = tuple(primes)
     if len(primes) < 2:
         raise ValueError("at least two primes required (top dimension >= 1)")
@@ -50,7 +50,7 @@ def _check_primes(primes) -> tuple[int, ...]:
 
 
 def family_colors(primes) -> tuple[FiniteAbelianGroup, ...]:
-    return tuple(FiniteAbelianGroup((p,)) for p in _check_primes(primes))
+    return tuple(FiniteAbelianGroup((p,)) for p in check_primes(primes))
 
 
 def crt_split(primes, x: int) -> tuple[tuple[int, ...], ...]:
@@ -79,7 +79,7 @@ def crt_unit(primes) -> int:
     >>> crt_unit((2, 3)), crt_unit((2, 3, 5))
     (5, 1)
     """
-    primes = _check_primes(primes)
+    primes = check_primes(primes)
     n = prod(primes)
     u = sum(prod(q for q in primes if q != p) for p in primes) % n
     if gcd(u, n) != 1:
@@ -108,7 +108,7 @@ class CycloComplexData:
 
     @classmethod
     def build(cls, primes, subset) -> CycloComplexData:
-        primes = _check_primes(primes)
+        primes = check_primes(primes)
         n = prod(primes)
         totient = euler_phi(n)
         subset = tuple(sorted(set(int(j) for j in subset)))
@@ -235,6 +235,11 @@ def transform_pullback_check(primes, h: GroupFunction, m: int | None = None) -> 
     split of m. With m=None every residue of Z_n is checked against one
     shared transform. Also checks that multiplication by the unit permutes
     the units of Z_n.
+
+    The Z_n side is summed in the group ring Z[Z_n], h(x) going into bucket
+    residue(x) * unit * m mod n, and reduced to Z[zeta_n] once. Its
+    exponents come from the CRT residues, the product-group side's from
+    pairing_exponent; the two meet only as reduced values in Z[zeta_n].
     """
     data = CycloComplexData.build(primes, ())
     n = data.n
@@ -247,16 +252,16 @@ def transform_pullback_check(primes, h: GroupFunction, m: int | None = None) -> 
     residues = {x: inverse[tuple((xi,) for xi in x)] for x in h.values}
     hat = fourier_transform(h)
     for point in range(n) if m is None else (m,):
-        lhs = CycInt.zero(n)
+        buckets = [0] * n
         for x, v in h.values.items():
-            lhs = lhs + v * root_power(n, residues[x] * data.unit * point)
-        if lhs != hat[tuple(point % p for p in data.primes)]:
+            buckets[residues[x] * data.unit * point % n] += v
+        if eval_at_root(buckets, n) != hat[tuple(point % p for p in data.primes)]:
             return False
     return True
 
 
 def product_group_of(primes) -> FiniteAbelianGroup:
-    return FiniteAbelianGroup(tuple(_check_primes(primes)))
+    return FiniteAbelianGroup(tuple(check_primes(primes)))
 
 
 def coefficient_vector_is_coboundary(primes) -> bool:

@@ -4,6 +4,13 @@ A group is a product of cyclic factors; elements and characters are both
 residue tuples, paired through exp(2*pi*i*x*y/m) on each factor. All
 transform values live in Z[zeta_N] for the single conductor N = exponent
 of the group, so vanishing is an exact coordinate test.
+
+Every character value is a power of zeta_N, and pairing_exponent gives
+that power as an integer. A character sum sum_x f(x) * chi(x) is
+therefore first collected in the group ring Z[Z_N]: f(x) is added into
+bucket pairing_exponent(chi, x), and the N buckets are reduced to
+Z[zeta_N] once, by eval_at_root. Fourier inversion is summed the same
+way, one reduction per point.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
 
-from .cyclotomic import CycInt, root_power
+from .cyclotomic import CycInt, eval_at_root, root_power
 
 
 @lru_cache(maxsize=None)
@@ -64,6 +71,20 @@ class FiniteAbelianGroup:
     def neg(self, x) -> tuple[int, ...]:
         return tuple((-a) % m for a, m in zip(x, self.orders))
 
+    def pairing_exponent(self, chi, x) -> int:
+        """The e in 0..N-1 with chi(x) = zeta_N**e, N the group exponent.
+
+        It is the sum over the factors of chi_i * x_i * N / m_i, mod N.
+
+        >>> FiniteAbelianGroup((2, 3)).pairing_exponent((1, 1), (1, 2))
+        1
+        """
+        n = self.exponent
+        e = 0
+        for a, xi, m in zip(chi, x, self.orders):
+            e += a * xi * (n // m)
+        return e % n
+
     def char_value(self, chi, x) -> CycInt:
         """chi(x) as an exact element of Z[zeta_N], N the group exponent.
 
@@ -73,11 +94,7 @@ class FiniteAbelianGroup:
         >>> G.char_value((1,), (1,)).coords
         (-1,)
         """
-        n = self.exponent
-        e = 0
-        for a, xi, m in zip(chi, x, self.orders):
-            e += a * xi * (n // m)
-        return root_power(n, e)
+        return root_power(self.exponent, self.pairing_exponent(chi, x))
 
     def to_json(self) -> list[int]:
         return list(self.orders)
@@ -152,6 +169,10 @@ class GroupFunction:
 def fourier_transform(f: GroupFunction) -> dict[tuple[int, ...], CycInt]:
     """Exact character sums sum_x f(x) chi(x) for every character chi.
 
+    For each chi the values f(x) are added into N buckets indexed by
+    pairing_exponent(chi, x), an element of the group ring Z[Z_N], and
+    that element is reduced to Z[zeta_N] by one eval_at_root call.
+
     >>> G = FiniteAbelianGroup((3,))
     >>> hat = fourier_transform(GroupFunction(G, {(0,): 1, (1,): 1, (2,): 1}))
     >>> hat[(0,)].coords, hat[(1,)].is_zero()
@@ -161,10 +182,10 @@ def fourier_transform(f: GroupFunction) -> dict[tuple[int, ...], CycInt]:
     n = g.exponent
     out = {}
     for chi in g.characters():
-        acc = CycInt.zero(n)
+        buckets = [0] * n
         for x, v in f.values.items():
-            acc = acc + v * g.char_value(chi, x)
-        out[chi] = acc
+            buckets[g.pairing_exponent(chi, x)] += v
+        out[chi] = eval_at_root(buckets, n)
     return out
 
 
@@ -174,15 +195,22 @@ def fourier_support(f: GroupFunction) -> set[tuple[int, ...]]:
 
 
 def inversion_check(f: GroupFunction) -> bool:
-    """Exact Fourier inversion: |G| * f(x) = sum_chi fhat(chi) * chi(-x)."""
+    """Exact Fourier inversion: |G| * f(x) = sum_chi fhat(chi) * chi(-x).
+
+    Coordinate t of fhat(chi) is the coefficient of zeta_N**t, so it goes
+    into bucket t + pairing_exponent(chi, -x) mod N; the buckets are
+    reduced once per point x.
+    """
     g = f.group
     n = g.exponent
     hat = fourier_transform(f)
     for x in g.elements():
         neg = g.neg(x)
-        rhs = CycInt.zero(n)
+        buckets = [0] * n
         for chi, val in hat.items():
-            rhs = rhs + val * g.char_value(chi, neg)
-        if rhs != CycInt.from_int(n, g.order * f(x)):
+            shift = g.pairing_exponent(chi, neg)
+            for t, c in enumerate(val.coords):
+                buckets[(t + shift) % n] += c
+        if eval_at_root(buckets, n) != CycInt.from_int(n, g.order * f(x)):
             return False
     return True

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from balacyc.cyclotomic import IntPoly, divisors, euler_phi, root_power, xn_minus_1
+from balacyc.cyclotomic import CycInt, IntPoly, divisors, euler_phi, root_power, xn_minus_1
 from balacyc.groups import positive_dual_block, product_group
 from balacyc.intlinalg import IntMatrix, kernel_basis
 
@@ -51,3 +51,31 @@ def full_block_vanishing_matrix(colors) -> IntMatrix:
     if not rows:
         return IntMatrix.zero(0, len(points))
     return IntMatrix.from_rows(rows)
+
+
+def termwise_fourier_transform(f) -> dict:
+    """Each character sum built one CycInt product and sum per term."""
+    g = f.group
+    n = g.exponent
+    out = {}
+    for chi in g.characters():
+        acc = CycInt.zero(n)
+        for x, v in f.values.items():
+            acc = acc + v * g.char_value(chi, x)
+        out[chi] = acc
+    return out
+
+
+def termwise_inversion_check(f) -> bool:
+    """|G| * f(x) = sum_chi fhat(chi) * chi(-x), one CycInt product per term."""
+    g = f.group
+    n = g.exponent
+    hat = termwise_fourier_transform(f)
+    for x in g.elements():
+        neg = g.neg(x)
+        rhs = CycInt.zero(n)
+        for chi, val in hat.items():
+            rhs = rhs + val * g.char_value(chi, neg)
+        if rhs != CycInt.from_int(n, g.order * f(x)):
+            return False
+    return True

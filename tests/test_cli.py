@@ -252,3 +252,38 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "cyclo", "6")
     assert code == 3 and out == ""
     assert "internal error: RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify-homology", "--primes", "4,6", "--set", "1"), "4 is not prime"),
+        (("verify-homology", "--primes", "2,3", "--set", "0,9"), "subset must lie in 0..2"),
+        (("verify-pullback", "--primes", "2,2", "--set", "1"), "primes must be distinct"),
+        (
+            ("verify-coboundaries", "--groups", "[[2],[3]]", "--set", "[[0,7]]"),
+            "vertex (7,) is outside its color group",
+        ),
+        (
+            ("verify-coboundaries", "--groups", "[[2],[3]]", "--set", "[[0,1],[0,1]]"),
+            "duplicate top cells",
+        ),
+        (("homology", "--groups", "[[1],[3]]"), "color groups must be nontrivial"),
+        (
+            ("verify-coeff-coboundary", "--primes", "3"),
+            "at least two primes required (top dimension >= 1)",
+        ),
+    ],
+)
+def test_invalid_input_is_a_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_value_error_inside_a_computation_exits_3(capsys, monkeypatch):
+    def broken(primes):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "coefficient_vector_is_coboundary", broken)
+    code, out, err = run(capsys, "verify-coeff-coboundary", "--primes", "2,3")
+    assert code == 3 and out == ""
+    assert "internal error: ValueError: boom" in err

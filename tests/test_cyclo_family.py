@@ -1,15 +1,16 @@
 """The cyclotomic-coefficient complex family and its verifications."""
 
+import importlib
 import random
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import evaluation_kernel
 
-from balacyc import complexes, cyclo_family
+from balacyc import complexes, cyclo_family, groups
 from balacyc.complexes import fourier_lattice, nested_elements, reduced_homology
 from balacyc.cyclo_family import (
     CycloComplexData,
@@ -28,7 +29,7 @@ from balacyc.cyclo_family import (
     verify_homology_tables,
 )
 from balacyc.cyclotomic import CycInt, cyclotomic, euler_phi, root_power
-from balacyc.groups import FiniteAbelianGroup, GroupFunction
+from balacyc.groups import FiniteAbelianGroup, GroupFunction, fourier_transform
 from balacyc.intlinalg import AbelianGroupStructure, IntMatrix, hermite_normal_form, lattice_contains
 from balacyc.sweeps import bounded_subsets
 
@@ -304,6 +305,40 @@ def test_transform_pullback_random_functions():
         for _ in range(5):
             h = GroupFunction(g, {x: rng.randint(-3, 3) for x in g.elements()})
             assert transform_pullback_check(primes, h)
+
+
+def test_character_sums_make_no_per_term_root_power_call(monkeypatch):
+    rng = random.Random(29)
+    g = product_group_of((2, 3, 5))
+    h = GroupFunction(g, {x: rng.randint(-3, 3) for x in g.elements()})
+    expected = fourier_transform(h)
+
+    def refuse(n, e):
+        raise AssertionError(f"root_power({n}, {e}) called")
+
+    # the package re-exports the function cyclotomic under the module's name
+    cyclotomic_module = importlib.import_module("balacyc.cyclotomic")
+    for module in (cyclotomic_module, groups, cyclo_family):
+        monkeypatch.setattr(module, "root_power", refuse)
+    assert fourier_transform(h) == expected
+    assert transform_pullback_check((2, 3, 5), h)
+    assert transform_pullback_check((2, 3), GroupFunction(product_group_of((2, 3)), {(1, 2): 4}))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_transform_pullback_fails_without_the_crt_twist(vec):
+    # crt_unit((2, 3)) is 5. With 1 in its place the Z_6 side at m reads
+    # the transform at (m mod 2, -m mod 3) instead of (m mod 2, m mod 3),
+    # which differs for every h that is not even in its Z3 coordinate.
+    g = product_group_of((2, 3))
+    h = GroupFunction.from_vector(g, vec)
+    assume(any(h((a, b)) != h((a, -b % 3)) for a, b in g.elements()))
+    assert crt_unit((2, 3)) == 5
+    assert transform_pullback_check((2, 3), h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclo_family, "crt_unit", lambda primes: 1)
+        assert not transform_pullback_check((2, 3), h)
 
 
 def test_transform_pullback_rejects_wrong_group():

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import termwise_fourier_transform, termwise_inversion_check
+
+from balacyc import groups
 from balacyc.cyclotomic import CycInt, cyclotomic, root_power
 from balacyc.groups import (
     FiniteAbelianGroup,
@@ -28,6 +31,14 @@ TEST_GROUPS = [
     FiniteAbelianGroup((4, 3)),
     FiniteAbelianGroup((2, 2, 3)),
     FiniteAbelianGroup((6, 10)),
+]
+
+# Groups on which the bucketed sums are compared with the term-by-term ones.
+DIFFERENTIAL_GROUPS = [
+    FiniteAbelianGroup((2, 2)),
+    FiniteAbelianGroup((4, 3)),
+    FiniteAbelianGroup((9,)),
+    FiniteAbelianGroup((2, 3, 5)),
 ]
 
 
@@ -117,6 +128,38 @@ def test_inversion_on_randoms():
     g5 = FiniteAbelianGroup((5,))
     for x in g5.elements():
         assert inversion_check(GroupFunction(g5, {x: 1}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_GROUPS), st.data())
+def test_bucketed_sums_match_termwise(g, data):
+    vec = data.draw(st.lists(st.integers(-4, 4), min_size=g.order, max_size=g.order))
+    f = GroupFunction.from_vector(g, vec)
+    assert fourier_transform(f) == termwise_fourier_transform(f)
+    assert inversion_check(f) == termwise_inversion_check(f)
+
+
+@pytest.mark.parametrize("g", DIFFERENTIAL_GROUPS)
+def test_bucketed_sums_of_the_zero_function(g):
+    f = GroupFunction.zero(g)
+    hat = fourier_transform(f)
+    assert hat == termwise_fourier_transform(f)
+    assert all(value == CycInt.zero(g.exponent) for value in hat.values())
+    assert inversion_check(f) and termwise_inversion_check(f)
+
+
+def test_inversion_check_rejects_a_corrupted_transform(monkeypatch):
+    g = FiniteAbelianGroup((4, 3))
+    f = GroupFunction(g, {(1, 2): 3, (3, 0): -1})
+    real = groups.fourier_transform
+
+    def corrupted(func):
+        hat = real(func)
+        hat[(1, 1)] = hat[(1, 1)] + CycInt.one(g.exponent)
+        return hat
+
+    monkeypatch.setattr(groups, "fourier_transform", corrupted)
+    assert not inversion_check(f)
 
 
 @settings(max_examples=40)
