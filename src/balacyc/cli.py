@@ -7,9 +7,11 @@ Exit codes: 0 all checks verified, 1 a mathematical mismatch was found,
 sets), 3 internal error.
 
 Input is validated here, before any computation starts, with the library's
-own checks (check_primes, CycloComplexData.build, normalize_top_cells,
-build_complex); only their ValueErrors become usage errors. A ValueError
-raised later, inside a computation, is an internal error.
+own checks (check_primes, check_colors, CycloComplexData.build,
+normalize_top_cells, build_complex); only their ValueErrors become usage
+errors. A ValueError raised later, inside a computation, is an internal
+error. A selection of no sets at all is a usage error too, never an
+empty verified run.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import traceback
 
 from .complexes import (
     build_complex,
+    check_colors,
     complex_json,
     nested_elements,
     normalize_top_cells,
@@ -64,14 +67,19 @@ def _checked(check, *args):
         raise UsageError(str(exc)) from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_at_least(minimum: int, kind: str):
+    """An argparse type: an integer of at least `minimum`, described as `kind`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer")
+        return value
+
+    return parse
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
@@ -94,7 +102,7 @@ def _parse_groups(text: str) -> tuple[FiniteAbelianGroup, ...]:
         if not isinstance(color, list) or not all(isinstance(m, int) and m >= 1 for m in color):
             raise UsageError("each color must be a list of positive cyclic orders")
         colors.append(FiniteAbelianGroup(tuple(color)))
-    return tuple(colors)
+    return _checked(check_colors, colors)
 
 
 def _parse_index_set(text: str) -> tuple[int, ...]:
@@ -142,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized sweeps")
 
     p = sub.add_parser("cyclo", help="coefficients of the n-th cyclotomic polynomial")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_int_at_least(1, "positive"))
     common(p)
 
     p = sub.add_parser("homology", help="reduced (co)homology of one complex")
@@ -163,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", required=True)
     p.add_argument("--set", dest="subset", help="one point set as JSON")
     p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-size", type=_int_at_least(0, "nonnegative"), default=None)
     p.add_argument("--random", type=int, default=0, metavar="N")
     common(p)
 
@@ -174,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", required=True)
     p.add_argument("--set", dest="subset", help="comma list of residues (may be empty)")
     p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-size", type=_int_at_least(0, "nonnegative"), default=None)
     p.add_argument("--random", type=int, default=0, metavar="N")
     common(p)
 
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", required=True)
     p.add_argument("--set", dest="subset", help="one nonempty comma list of residues")
     p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-size", type=_int_at_least(0, "nonnegative"), default=None)
     p.add_argument("--random", type=int, default=0, metavar="N")
     common(p)
 
@@ -249,10 +257,12 @@ def _cmd_homology(args):
 
 
 def _exhaustive_subsets(universe, min_size: int, max_size) -> list:
-    """All subsets with min_size..max_size elements, refused when too many."""
+    """All subsets with min_size..max_size elements, refused when none or too many."""
     universe = tuple(universe)
     top = len(universe) if max_size is None else min(max_size, len(universe))
     count = sum(math.comb(len(universe), size) for size in range(min_size, top + 1))
+    if count == 0:
+        raise UsageError(f"--all-subsets selects no sets; --max-size must be at least {min_size}")
     if count > MAX_ENUMERATED_SETS:
         raise UsageError(
             f"--all-subsets would enumerate {count} sets, over the limit of "

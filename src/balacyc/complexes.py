@@ -37,7 +37,6 @@ from .intlinalg import (
     IntMatrix,
     hermite_normal_form,
     kernel_basis,
-    solve_in_lattice,
     sparse_invariant_factors,
 )
 
@@ -88,6 +87,16 @@ def normalize_top_cells(colors, top_cells) -> tuple[tuple[tuple[int, ...], ...],
     return tuple(sorted(seen))
 
 
+def check_colors(colors) -> tuple[FiniteAbelianGroup, ...]:
+    """The colors as a tuple; ValueError unless there is at least one and each is nontrivial."""
+    colors = tuple(colors)
+    if not colors:
+        raise ValueError("at least one color group required")
+    if any(g.order < 2 for g in colors):
+        raise ValueError("color groups must be nontrivial")
+    return colors
+
+
 def build_complex(colors, top_cells) -> BalancedComplex:
     """Full (k-1)-skeleton of the join plus the given set of top cells.
 
@@ -97,11 +106,7 @@ def build_complex(colors, top_cells) -> BalancedComplex:
     >>> build_complex((z2, z3), ()).f_vector()
     (5, 0)
     """
-    colors = tuple(colors)
-    if not colors:
-        raise ValueError("at least one color group required")
-    if any(g.order < 2 for g in colors):
-        raise ValueError("color groups must be nontrivial")
+    colors = check_colors(colors)
     k = len(colors) - 1
     top = normalize_top_cells(colors, top_cells)
     cells: list[tuple[Cell, ...]] = []
@@ -398,7 +403,7 @@ def is_coboundary(colors, top_cells, values) -> bool:
     values = list(values)
     if len(values) != len(cells):
         raise ValueError("value vector length does not match top cell count")
-    return solve_in_lattice(coboundary_restriction(colors, cells), values) is not None
+    return coboundary_lattice(colors, cells).contains(values)
 
 
 def complex_json(x: BalancedComplex) -> dict:

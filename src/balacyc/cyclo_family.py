@@ -33,7 +33,6 @@ from .intlinalg import (
     IntMatrix,
     cokernel_structure,
     hermite_normal_form,
-    solve_in_lattice,
 )
 
 
@@ -330,7 +329,7 @@ def quotient_presentation(primes, subset) -> PresentationReport:
             if j < len(coords):
                 vec[position[j]] = -coords[j]
         vec[position[t]] += 1
-        member = solve_in_lattice(lattice.h, vec) is not None
+        member = lattice.contains(vec)
         checks.append((t, member))
     return PresentationReport(expected, ambient, small, tuple(checks))
 

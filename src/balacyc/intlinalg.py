@@ -3,14 +3,18 @@
 Smith and Hermite normal forms, integer kernels, lattice comparison and
 integral linear solving, all over Python's native big integers. Column
 lattices are compared through a single canonical Hermite form, so lattice
-equality is literal matrix equality.
+equality is literal matrix equality. Every lattice question goes through
+a Hermite form: membership and solving by forward substitution over its
+echelon columns, kernels from the Hermite form of m stacked on the
+identity, and cokernels from sparse_invariant_factors. No program path
+uses the Smith transforms u and v; smith_normal_form stays as the public
+reference and as the dense core of sparse_invariant_factors.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,18 @@ class HermiteForm:
     def rank(self) -> int:
         return self.h.cols
 
+    def contains(self, vec) -> bool:
+        """Whether vec lies in the lattice.
+
+        >>> even_sum = hermite_normal_form(IntMatrix.from_columns([(1, 1), (2, 0)]))
+        >>> even_sum.contains([3, 1]), even_sum.contains([1, 0])
+        (True, False)
+        """
+        vec = list(vec)
+        if len(vec) != self.h.rows:
+            raise ValueError("vector length does not match row count")
+        return _echelon_solve([self.h.column(j) for j in range(self.h.cols)], vec) is not None
+
 
 @dataclass(frozen=True)
 class AbelianGroupStructure:
@@ -214,7 +230,6 @@ def _find_pivot(a: list[list[int]], t: int, rows: int, cols: int):
     return best
 
 
-@lru_cache(maxsize=256)
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Smith normal form with accumulated unimodular transforms.
 
@@ -439,16 +454,55 @@ def hermite_normal_form(m: IntMatrix) -> HermiteForm:
     return HermiteForm(IntMatrix(rows, piv, tuple(basis[j][i] for i in range(rows) for j in range(piv))))
 
 
+def _echelon_solve(columns, b) -> list[int] | None:
+    """Coefficients y with sum(y[j] * columns[j]) == b, or None.
+
+    The columns are in column-echelon form: each is zero above its first
+    nonzero entry, its pivot, and the pivot rows strictly increase. Forward
+    substitution: at each pivot row the residual is divided by the pivot
+    and that multiple of the column subtracted, which leaves the remainder
+    there for good, since later columns are zero in that row. b lies in the
+    span exactly when the residual ends at zero.
+    """
+    residual = list(b)
+    y = []
+    for col in columns:
+        p = next(i for i, x in enumerate(col) if x)
+        q = residual[p] // col[p]
+        if q:
+            residual[p:] = [x - q * c for x, c in zip(residual[p:], col[p:])]
+        y.append(q)
+    return None if any(residual) else y
+
+
+def _stacked_hermite(m: IntMatrix) -> tuple[list, list]:
+    """Hermite form of m stacked on the identity, split by its top blocks.
+
+    The form is [m; I] @ V for a unimodular V, so its top block is m @ V
+    and its bottom block is V itself. Columns are returned as (top, bottom)
+    pairs: first those with a nonzero top, in column-echelon form, then
+    those with a zero top, whose bottoms span the kernel of m.
+    """
+    stacked = IntMatrix(m.rows + m.cols, m.cols, m.entries + IntMatrix.identity(m.cols).entries)
+    h = hermite_normal_form(stacked).h
+    image, kernel = [], []
+    for j in range(h.cols):
+        col = h.column(j)
+        top, bottom = col[: m.rows], col[m.rows :]
+        (image if any(top) else kernel).append((top, bottom))
+    return image, kernel
+
+
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel lattice {x : m @ x = 0}.
 
-    Taken from the trailing columns of the Smith column transform, so the
-    basis is saturated: every integer kernel vector is an integer
+    The bottom blocks of the columns of the Hermite form of [m; I] whose
+    top block is zero. Those bottoms are columns of a unimodular matrix, so
+    the basis is saturated: every integer kernel vector is an integer
     combination of the columns returned.
     """
-    snf = smith_normal_form(m)
-    ker_cols = [snf.v.column(j) for j in range(snf.rank, m.cols)]
-    return IntMatrix.from_columns(ker_cols, rows=m.cols)
+    _, kernel = _stacked_hermite(m)
+    return IntMatrix.from_columns([bottom for _, bottom in kernel], rows=m.cols)
 
 
 def determinant(m: IntMatrix) -> int:
@@ -476,22 +530,11 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _solve_with(snf: SmithForm, b) -> tuple[int, ...] | None:
-    c = snf.u.apply(b)
-    y = [0] * snf.v.rows
-    for i, ci in enumerate(c):
-        if i < snf.rank:
-            di = snf.d.at(i, i)
-            if ci % di:
-                return None
-            y[i] = ci // di
-        elif ci:
-            return None
-    return snf.v.apply(y)
-
-
 def solve_in_lattice(m: IntMatrix, b) -> tuple[int, ...] | None:
     """An integer x with m @ x = b, or None when b is outside the lattice.
+
+    Forward substitution of b over the echelon top blocks of the Hermite
+    form of [m; I] gives y with (m @ V) y = b; then x = V y.
 
     >>> solve_in_lattice(IntMatrix.from_rows([[2]]), [3]) is None
     True
@@ -501,15 +544,23 @@ def solve_in_lattice(m: IntMatrix, b) -> tuple[int, ...] | None:
     b = list(b)
     if len(b) != m.rows:
         raise ValueError("vector length does not match row count")
-    return _solve_with(smith_normal_form(m), b)
+    image, _ = _stacked_hermite(m)
+    y = _echelon_solve([top for top, _ in image], b)
+    if y is None:
+        return None
+    x = [0] * m.cols
+    for q, (_, bottom) in zip(y, image):
+        if q:
+            x = [a + q * v for a, v in zip(x, bottom)]
+    return tuple(x)
 
 
 def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
     """Whether every column of `inner` lies in the column lattice of `outer`."""
     if outer.rows != inner.rows:
         raise ValueError("lattices live in different ambient spaces")
-    snf = smith_normal_form(outer)
-    return all(_solve_with(snf, inner.column(j)) is not None for j in range(inner.cols))
+    lattice = hermite_normal_form(outer)
+    return all(lattice.contains(inner.column(j)) for j in range(inner.cols))
 
 
 def lattice_equal(m1: IntMatrix, m2: IntMatrix) -> bool:
@@ -522,12 +573,13 @@ def lattice_equal(m1: IntMatrix, m2: IntMatrix) -> bool:
 def cokernel_structure(m: IntMatrix) -> AbelianGroupStructure:
     """Isomorphism type of Z**rows divided by the column lattice of m.
 
+    Free rank rows - rank and torsion from the invariant factors, both read
+    off sparse_invariant_factors.
+
     >>> print(cokernel_structure(IntMatrix.from_rows([[2, 0], [0, 3]])))
     C6
     >>> print(cokernel_structure(IntMatrix.zero(3, 0)))
     Z^3
     """
-    snf = smith_normal_form(m)
-    return AbelianGroupStructure.from_parts(
-        m.rows - snf.rank, tuple(d for d in snf.invariant_factors if d > 1)
-    )
+    factors = sparse_invariant_factors([{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)])
+    return AbelianGroupStructure.from_parts(m.rows - len(factors), factors)

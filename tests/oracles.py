@@ -1,8 +1,9 @@
 """Reference routes that the closed forms in balacyc replaced.
 
 Each is the generic computation the library used before it switched to a
-closed form. They are slow but follow the definitions directly, so the
-tests compare the library's results against them.
+closed form or to a Hermite form. They are slow but follow the
+definitions directly, so the tests compare the library's results against
+them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,33 @@ from functools import lru_cache
 
 from balacyc.cyclotomic import CycInt, IntPoly, divisors, euler_phi, root_power, xn_minus_1
 from balacyc.groups import positive_dual_block, product_group
-from balacyc.intlinalg import IntMatrix, kernel_basis
+from balacyc.intlinalg import IntMatrix, smith_normal_form
+
+
+def smith_kernel_basis(m: IntMatrix) -> IntMatrix:
+    """Saturated kernel of m: the trailing columns of the Smith column transform v."""
+    snf = smith_normal_form(m)
+    return IntMatrix.from_columns([snf.v.column(j) for j in range(snf.rank, m.cols)], rows=m.cols)
+
+
+def smith_solve(m: IntMatrix, b) -> tuple[int, ...] | None:
+    """An integer x with m @ x = b, or None, through u @ m @ v = d.
+
+    With c = u @ b, the system d @ y = c is diagonal: y[i] = c[i] / d[i]
+    must be exact for i < rank and c must vanish below; then x = v @ y.
+    """
+    snf = smith_normal_form(m)
+    c = snf.u.apply(b)
+    y = [0] * m.cols
+    for i, ci in enumerate(c):
+        if i < snf.rank:
+            di = snf.d.at(i, i)
+            if ci % di:
+                return None
+            y[i] = ci // di
+        elif ci:
+            return None
+    return snf.v.apply(y)
 
 
 @lru_cache(maxsize=None)
@@ -34,7 +61,7 @@ def evaluation_kernel(n: int) -> IntMatrix:
     zeta_n**l.
     """
     cols = [root_power(n, e).coords for e in range(n)]
-    return kernel_basis(IntMatrix.from_columns(cols, rows=euler_phi(n)))
+    return smith_kernel_basis(IntMatrix.from_columns(cols, rows=euler_phi(n)))
 
 
 def full_block_vanishing_matrix(colors) -> IntMatrix:

@@ -230,6 +230,34 @@ def test_verify_homology_max_size_one_on_a_large_universe(capsys):
     assert [item["A"] for item in json.loads(out)["items"]] == [[i] for i in range(49)]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-pullback", "--primes", "2,3"),
+        ("verify-homology", "--primes", "2,3"),
+        ("verify-coboundaries", "--groups", "[[2],[3]]"),
+    ],
+)
+def test_negative_max_size_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--all-subsets", "--max-size", "-3")
+    assert code == 2 and out == ""
+    assert "argument --max-size: must be a nonnegative integer" in err
+
+
+def test_empty_selection_is_a_usage_error(capsys):
+    # verify-homology needs nonempty sets, so --max-size 0 selects none
+    argv = ("verify-homology", "--primes", "2,3", "--all-subsets", "--max-size", "0")
+    expected = "error: --all-subsets selects no sets; --max-size must be at least 1\n"
+    assert run(capsys, *argv) == (2, "", expected)
+
+
+@pytest.mark.parametrize("groups", ["[[1],[3]]", "[[2],[]]"])
+def test_trivial_colors_are_refused_alike(capsys, groups):
+    expected = (2, "", "error: color groups must be nontrivial\n")
+    assert run(capsys, "homology", "--groups", groups) == expected
+    assert run(capsys, "verify-coboundaries", "--groups", groups, "--all-subsets") == expected
+
+
 def test_exhaustive_enumeration_over_the_cap_is_refused(capsys):
     # Z2 * Z3 * Z5 has 30 points, so 2^30 point sets
     start = time.perf_counter()

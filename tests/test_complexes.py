@@ -288,8 +288,6 @@ def test_orbit_vanishing_matrix_matches_full_block(colors, full_rows, orbit_rows
     assert (full_block.rows, reduced.rows) == (full_rows, orbit_rows)
     kernel = complexes._fourier_kernel(colors)
     assert hermite_normal_form(kernel) == hermite_normal_form(kernel_basis(full_block))
-    # the oracle's Smith form of the full block is large: drop it from the cache
-    smith_normal_form.cache_clear()
 
 
 # --- membership ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import sys
 from math import gcd, prod
 
 import pytest
@@ -30,7 +31,15 @@ from balacyc.cyclo_family import (
 )
 from balacyc.cyclotomic import CycInt, cyclotomic, euler_phi, root_power
 from balacyc.groups import FiniteAbelianGroup, GroupFunction, fourier_transform
-from balacyc.intlinalg import AbelianGroupStructure, IntMatrix, hermite_normal_form, lattice_contains
+from balacyc.intlinalg import (
+    AbelianGroupStructure,
+    IntMatrix,
+    hermite_normal_form,
+    kernel_basis,
+    lattice_contains,
+    smith_normal_form,
+    solve_in_lattice,
+)
 from balacyc.sweeps import bounded_subsets
 
 
@@ -323,6 +332,32 @@ def test_character_sums_make_no_per_term_root_power_call(monkeypatch):
     assert fourier_transform(h) == expected
     assert transform_pullback_check((2, 3, 5), h)
     assert transform_pullback_check((2, 3), GroupFunction(product_group_of((2, 3)), {(1, 2): 4}))
+
+
+def test_lattice_questions_build_no_smith_transforms(monkeypatch):
+    z2, z3, z5, z7 = (FiniteAbelianGroup((p,)) for p in (2, 3, 5, 7))
+    m = complexes.fourier_vanishing_matrix((z3, z5, z7))
+    b = m.apply(range(m.cols))
+    column = list(complexes.coboundary_top_matrix((z2, z3)).column(0))
+
+    def refuse(m):
+        raise AssertionError(f"smith_normal_form called on a {m.rows}x{m.cols} matrix")
+
+    for name, module in list(sys.modules.items()):
+        if name == "balacyc" or name.startswith("balacyc."):
+            if getattr(module, "smith_normal_form", None) is smith_normal_form:
+                monkeypatch.setattr(module, "smith_normal_form", refuse)
+    kernel = kernel_basis(m)
+    assert (kernel.rows, kernel.cols) == (105, 57)
+    assert (m @ kernel).is_zero()
+    assert m.apply(solve_in_lattice(m, b)) == b
+    assert lattice_contains(m, IntMatrix.from_columns([b]))
+    points = nested_elements((z2, z3))
+    assert complexes.is_coboundary((z2, z3), points, column)
+    assert not complexes.is_coboundary((z2, z3), points, [1, 0, 0, 0, 0, 0])
+    # coefficients 1, -1, 1 at 0, 3, 7: gcd 1, so both cokernels are free
+    report = quotient_presentation((3, 5, 7), (0, 3, 7))
+    assert report.ok and report.expected == AbelianGroupStructure(2)
 
 
 @settings(max_examples=30, deadline=None)

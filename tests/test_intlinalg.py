@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import smith_kernel_basis, smith_solve
+
 from balacyc.intlinalg import (
     AbelianGroupStructure,
     IntMatrix,
@@ -342,6 +344,43 @@ def test_solve_recovers_known_combinations(m, data):
     y = solve_in_lattice(m, b)
     assert y is not None
     assert m.apply(y) == b
+
+
+# --- Hermite routes against the Smith transforms ---------------------------------
+
+
+@settings(max_examples=80)
+@given(small_matrices)
+def test_kernel_matches_smith_kernel(m):
+    assert hermite_normal_form(kernel_basis(m)) == hermite_normal_form(smith_kernel_basis(m))
+
+
+@settings(max_examples=80)
+@given(small_matrices, st.data())
+def test_solve_and_membership_match_smith_solve(m, data):
+    x = data.draw(st.lists(st.integers(-5, 5), min_size=m.cols, max_size=m.cols))
+    inside = m.apply(x)
+    arbitrary = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=m.rows, max_size=m.rows)))
+    lattice = hermite_normal_form(m)
+    assert lattice.contains(inside)
+    for b in (inside, arbitrary):
+        y, reference = solve_in_lattice(m, b), smith_solve(m, b)
+        assert (y is not None) == (reference is not None) == lattice.contains(b)
+        if y is not None:
+            assert m.apply(y) == b and m.apply(reference) == b
+
+
+@settings(max_examples=80)
+@given(small_matrices)
+def test_cokernel_matches_smith_invariant_factors(m):
+    snf = smith_normal_form(m)
+    expected = AbelianGroupStructure.from_parts(m.rows - snf.rank, snf.invariant_factors)
+    assert cokernel_structure(m) == expected
+
+
+def test_hermite_membership_validates_length():
+    with pytest.raises(ValueError):
+        hermite_normal_form(IntMatrix.identity(2)).contains([1, 2, 3])
 
 
 # --- group structure -----------------------------------------------------------
