@@ -7,14 +7,17 @@ equality is literal matrix equality. Every lattice question goes through
 a Hermite form: membership and solving by forward substitution over its
 echelon columns, kernels from the Hermite form of m stacked on the
 identity, and cokernels from sparse_invariant_factors. No program path
-uses the Smith transforms u and v; smith_normal_form stays as the public
-reference and as the dense core of sparse_invariant_factors.
+uses the Smith transforms u and v: smith_normal_form stays as the public
+reference, and sparse_invariant_factors diagonalizes its dense core with
+the same elimination loop but without transforms.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, mul, neg, sub
 
 
 @dataclass(frozen=True)
@@ -230,41 +233,46 @@ def _find_pivot(a: list[list[int]], t: int, rows: int, cols: int):
     return best
 
 
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form with accumulated unimodular transforms.
+def _smith_reduce(a: list[list[int]], u: list[list[int]] | None = None, v: list[list[int]] | None = None) -> int:
+    """Diagonalize the row lists a in place to Smith form; return the rank.
 
     Row and column reductions use smallest-magnitude pivoting to limit
     entry growth; a final divisibility pass at each pivot guarantees the
-    chain d1 | d2 | ... . Exact by construction: u @ m @ v = d.
+    chain d1 | d2 | ... . When u and v are given, every row operation is
+    repeated on the rows of u and every column operation on the columns of
+    v; when they are not, no transform is kept.
     """
-    rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
+    rows = len(a)
+    cols = len(a[0]) if a else 0
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        if v is not None:
+            for r in v:
+                r[i], r[j] = r[j], r[i]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     def add_row(dst, src, q):
         a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+        if u is not None:
+            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, q):
         for r in a:
             r[dst] -= q * r[src]
-        for r in v:
-            r[dst] -= q * r[src]
+        if v is not None:
+            for r in v:
+                r[dst] -= q * r[src]
 
     t = 0
     limit = min(rows, cols)
@@ -317,9 +325,24 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             add_row(t, offender, -1)
             continue
         t += 1
+    return t
 
+
+def smith_normal_form(m: IntMatrix) -> SmithForm:
+    """Smith normal form with accumulated unimodular transforms.
+
+    The public reference form: _smith_reduce diagonalizes m while repeating
+    its row and column operations on identities, so u @ m @ v = d exactly.
+    No program path reads u or v; sparse_invariant_factors reduces its core
+    with the same loop and keeps no transforms.
+    """
+    rows, cols = m.rows, m.cols
+    a = m.to_rows()
+    u = IntMatrix.identity(rows).to_rows()
+    v = IntMatrix.identity(cols).to_rows()
+    rank = _smith_reduce(a, u, v)
     d = IntMatrix(rows, cols, tuple(x for r in a for x in r))
-    return SmithForm(d, IntMatrix(rows, rows, tuple(x for r in u for x in r)), IntMatrix(cols, cols, tuple(x for r in v for x in r)), t)
+    return SmithForm(d, IntMatrix(rows, rows, tuple(x for r in u for x in r)), IntMatrix(cols, cols, tuple(x for r in v for x in r)), rank)
 
 
 def sparse_invariant_factors(rows) -> tuple[int, ...]:
@@ -334,9 +357,10 @@ def sparse_invariant_factors(rows) -> tuple[int, ...]:
     leaves the pivot alone in its column; the pivot row is then dropped,
     since column operations would clear it without touching the rest.
     Each unit pivot contributes the factor 1. What is left, a core without
-    unit entries, goes to smith_normal_form. The result equals
-    smith_normal_form(m).invariant_factors for the dense m, and the rank is
-    its length.
+    unit entries, is diagonalized densely by the loop of smith_normal_form
+    without its transforms, whose entries would outgrow the diagonal's by
+    far. The result equals smith_normal_form(m).invariant_factors for the
+    dense m, and the rank is its length.
 
     >>> sparse_invariant_factors([{0: 2, 1: 4}, {0: 6, 1: 8}])
     (2, 4)
@@ -401,7 +425,8 @@ def sparse_invariant_factors(rows) -> tuple[int, ...]:
         for c, x in work[r].items():
             dense[core_cols[c]] = x
         core.append(dense)
-    return (1,) * units + smith_normal_form(IntMatrix.from_rows(core)).invariant_factors
+    rank = _smith_reduce(core)
+    return (1,) * units + tuple(core[i][i] for i in range(rank))
 
 
 def hermite_normal_form(m: IntMatrix) -> HermiteForm:
@@ -410,48 +435,75 @@ def hermite_normal_form(m: IntMatrix) -> HermiteForm:
     Column operations only (right-unimodular), so the column lattice is
     preserved; zero columns are dropped from the result. The output is the
     unique canonical basis described on HermiteForm.
+
+    Two passes. The echelon pass takes, row by row, a smallest-magnitude
+    nonzero entry among the columns not yet used as its pivot and runs
+    Euclid's algorithm on that row; the columns from the pivot on are zero
+    above the row, so each update touches only the rows from it down. The
+    back-reduction pass then goes right to left: column i is reduced at
+    each later pivot row r_l, in increasing order, against the finished
+    column l. That column is zero above r_l, so the step changes only rows
+    from r_l down and leaves the earlier pivot rows reduced; column i ends
+    with 0 <= h_i[r_l] < p_l for every l > i, which fixes the unique form.
+    The finished columns are sparse, so each step visits only the rows
+    where column l is nonzero.
     """
     rows, cols = m.rows, m.cols
     # work column-major
     c = [list(m.column(j)) for j in range(cols)]
+    pivot_rows = []
     piv = 0
     for r in range(rows):
+        if piv == cols:
+            break
         best = None
         for j in range(piv, cols):
             x = c[j][r]
-            if x and (best is None or abs(x) < abs(c[best][r])):
-                best = j
-                if abs(x) == 1:
+            if x and (best is None or abs(x) < best_abs):
+                best, best_abs = j, abs(x)
+                if best_abs == 1:
                     break
         if best is None:
             continue
         c[piv], c[best] = c[best], c[piv]
         while True:
-            for j in range(piv + 1, cols):
-                x = c[j][r]
-                if x:
-                    q = x // c[piv][r]
-                    c[j] = [y - q * z for y, z in zip(c[j], c[piv])]
+            tail = c[piv][r:]
+            p = tail[0]
             nxt = None
             for j in range(piv + 1, cols):
-                x = c[j][r]
-                if x and (nxt is None or abs(x) < abs(c[nxt][r])):
-                    nxt = j
+                col = c[j]
+                x = col[r]
+                if x:
+                    q = x // p
+                    if q == 1:
+                        col[r:] = map(sub, col[r:], tail)
+                    elif q == -1:
+                        col[r:] = map(add, col[r:], tail)
+                    else:
+                        col[r:] = map(sub, col[r:], map(mul, tail, repeat(q)))
+                    x = col[r]
+                    if x and (nxt is None or abs(x) < nxt_abs):
+                        nxt, nxt_abs = j, abs(x)
             if nxt is None:
                 break
             c[piv], c[nxt] = c[nxt], c[piv]
-        if c[piv][r] < 0:
-            c[piv] = [-y for y in c[piv]]
-        p = c[piv][r]
-        for j in range(piv):
-            q = c[j][r] // p
-            if q:
-                c[j] = [y - q * z for y, z in zip(c[j], c[piv])]
+        if p < 0:
+            c[piv][r:] = map(neg, tail)
+        pivot_rows.append(r)
         piv += 1
-        if piv == cols:
-            break
-    basis = c[:piv]
-    return HermiteForm(IntMatrix(rows, piv, tuple(basis[j][i] for i in range(rows) for j in range(piv))))
+    # support[l]: the rows where the finished column l is nonzero
+    support = [None] * piv
+    for i in range(piv - 1, -1, -1):
+        col = c[i]
+        for l in range(i + 1, piv):
+            r = pivot_rows[l]
+            done = c[l]
+            q = col[r] // done[r]
+            if q:
+                for k in support[l]:
+                    col[k] -= q * done[k]
+        support[i] = [k for k in range(pivot_rows[i], rows) if col[k]]
+    return HermiteForm(IntMatrix(rows, piv, tuple(chain.from_iterable(zip(*c[:piv])))))
 
 
 def _echelon_solve(columns, b) -> list[int] | None:

@@ -1,9 +1,9 @@
 """Reference routes that the closed forms in balacyc replaced.
 
 Each is the generic computation the library used before it switched to a
-closed form or to a Hermite form. They are slow but follow the
-definitions directly, so the tests compare the library's results against
-them.
+closed form, to a Hermite form or to a faster elimination. They are slow
+but follow the definitions directly, so the tests compare the library's
+results against them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from balacyc.cyclotomic import CycInt, IntPoly, divisors, euler_phi, root_power, xn_minus_1
 from balacyc.groups import positive_dual_block, product_group
-from balacyc.intlinalg import IntMatrix, smith_normal_form
+from balacyc.intlinalg import HermiteForm, IntMatrix, smith_normal_form
 
 
 def smith_kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -39,6 +39,59 @@ def smith_solve(m: IntMatrix, b) -> tuple[int, ...] | None:
         elif ci:
             return None
     return snf.v.apply(y)
+
+
+def reference_hermite_normal_form(m: IntMatrix) -> HermiteForm:
+    """Column-style Hermite normal form, back-reducing inside the echelon pass.
+
+    At each new pivot the earlier, still unfinished columns are reduced
+    against it over their full length.
+
+    Column operations only (right-unimodular), so the column lattice is
+    preserved; zero columns are dropped from the result. The output is the
+    unique canonical basis described on HermiteForm.
+    """
+    rows, cols = m.rows, m.cols
+    # work column-major
+    c = [list(m.column(j)) for j in range(cols)]
+    piv = 0
+    for r in range(rows):
+        best = None
+        for j in range(piv, cols):
+            x = c[j][r]
+            if x and (best is None or abs(x) < abs(c[best][r])):
+                best = j
+                if abs(x) == 1:
+                    break
+        if best is None:
+            continue
+        c[piv], c[best] = c[best], c[piv]
+        while True:
+            for j in range(piv + 1, cols):
+                x = c[j][r]
+                if x:
+                    q = x // c[piv][r]
+                    c[j] = [y - q * z for y, z in zip(c[j], c[piv])]
+            nxt = None
+            for j in range(piv + 1, cols):
+                x = c[j][r]
+                if x and (nxt is None or abs(x) < abs(c[nxt][r])):
+                    nxt = j
+            if nxt is None:
+                break
+            c[piv], c[nxt] = c[nxt], c[piv]
+        if c[piv][r] < 0:
+            c[piv] = [-y for y in c[piv]]
+        p = c[piv][r]
+        for j in range(piv):
+            q = c[j][r] // p
+            if q:
+                c[j] = [y - q * z for y, z in zip(c[j], c[piv])]
+        piv += 1
+        if piv == cols:
+            break
+    basis = c[:piv]
+    return HermiteForm(IntMatrix(rows, piv, tuple(basis[j][i] for i in range(rows) for j in range(piv))))
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import evaluation_kernel
+from oracles import evaluation_kernel, reference_hermite_normal_form
 
 from balacyc import complexes, cyclo_family, groups
 from balacyc.complexes import fourier_lattice, nested_elements, reduced_homology
@@ -238,6 +238,29 @@ def test_root_relation_kernel_matches_evaluation_kernel(n):
     # the banded z**j * Phi_n basis spans the saturated kernel of evaluation
     # at zeta_n that the Smith column transform finds
     assert cyclo_family._root_relation_kernel(n) == hermite_normal_form(evaluation_kernel(n)).h
+
+
+def test_root_relation_kernel_matches_reference_hermite_form():
+    n = 385
+    width = n - euler_phi(n)
+    coeffs = list(cyclotomic(n).coeffs)
+    band = [[0] * j + coeffs + [0] * (width - 1 - j) for j in range(width)]
+    expected = reference_hermite_normal_form(IntMatrix.from_columns(band, rows=n)).h
+    assert cyclo_family._root_relation_kernel(n) == expected
+
+
+@pytest.mark.parametrize("subset", [(0, 7), tuple(range(0, 241, 2))])
+def test_pullback_sides_match_reference_hermite_form(subset):
+    # both Hermite forms that pullback_matches_root_kernel compares, at
+    # n = 385 with a small and a large A, against the reference elimination
+    primes = (5, 7, 11)
+    data = CycloComplexData.build(primes, subset)
+    points = [crt_split(data.primes, x) for x in data.top_indices]
+    coboundary = complexes.coboundary_restriction(cyclo_family.family_colors(data.primes), points)
+    projected = cyclo_family._root_relation_kernel(data.n).select_rows(data.top_indices)
+    assert hermite_normal_form(coboundary) == reference_hermite_normal_form(coboundary)
+    assert root_relation_lattice(primes, subset) == reference_hermite_normal_form(projected)
+    assert pullback_matches_root_kernel(primes, subset)
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import smith_kernel_basis, smith_solve
+from oracles import reference_hermite_normal_form, smith_kernel_basis, smith_solve
 
+from balacyc import intlinalg
+from balacyc.cyclo_family import verify_homology_tables
 from balacyc.intlinalg import (
     AbelianGroupStructure,
     IntMatrix,
@@ -194,6 +196,18 @@ def test_sparse_invariant_factors_match_dense_smith(m, scale):
         assert rows == snapshot
 
 
+def test_sparse_invariant_factors_keep_no_smith_transforms(monkeypatch):
+    # the leftover cores go through the elimination loop without u and v,
+    # not through smith_normal_form
+    def refuse(m):
+        raise AssertionError(f"smith_normal_form called on a {m.rows}x{m.cols} core")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+    assert sparse_invariant_factors([{0: 2, 1: 4}, {0: 6, 1: 8}]) == (2, 4)
+    report = verify_homology_tables((2, 3, 5, 7), (7,))
+    assert report.match and report.euler_poincare and report.uct
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5)])
 def test_sparse_invariant_factors_of_empty_and_zero_matrices(shape):
     m = IntMatrix.zero(*shape)
@@ -229,6 +243,10 @@ def test_hnf_idempotent_and_canonical(m):
     h = hermite_normal_form(m)
     assert hermite_normal_form(h.h) == h
     assert lattice_equal(m, h.h)
+    # the same lattice, checked without comparing two Hermite forms:
+    # m's columns by forward substitution, h's columns by the Smith route
+    assert all(h.contains(m.column(j)) for j in range(m.cols))
+    assert all(smith_solve(m, h.h.column(j)) is not None for j in range(h.rank))
     # canonical shape: pivot rows strictly increase, pivots positive,
     # entries left of a pivot within its row reduced into [0, pivot)
     rows = h.h.to_rows()
@@ -242,6 +260,44 @@ def test_hnf_idempotent_and_canonical(m):
         assert pivot > 0
         for jj in range(j):
             assert 0 <= rows[pivot_row][jj] < pivot
+
+
+@st.composite
+def hnf_test_matrices(draw):
+    """Up to 12 x 12, empty shapes included, one entry style per matrix.
+
+    Dense small entries, sparse +-1 columns like the coboundary matrices,
+    or non-unit entries, whose pivots need several Euclid rounds; then a
+    few repeated or zero columns are inserted.
+    """
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(0, 12))
+    entries = draw(
+        st.sampled_from(
+            (
+                st.integers(-9, 9),
+                st.sampled_from((0, 0, 0, 0, 0, 1, -1)),
+                st.sampled_from((0, 0, 2, -2, 3, -4, 6, 9)),
+            )
+        )
+    )
+    columns = [draw(st.lists(entries, min_size=rows, max_size=rows)) for _ in range(cols)]
+    for _ in range(draw(st.integers(0, 3))):
+        if len(columns) == 12:
+            break
+        if columns and draw(st.booleans()):
+            extra = list(draw(st.sampled_from(columns)))
+        else:
+            extra = [0] * rows
+        columns.insert(draw(st.integers(0, len(columns))), extra)
+    return IntMatrix.from_columns(columns, rows=rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnf_test_matrices())
+def test_hnf_matches_reference_hnf(m):
+    assert hermite_normal_form(m) == reference_hermite_normal_form(m)
+    assert hermite_normal_form(m.transpose()) == reference_hermite_normal_form(m.transpose())
 
 
 @settings(max_examples=30)
