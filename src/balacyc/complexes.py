@@ -7,13 +7,18 @@ join together with a chosen set of top cells. Boundary and coboundary
 matrices, integral (co)homology, and the two competing descriptions of
 the restricted top-coboundary lattice all live here.
 
-Each boundary map is assembled once, sparse, and (co)homology comes from
-its invariant factors: sparse elimination of unit pivots, then a dense
-Smith form of the small leftover core. Homology eliminates over the rows
-of each boundary and cohomology over its columns, two separate runs with
-different pivot orders, so the universal-coefficient check (uct_holds)
-cross-checks them. The dense boundary_matrix is built from the same sparse
-assembly and serves the Smith-form oracle in the tests.
+(Co)homology does not eliminate any boundary map. The join J has reduced
+homology only in its top dimension k, where the cycles Z_k(J) have the
+Z-basis of products (e_{h_0} - e_0) x ... x (e_{h_k} - e_0) with every
+h_i nonzero (Kunneth for the augmented chain complexes Z^{G_i} -> Z).
+Since X shares every chain group of J below the top, H_i(X) = 0 for
+i < k - 1, H_{k-1}(X) is the cokernel of the restriction P of that basis
+to the points outside the top cells, and H_k(X) is its kernel. P is one
+sparse matrix of entries +-1 per complex, assembled once; homology
+eliminates it over its rows and cohomology over its columns, two separate
+runs with different pivot orders, so the universal-coefficient check
+(uct_holds) cross-checks them. The boundary maps are still assembled,
+sparse and on demand, for boundary_matrix.
 
 Cells are plain pairs (support, vertices): `support` is the increasing
 tuple of color indices, `vertices[j]` the element of the support[j]-th
@@ -47,7 +52,7 @@ Cell = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 class BalancedComplex:
     colors: tuple[FiniteAbelianGroup, ...]
     cells_by_dim: tuple[tuple[Cell, ...], ...]
-    # Sparse boundaries and invariant factors computed for this complex.
+    # The cycle matrix, its invariant factors and the sparse boundaries computed for this complex.
     # Outside equality, hashing and repr; it lives and dies with the complex.
     _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
@@ -126,8 +131,8 @@ def _sparse_boundary(x: BalancedComplex, i: int):
 
     Returns (rows, columns): rows[r] maps column indices to the nonzero
     entries of row r, columns[c] maps row indices to those of column c.
-    Assembled once per (complex, dimension) and kept on the complex, so
-    homology and cohomology share it; the result must not be modified.
+    Assembled once per (complex, dimension) and kept on the complex; the
+    result must not be modified. (Co)homology does not use it.
     """
     if not 0 <= i <= x.top_dim:
         raise ValueError("dimension out of range")
@@ -152,17 +157,22 @@ def _assemble_boundary(x: BalancedComplex, i: int):
             }
             for support, vertices in x.cells_by_dim[i]
         )
+    return _with_rows(n_rows, columns)
+
+
+def _with_rows(n_rows: int, columns):
+    """(rows, columns) of the sparse matrix with the given {row: entry} columns."""
     rows = tuple({} for _ in range(n_rows))
     for c, column in enumerate(columns):
         for r, entry in column.items():
             rows[r][c] = entry
-    return rows, columns
+    return rows, tuple(columns)
 
 
 def boundary_matrix(x: BalancedComplex, i: int) -> IntMatrix:
     """Matrix of the boundary map from i-chains to (i-1)-chains.
 
-    Densified from the sparse assembly that (co)homology uses.
+    Densified from the sparse assembly of _sparse_boundary.
     Dimension 0 yields the augmentation row of ones (reduced complex).
     Signs alternate with the position of the dropped color in the
     increasing support, so consecutive boundaries compose to zero.
@@ -176,27 +186,59 @@ def boundary_matrix(x: BalancedComplex, i: int) -> IntMatrix:
     return IntMatrix(len(rows), width, tuple(entries))
 
 
-def _boundary_factors(x: BalancedComplex, i: int, over_columns: bool) -> tuple[int, ...]:
-    """Invariant factors of the boundary map from i-chains.
+def _cycle_matrix(x: BalancedComplex):
+    """The top cycles of the join, restricted to the points outside the top cells.
 
-    Eliminated over its rows, or over its columns (the coboundary) when
-    over_columns is set. One above the top dimension the map is zero.
-    Kept on the complex, like the sparse assembly.
+    Rows are the m points of G_0 x ... x G_k that are not top cells, in
+    nested_elements order; columns are the z points h with every h_i
+    nonzero, 0 being the first element of each color. Column h is the
+    cycle (e_{h_0} - e_0) x ... x (e_{h_k} - e_0): the entry
+    (-1)**#{i : g_i = 0} at each point g with every g_i in {0, h_i}, at
+    most 2**(k+1) of them. Returned as (rows, columns) in the layout of
+    _sparse_boundary; assembled once per complex and kept on it, so
+    homology and cohomology share it; the result must not be modified.
     """
-    if i == x.top_dim + 1:
-        return ()
-    key = ("factors", i, over_columns)
+    if "cycles" not in x._memo:
+        x._memo["cycles"] = _assemble_cycles(x)
+    return x._memo["cycles"]
+
+
+def _assemble_cycles(x: BalancedComplex):
+    zeros = tuple(g.elements()[0] for g in x.colors)
+    tops = set(x.top_cells())
+    index = {g: r for r, g in enumerate(g for g in nested_elements(x.colors) if g not in tops)}
+    columns = []
+    for h in itertools.product(*(g.elements()[1:] for g in x.colors)):
+        column = {}
+        for g in itertools.product(*zip(zeros, h)):
+            r = index.get(g)
+            if r is not None:
+                column[r] = -1 if sum(a == b for a, b in zip(g, zeros)) % 2 else 1
+        columns.append(column)
+    return _with_rows(len(index), columns)
+
+
+def _cycle_factors(x: BalancedComplex, over_columns: bool) -> tuple[int, ...]:
+    """Invariant factors of _cycle_matrix, eliminated over its rows or its columns.
+
+    Kept on the complex, like the matrix.
+    """
+    key = ("cycle factors", over_columns)
     if key not in x._memo:
-        rows, columns = _sparse_boundary(x, i)
+        rows, columns = _cycle_matrix(x)
         x._memo[key] = sparse_invariant_factors(columns if over_columns else rows)
     return x._memo[key]
 
 
 def reduced_homology(x: BalancedComplex, i: int) -> AbelianGroupStructure:
-    """Reduced integral homology in dimension i, from invariant factors.
+    """Reduced integral homology in dimension i, from the join's top cycles.
 
-    Each boundary is reduced by sparse unit-pivot elimination over its
-    rows, with a dense Smith form of the leftover core.
+    With P = _cycle_matrix(x), m x z, and r its number of nonzero
+    invariant factors (P eliminated over its rows): H_k = Z^(z - r), the
+    cycles of the join supported on the top cells; H_(k-1) = coker P, that
+    is Z^(m - r) plus the torsion of the factors; every lower dimension
+    vanishes, because X contains the full (k-1)-skeleton of the join,
+    whose reduced homology is concentrated in dimension k.
 
     >>> z2, z3 = FiniteAbelianGroup((2,)), FiniteAbelianGroup((3,))
     >>> xg = build_complex((z2, z3), nested_elements((z2, z3)))
@@ -205,24 +247,35 @@ def reduced_homology(x: BalancedComplex, i: int) -> AbelianGroupStructure:
     >>> print(reduced_homology(xg, 0))
     0
     """
-    down = _boundary_factors(x, i, False)
-    up = _boundary_factors(x, i + 1, False)
-    free = x.n_cells(i) - len(down) - len(up)
-    return AbelianGroupStructure.from_parts(free, tuple(d for d in up if d > 1))
+    return _from_cycles(x, i, False)
 
 
 def reduced_cohomology(x: BalancedComplex, i: int) -> AbelianGroupStructure:
-    """Reduced integral cohomology in dimension i, from the coboundaries.
+    """Reduced integral cohomology in dimension i, from the transposed top cycles.
 
-    Computed directly from the coboundary complex rather than by dualizing
-    homology: each boundary is eliminated over its columns, a separate run
-    with its own pivot order, so universal-coefficient consistency with
-    reduced_homology cross-checks two eliminations.
+    Computed from the coboundary side rather than by dualizing homology:
+    the transpose of P = _cycle_matrix(x) is eliminated over its rows, a
+    separate run with its own pivot order, so universal-coefficient
+    consistency with reduced_homology cross-checks two eliminations. With
+    r' its number of nonzero invariant factors: H^k = Z^(z - r') plus the
+    torsion of the factors, H^(k-1) = Z^(m - r'), and every lower
+    dimension vanishes.
     """
-    into = _boundary_factors(x, i, True)
-    out_of = _boundary_factors(x, i + 1, True)
-    free = x.n_cells(i) - len(into) - len(out_of)
-    return AbelianGroupStructure.from_parts(free, tuple(d for d in into if d > 1))
+    return _from_cycles(x, i, True)
+
+
+def _from_cycles(x: BalancedComplex, i: int, cohomology: bool) -> AbelianGroupStructure:
+    k = x.top_dim
+    if not 0 <= i <= k:
+        raise ValueError("dimension out of range")
+    if i < k - 1:
+        return AbelianGroupStructure(0)
+    rows, columns = _cycle_matrix(x)
+    factors = _cycle_factors(x, cohomology)
+    # the torsion sits in the cokernel: H_(k-1) for homology, H^k for cohomology
+    free = (len(columns) if i == k else len(rows)) - len(factors)
+    torsion = factors if (i == k) == cohomology else ()
+    return AbelianGroupStructure.from_parts(free, torsion)
 
 
 def homology_profile(x: BalancedComplex) -> dict[int, AbelianGroupStructure]:

@@ -376,11 +376,20 @@ class HomologyVerification:
 def verify_homology_tables(primes, subset) -> HomologyVerification:
     """Compute all reduced (co)homology of the complex and grade it.
 
-    Every dimension 0..k is computed from the invariant factors of the
-    boundary maps and compared with the coefficient predictions, including
-    the dimensions where the prediction is zero. The rank bookkeeping
-    identity rank H_k - rank H_(k-1) = |A| - 1 and universal-coefficient
-    consistency of the two computed profiles are checked alongside.
+    Every dimension 0..k is computed by homology_profile and
+    cohomology_profile, from the invariant factors of the join's top
+    cycles restricted to the points outside the top cells (see
+    complexes.reduced_homology), and compared with the coefficient
+    predictions, including the dimensions where the prediction is zero.
+    That matrix uses neither Phi_n nor the Fourier argument, so the
+    comparison is a real check. Universal-coefficient consistency of the
+    two computed profiles, two separate eliminations, is checked
+    alongside. So is the rank bookkeeping identity
+    rank H_k - rank H_(k-1) = |A| - 1, but on this route it holds by
+    construction: both ranks come from the same rank r, and their
+    difference is the column count phi(n) minus the row count
+    phi(n) + 1 - |A|. The tests check the reduced Euler characteristic
+    against the f-vector independently.
     """
     data = CycloComplexData.build(primes, subset)
     if not data.subset:

@@ -352,8 +352,13 @@ def sparse_invariant_factors(rows) -> tuple[int, ...]:
     modified. Entries of absolute value 1 are eliminated first, one pivot
     at a time, each chosen by least Markowitz cost
     (row count - 1) * (column count - 1) from a heap, so fill-in stays
-    small; a queued cost that has since changed is corrected when it
-    surfaces. Clearing the pivot column by row operations
+    small. After a row update only the unit entries in the pivot row's
+    columns are queued again, since only those entries changed value; the
+    others keep a cost that may have gone stale, and a queued cost that
+    has since changed is corrected when it surfaces. Every unit entry
+    stays queued, so only the pivot order depends on this; a matrix with
+    a dense row does not requeue that whole row after every pivot.
+    Clearing the pivot column by row operations
     leaves the pivot alone in its column; the pivot row is then dropped,
     since column operations would clear it without touching the rest.
     Each unit pivot contributes the factor 1. What is left, a core without
@@ -376,10 +381,10 @@ def sparse_invariant_factors(rows) -> tuple[int, ...]:
             for c in row:
                 cols.setdefault(c, set()).add(r)
 
-    def unit_entries(r, row):
-        return [((len(row) - 1) * (len(cols[c]) - 1), r, c) for c, x in row.items() if x in (1, -1)]
+    def unit_entries(r, row, among):
+        return [((len(row) - 1) * (len(cols[c]) - 1), r, c) for c in among if row.get(c) in (1, -1)]
 
-    heap = [entry for r, row in work.items() for entry in unit_entries(r, row)]
+    heap = [entry for r, row in work.items() for entry in unit_entries(r, row, row)]
     heapq.heapify(heap)
     units = 0
     while heap:
@@ -412,7 +417,8 @@ def sparse_invariant_factors(rows) -> tuple[int, ...]:
                     del row[j]
                     cols[j].discard(i)
             if row:
-                for entry in unit_entries(i, row):
+                # only the entries in the pivot row's columns changed value
+                for entry in unit_entries(i, row, prow):
                     heapq.heappush(heap, entry)
             else:
                 del work[i]

@@ -10,9 +10,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from balacyc.complexes import BalancedComplex, _sparse_boundary
 from balacyc.cyclotomic import CycInt, IntPoly, divisors, euler_phi, root_power, xn_minus_1
 from balacyc.groups import positive_dual_block, product_group
-from balacyc.intlinalg import HermiteForm, IntMatrix, smith_normal_form
+from balacyc.intlinalg import (
+    AbelianGroupStructure,
+    HermiteForm,
+    IntMatrix,
+    smith_normal_form,
+    sparse_invariant_factors,
+)
 
 
 def smith_kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -159,3 +166,55 @@ def termwise_inversion_check(f) -> bool:
         if rhs != CycInt.from_int(n, g.order * f(x)):
             return False
     return True
+
+
+def _boundary_factors(x: BalancedComplex, i: int, over_columns: bool) -> tuple[int, ...]:
+    """Invariant factors of the boundary map from i-chains.
+
+    Eliminated over its rows, or over its columns (the coboundary) when
+    over_columns is set. One above the top dimension the map is zero.
+    Kept on the complex, like the sparse assembly.
+    """
+    if i == x.top_dim + 1:
+        return ()
+    key = ("factors", i, over_columns)
+    if key not in x._memo:
+        rows, columns = _sparse_boundary(x, i)
+        x._memo[key] = sparse_invariant_factors(columns if over_columns else rows)
+    return x._memo[key]
+
+
+def reduced_homology(x: BalancedComplex, i: int) -> AbelianGroupStructure:
+    """Reduced integral homology in dimension i, from invariant factors.
+
+    Each boundary is reduced by sparse unit-pivot elimination over its
+    rows, with a dense Smith form of the leftover core.
+    """
+    down = _boundary_factors(x, i, False)
+    up = _boundary_factors(x, i + 1, False)
+    free = x.n_cells(i) - len(down) - len(up)
+    return AbelianGroupStructure.from_parts(free, tuple(d for d in up if d > 1))
+
+
+def reduced_cohomology(x: BalancedComplex, i: int) -> AbelianGroupStructure:
+    """Reduced integral cohomology in dimension i, from the coboundaries.
+
+    Computed directly from the coboundary complex rather than by dualizing
+    homology: each boundary is eliminated over its columns, a separate run
+    with its own pivot order, so universal-coefficient consistency with
+    reduced_homology cross-checks two eliminations.
+    """
+    into = _boundary_factors(x, i, True)
+    out_of = _boundary_factors(x, i + 1, True)
+    free = x.n_cells(i) - len(into) - len(out_of)
+    return AbelianGroupStructure.from_parts(free, tuple(d for d in into if d > 1))
+
+
+def boundary_homology_profile(x: BalancedComplex) -> dict[int, AbelianGroupStructure]:
+    """Reduced homology in every dimension 0..k from the boundary maps of x."""
+    return {i: reduced_homology(x, i) for i in range(x.top_dim + 1)}
+
+
+def boundary_cohomology_profile(x: BalancedComplex) -> dict[int, AbelianGroupStructure]:
+    """Reduced cohomology in every dimension 0..k from the coboundary maps of x."""
+    return {i: reduced_cohomology(x, i) for i in range(x.top_dim + 1)}

@@ -10,11 +10,15 @@ import random
 import time
 from functools import lru_cache
 
+from oracles import boundary_cohomology_profile, boundary_homology_profile
+
 from balacyc.complexes import (
     boundary_matrix,
     build_complex,
     coboundary_matches_fourier,
     coboundary_top_matrix,
+    cohomology_profile,
+    homology_profile,
     nested_elements,
     reduced_homology,
     uct_consistent,
@@ -332,5 +336,36 @@ def test_criterion_9_sparse_factors_match_dense_smith():
                 ok = ok and sparse_invariant_factors(rows) == smith_normal_form(m).invariant_factors
     elapsed = time.perf_counter() - start
     _report(9, "sparse invariant factors == dense Smith on every boundary and coboundary", ok, elapsed)
+    assert ok
+    assert len(complexes) > 200
+
+
+def test_criterion_9_cycle_route_matches_boundary_route():
+    complexes = _registry()
+    start = time.perf_counter()
+    ok = True
+    for x in complexes:
+        y = build_complex(x.colors, x.top_cells())
+        ok = ok and homology_profile(x) == boundary_homology_profile(y)
+        ok = ok and cohomology_profile(x) == boundary_cohomology_profile(y)
+    elapsed = time.perf_counter() - start
+    _report(9, "(co)homology from the join's cycles == from every boundary map", ok, elapsed)
+    assert ok
+    assert len(complexes) > 200
+
+
+def test_criterion_9_reduced_euler_characteristic():
+    # independent of every elimination: the alternating sum of the Betti
+    # numbers equals the alternating sum of the face counts, the empty
+    # face counted in dimension -1
+    complexes = _registry()
+    start = time.perf_counter()
+    ok = True
+    for x in complexes:
+        betti = sum((-1) ** i * h.free_rank for i, h in homology_profile(x).items())
+        faces = sum((-1) ** i * f for i, f in enumerate(x.f_vector())) - 1
+        ok = ok and betti == faces
+    elapsed = time.perf_counter() - start
+    _report(9, "reduced Euler characteristic from the f-vector", ok, elapsed)
     assert ok
     assert len(complexes) > 200

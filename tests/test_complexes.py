@@ -6,8 +6,10 @@ import random
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import full_block_vanishing_matrix
+from oracles import boundary_cohomology_profile, boundary_homology_profile, full_block_vanishing_matrix
 
 from balacyc import complexes
 from balacyc.complexes import (
@@ -38,7 +40,7 @@ from balacyc.groups import (
     positive_dual_block,
     product_group,
 )
-from balacyc.cyclo_family import build_family_complex
+from balacyc.cyclo_family import build_family_complex, verify_homology_tables
 from balacyc.intlinalg import AbelianGroupStructure, hermite_normal_form, kernel_basis, smith_normal_form
 
 Z2 = FiniteAbelianGroup((2,))
@@ -214,6 +216,49 @@ def test_uct_consistency_on_samples():
             assert uct_consistent(build_complex(colors, tops))
 
 
+ORACLE_ORDERS = ((2,), (3,), (4,), (5,), (2, 2))
+
+
+@st.composite
+def oracle_complexes(draw):
+    colors = tuple(
+        FiniteAbelianGroup(draw(st.sampled_from(ORACLE_ORDERS))) for _ in range(draw(st.integers(1, 4)))
+    )
+    points = full(colors)
+    kind = draw(st.sampled_from(("empty", "full", "random")))
+    if kind == "empty":
+        return build_complex(colors, ())
+    if kind == "full":
+        return build_complex(colors, points)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return build_complex(colors, rng.sample(points, rng.randint(0, len(points))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_complexes())
+# a single color (k = 0), and T empty or everything, always run
+@example(build_complex((Z5,), ()))
+@example(build_complex((Z22,), full((Z22,))))
+@example(build_complex((Z5,), full((Z5,))[1:]))
+@example(build_complex((Z22, Z3, Z2), ()))
+@example(build_complex((Z22, Z3, Z2), full((Z22, Z3, Z2))))
+def test_cycle_route_matches_boundary_route(x):
+    # every dimension of both profiles against the elimination of every
+    # boundary map, on a separate copy so no memo is shared
+    y = build_complex(x.colors, x.top_cells())
+    assert homology_profile(x) == boundary_homology_profile(y)
+    assert cohomology_profile(x) == boundary_cohomology_profile(y)
+
+
+def test_homology_rejects_dimensions_out_of_range():
+    x = build_complex((Z2, Z3), full((Z2, Z3)))
+    for i in (-1, 2):
+        with pytest.raises(ValueError):
+            reduced_homology(x, i)
+        with pytest.raises(ValueError):
+            reduced_cohomology(x, i)
+
+
 def test_uct_holds_flags_misplaced_torsion():
     z, c2, zero = AbelianGroupStructure(1), AbelianGroupStructure(0, (2,)), AbelianGroupStructure(0)
     assert uct_holds({0: zero, 1: c2, 2: z}, {0: zero, 1: zero, 2: AbelianGroupStructure(1, (2,))})
@@ -329,17 +374,39 @@ def test_complex_json_shape():
 
 
 def test_boundary_assembled_once_per_complex_and_dimension(monkeypatch):
-    calls = []
-    assemble = complexes._assemble_boundary
-    monkeypatch.setattr(complexes, "_assemble_boundary", lambda x, i: calls.append(i) or assemble(x, i))
+    cycles, boundaries = [], []
+    assemble_cycles = complexes._assemble_cycles
+    assemble_boundary = complexes._assemble_boundary
+    monkeypatch.setattr(complexes, "_assemble_cycles", lambda x: cycles.append(x) or assemble_cycles(x))
+    monkeypatch.setattr(
+        complexes, "_assemble_boundary", lambda x, i: boundaries.append(i) or assemble_boundary(x, i)
+    )
     x = build_family_complex((2, 3, 5), (2, 6))
     homology_profile(x)
     cohomology_profile(x)
-    assert sorted(calls) == [0, 1, 2]
+    # one cycle matrix, shared by homology and cohomology; no boundary map
+    assert cycles == [x] and boundaries == []
+    assert complexes._cycle_matrix(x) is complexes._cycle_matrix(x)
+    for i in (0, 1, 2, 2, 1):
+        boundary_matrix(x, i)
+    assert sorted(boundaries) == [0, 1, 2]
     assert complexes._sparse_boundary(x, 2) is complexes._sparse_boundary(x, 2)
     # the memo stays outside equality, hashing and repr
     y = build_family_complex((2, 3, 5), (2, 6))
     assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+
+
+def test_homology_assembles_no_boundary_map(monkeypatch):
+    def refuse(x, i):
+        raise AssertionError(f"boundary map {i} assembled")
+
+    monkeypatch.setattr(complexes, "_assemble_boundary", refuse)
+    report = verify_homology_tables((2, 3, 5, 7), (7,))
+    assert report.match and report.euler_poincare and report.uct
+    colors = (Z22, Z3, Z2)
+    points = full(colors)
+    data = complex_json(build_complex(colors, points[::3]))
+    assert set(data["homology"]) == set(data["cohomology"]) == {"0", "1", "2"}
 
 
 def test_verified_complexes_are_released():

@@ -9,10 +9,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import evaluation_kernel, reference_hermite_normal_form
+from oracles import (
+    boundary_cohomology_profile,
+    boundary_homology_profile,
+    evaluation_kernel,
+    reference_hermite_normal_form,
+)
 
-from balacyc import complexes, cyclo_family, groups
-from balacyc.complexes import fourier_lattice, nested_elements, reduced_homology
+from balacyc import complexes, cyclo_family, groups, intlinalg
+from balacyc.complexes import (
+    cohomology_profile,
+    fourier_lattice,
+    homology_profile,
+    nested_elements,
+    reduced_homology,
+)
 from balacyc.cyclo_family import (
     CycloComplexData,
     build_family_complex,
@@ -39,6 +50,7 @@ from balacyc.intlinalg import (
     lattice_contains,
     smith_normal_form,
     solve_in_lattice,
+    sparse_invariant_factors,
 )
 from balacyc.sweeps import bounded_subsets
 
@@ -208,6 +220,52 @@ def test_torsion_at_n210():
     assert report.match and report.euler_poincare and report.uct
     assert report.computed_homology[2] == AbelianGroupStructure(0, (2,))
     assert report.computed_cohomology[3] == AbelianGroupStructure(0, (2,))
+
+
+@pytest.mark.parametrize("subset", [(0, 5, 17, 300), (39, 40, 60), (94, 146)])
+def test_cycle_route_matches_boundary_route_at_n2310(subset):
+    # coefficient gcds 1, 2 and 3
+    x = build_family_complex((2, 3, 5, 7, 11), subset)
+    y = build_family_complex((2, 3, 5, 7, 11), subset)
+    assert homology_profile(x) == boundary_homology_profile(y)
+    assert cohomology_profile(x) == boundary_cohomology_profile(y)
+
+
+def test_dense_core_reached_at_n105(monkeypatch):
+    # coefficients -2 and -2: the factor 2 cannot come from a unit pivot,
+    # so both eliminations of the cycle matrix end in a dense core
+    cores = []
+    reduce = intlinalg._smith_reduce
+    monkeypatch.setattr(intlinalg, "_smith_reduce", lambda a, *rest: cores.append(len(a)) or reduce(a, *rest))
+    report = verify_homology_tables((3, 5, 7), (7, 41))
+    assert report.match and report.euler_poincare and report.uct
+    assert len(cores) == 2 and all(cores)
+    assert report.coeff_gcd == 2
+    oracle = boundary_homology_profile(build_family_complex((3, 5, 7), (7, 41)))
+    assert report.computed_homology[1] == oracle[1] == AbelianGroupStructure(0, (2,))
+
+
+@pytest.mark.parametrize(
+    "primes, subset",
+    [
+        ((2, 3), (0,)),
+        ((2, 5), (1, 3)),
+        ((3, 5), (0, 2, 7)),
+        ((2, 3, 5), (2, 6)),
+        ((2, 3, 7), (0, 5, 9)),
+        ((3, 5, 7), (7, 41)),
+        ((2, 5, 7), (0, 1, 2, 3, 4)),
+        ((5, 7, 11), (11, 46)),
+        ((5, 7, 11), (0, 7)),
+    ],
+)
+def test_cycle_matrix_factors_match_dense_smith(primes, subset):
+    # unless it is a top cell, the point 0 meets every column: a dense
+    # row on one side, a dense column on the other
+    rows, columns = complexes._cycle_matrix(build_family_complex(primes, subset))
+    p = IntMatrix(len(rows), len(columns), tuple(row.get(c, 0) for row in rows for c in range(len(columns))))
+    assert sparse_invariant_factors(rows) == smith_normal_form(p).invariant_factors
+    assert sparse_invariant_factors(columns) == smith_normal_form(p.transpose()).invariant_factors
 
 
 def test_verification_report_json_shape():
