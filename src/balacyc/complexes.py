@@ -75,17 +75,29 @@ def nested_elements(colors) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(itertools.product(*(g.elements() for g in colors)))
 
 
+@lru_cache(maxsize=8)
+def _point_set(colors: tuple[FiniteAbelianGroup, ...]) -> frozenset:
+    return frozenset(nested_elements(colors))
+
+
 def normalize_top_cells(colors, top_cells) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Validate and canonically sort a set of product-group points."""
+    """Validate and canonically sort a set of product-group points.
+
+    A cell that is a point of the product passes with one lookup in the
+    product's point set; any other is checked vertex by vertex, which words
+    the error.
+    """
     colors = tuple(colors)
+    points = _point_set(colors)
     seen = []
     for a in top_cells:
         a = tuple(tuple(v) for v in a)
-        if len(a) != len(colors):
-            raise ValueError("top cell must pick one vertex per color")
-        for g, v in zip(colors, a):
-            if not g.contains(v):
-                raise ValueError(f"vertex {v} is outside its color group")
+        if a not in points:
+            if len(a) != len(colors):
+                raise ValueError("top cell must pick one vertex per color")
+            for g, v in zip(colors, a):
+                if not g.contains(v):
+                    raise ValueError(f"vertex {v} is outside its color group")
         seen.append(a)
     if len(set(seen)) != len(seen):
         raise ValueError("duplicate top cells")
@@ -377,7 +389,10 @@ def coboundary_lattice(colors, top_cells) -> HermiteForm:
     The image lattice of the top coboundary map, with coordinates
     restricted to the chosen top cells (sorted canonically).
     """
-    cells = normalize_top_cells(colors, top_cells)
+    return _coboundary_form(colors, normalize_top_cells(colors, top_cells))
+
+
+def _coboundary_form(colors, cells) -> HermiteForm:
     return hermite_normal_form(coboundary_restriction(colors, cells))
 
 
@@ -430,7 +445,10 @@ def fourier_lattice(colors, top_cells) -> HermiteForm:
     coordinates of the chosen top cells, then brought to canonical form.
     """
     colors = tuple(colors)
-    cells = normalize_top_cells(colors, top_cells)
+    return _fourier_form(colors, normalize_top_cells(colors, top_cells))
+
+
+def _fourier_form(colors, cells) -> HermiteForm:
     kernel = _fourier_kernel(colors)
     index = {g: r for r, g in enumerate(nested_elements(colors))}
     projected = kernel.select_rows([index[a] for a in cells])
@@ -442,9 +460,12 @@ def coboundary_matches_fourier(colors, top_cells) -> bool:
 
     The restricted coboundary image and the restricted transform-vanishing
     lattice are computed along independent routes and compared through
-    their canonical forms.
+    their canonical forms. The cells are validated and sorted once, for
+    both.
     """
-    return coboundary_lattice(colors, top_cells) == fourier_lattice(colors, top_cells)
+    colors = tuple(colors)
+    cells = normalize_top_cells(colors, top_cells)
+    return _coboundary_form(colors, cells) == _fourier_form(colors, cells)
 
 
 def is_coboundary(colors, top_cells, values) -> bool:
@@ -456,7 +477,7 @@ def is_coboundary(colors, top_cells, values) -> bool:
     values = list(values)
     if len(values) != len(cells):
         raise ValueError("value vector length does not match top cell count")
-    return coboundary_lattice(colors, cells).contains(values)
+    return _coboundary_form(colors, cells).contains(values)
 
 
 def complex_json(x: BalancedComplex) -> dict:

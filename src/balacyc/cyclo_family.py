@@ -131,6 +131,12 @@ class CycloComplexData:
     def top_indices(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.subset) | set(self.upper)))
 
+    @property
+    def pullback_indices(self) -> tuple[int, ...]:
+        """The top indices in descending order: the row order of both
+        lattices that pullback_matches_root_kernel compares."""
+        return self.top_indices[::-1]
+
 
 def build_family_complex(primes, subset):
     """The complex whose top cells are the CRT images of subset + upper part.
@@ -181,8 +187,8 @@ def predicted_cohomology(primes, subset, i: int) -> AbelianGroupStructure:
     return AbelianGroupStructure.from_parts(0)
 
 
-@lru_cache(maxsize=None)
-def _root_relation_kernel(n: int) -> IntMatrix:
+@lru_cache(maxsize=8)
+def _root_relation_kernel(n: int) -> HermiteForm:
     """Saturated kernel of evaluating integer vectors at zeta_n, canonical.
 
     A vector f on Z_n is read as the polynomial f(z) of degree < n, and
@@ -190,26 +196,34 @@ def _root_relation_kernel(n: int) -> IntMatrix:
     monic, so division by it stays in Z[z]: the kernel is Phi_n * Z[z]
     truncated to degree < n, with the Z-basis z**j * Phi_n(z) for
     0 <= j < n - phi(n). That banded basis is built from the coefficients
-    of cyclotomic(n) and brought to Hermite form once here; projecting the
-    canonical basis is much cheaper for every later hermite_normal_form
-    than projecting the band. The argument is division by Phi_n alone,
-    independent of the coboundary route it is compared with.
+    of cyclotomic(n), with rows in descending residue order n-1, ..., 0,
+    and brought to Hermite form once here. The leading 1 of z**j * Phi_n
+    sits at residue j + phi(n), so the pivot rows of the form are the
+    residues n-1, ..., phi(n), and every top index set keeps all of them
+    except possibly phi(n) itself: HermiteForm.project then returns the
+    selected rows without any elimination. The argument is division by
+    Phi_n alone, independent of the coboundary route it is compared with.
+    The cache holds a few n; at n = 1155 one form is 1155 x 675.
     """
-    coeffs = cyclotomic(n).coeffs
+    coeffs = cyclotomic(n).coeffs[::-1]
     width = n - euler_phi(n)
-    band = [[0] * j + list(coeffs) + [0] * (width - 1 - j) for j in range(width)]
-    return hermite_normal_form(IntMatrix.from_columns(band, rows=n)).h
+    band = [[0] * (width - 1 - j) + list(coeffs) + [0] * j for j in range(width)]
+    return hermite_normal_form(IntMatrix.from_columns(band, rows=n))
 
 
 def root_relation_lattice(primes, subset) -> HermiteForm:
     """Vanishing-evaluation functions restricted to the top index set.
 
     The kernel lattice above is projected onto the coordinates indexed by
-    subset + upper part (ascending) and brought to canonical form.
+    subset + upper part, in descending residue order
+    (CycloComplexData.pullback_indices), and brought to canonical form.
+    Those rows keep every pivot row of the kernel's form unless phi(n) is
+    missing from the subset, so the canonical form is in most cases a row
+    selection of the cached one (HermiteForm.project).
     """
     data = CycloComplexData.build(primes, subset)
-    kernel = _root_relation_kernel(data.n)
-    return hermite_normal_form(kernel.select_rows(data.top_indices))
+    # row r of the kernel's form holds residue n-1-r
+    return _root_relation_kernel(data.n).project([data.n - 1 - x for x in data.pullback_indices])
 
 
 def pullback_matches_root_kernel(primes, subset) -> bool:
@@ -217,11 +231,16 @@ def pullback_matches_root_kernel(primes, subset) -> bool:
 
     The restricted coboundary lattice of the complex is pulled back along
     the CRT bijection (a pure reindexing of coordinates from product-group
-    points to residues) and must coincide with root_relation_lattice.
+    points to residues) and must coincide with root_relation_lattice. Both
+    list their rows in descending residue order
+    (CycloComplexData.pullback_indices). The coboundary side eliminates its
+    own restricted matrix for every subset; it is not a projection of a
+    cached form, which for the full top index set would be the very form
+    of the root-relation kernel.
     """
     data = CycloComplexData.build(primes, subset)
     colors = family_colors(data.primes)
-    points = [crt_split(data.primes, x) for x in data.top_indices]
+    points = [crt_split(data.primes, x) for x in data.pullback_indices]
     pulled_back = hermite_normal_form(coboundary_restriction(colors, points))
     return pulled_back == root_relation_lattice(primes, subset)
 
@@ -309,6 +328,9 @@ def quotient_presentation(primes, subset) -> PresentationReport:
     constructively: the vector that places 1 at t and the negated
     power-basis coordinates of zeta_n**t at the subset indices lies in the
     vanishing lattice, which rewrites the class of t in subset classes.
+    Those vectors are indexed like the lattice's rows, in descending
+    residue order (CycloComplexData.pullback_indices); the cokernels do not
+    depend on the order.
     """
     data = CycloComplexData.build(primes, subset)
     if not data.subset:
@@ -319,7 +341,7 @@ def quotient_presentation(primes, subset) -> PresentationReport:
     small = cokernel_structure(column)
     expected = AbelianGroupStructure.from_parts(len(data.subset) - 1, (data.coeff_gcd,))
 
-    indices = data.top_indices
+    indices = data.pullback_indices
     position = {x: r for r, x in enumerate(indices)}
     checks = []
     for t in data.upper:

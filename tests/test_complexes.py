@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 
 import pytest
@@ -73,6 +74,38 @@ def test_build_rejects_bad_input():
         build_complex((Z2, Z3), [((0,), (9,))])
     with pytest.raises(ValueError):
         build_complex((), ())
+
+
+def test_top_cell_validation_words_each_error():
+    # cells outside the product's point set are checked vertex by vertex,
+    # so every rejection keeps its message
+    cases = [
+        ([((0,),)], "top cell must pick one vertex per color"),
+        ([((0,), (1,), (0,))], "top cell must pick one vertex per color"),
+        ([((0,), (3,))], "vertex (3,) is outside its color group"),
+        ([((-1,), (0,))], "vertex (-1,) is outside its color group"),
+        ([((0, 0), (0,))], "vertex (0, 0) is outside its color group"),
+        ([((0,), (1,)), [[0], [1]]], "duplicate top cells"),
+    ]
+    for cells, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            complexes.normalize_top_cells((Z2, Z3), cells)
+    normalized = complexes.normalize_top_cells((Z2, Z3), [[[1], [2]], ((0,), (1,))])
+    assert normalized == (((0,), (1,)), ((1,), (2,)))
+    assert complexes._point_set.cache_info().maxsize == 8
+
+
+def test_lattice_comparison_validates_cells_once(monkeypatch):
+    calls = []
+    original = complexes.normalize_top_cells
+
+    def counting(colors, cells):
+        calls.append(len(cells))
+        return original(colors, cells)
+
+    monkeypatch.setattr(complexes, "normalize_top_cells", counting)
+    assert coboundary_matches_fourier((Z2, Z3), full((Z2, Z3)))
+    assert calls == [6]
 
 
 def test_cells_are_canonically_ordered():

@@ -291,11 +291,19 @@ def test_root_relation_lattice_frozen():
     assert empty.h == IntMatrix.identity(3)
 
 
+def descending(m: IntMatrix) -> IntMatrix:
+    """m with its rows, indexed by residues 0..n-1, listed from n-1 down to 0."""
+    return m.select_rows(range(m.rows - 1, -1, -1))
+
+
 @pytest.mark.parametrize("n", [6, 30, 42, 105, 385])
 def test_root_relation_kernel_matches_evaluation_kernel(n):
     # the banded z**j * Phi_n basis spans the saturated kernel of evaluation
-    # at zeta_n that the Smith column transform finds
-    assert cyclo_family._root_relation_kernel(n) == hermite_normal_form(evaluation_kernel(n)).h
+    # at zeta_n that the Smith column transform finds, rows n-1 down to 0;
+    # the pivot rows are the residues n-1, ..., phi(n)
+    kernel = cyclo_family._root_relation_kernel(n)
+    assert kernel == hermite_normal_form(descending(evaluation_kernel(n)))
+    assert kernel.pivot_rows == tuple(range(n - euler_phi(n)))
 
 
 def test_root_relation_kernel_matches_reference_hermite_form():
@@ -303,22 +311,82 @@ def test_root_relation_kernel_matches_reference_hermite_form():
     width = n - euler_phi(n)
     coeffs = list(cyclotomic(n).coeffs)
     band = [[0] * j + coeffs + [0] * (width - 1 - j) for j in range(width)]
-    expected = reference_hermite_normal_form(IntMatrix.from_columns(band, rows=n)).h
+    expected = reference_hermite_normal_form(descending(IntMatrix.from_columns(band, rows=n)))
     assert cyclo_family._root_relation_kernel(n) == expected
 
 
-@pytest.mark.parametrize("subset", [(0, 7), tuple(range(0, 241, 2))])
+@pytest.mark.parametrize(
+    "subset", [(0, 7), tuple(range(0, 241, 2)), (3, 100, 239), (1, 17, 240)]
+)
 def test_pullback_sides_match_reference_hermite_form(subset):
     # both Hermite forms that pullback_matches_root_kernel compares, at
-    # n = 385 with a small and a large A, against the reference elimination
+    # n = 385 with a small and a large A, with and without phi(n) = 240,
+    # against the reference elimination; rows in descending residue order
     primes = (5, 7, 11)
     data = CycloComplexData.build(primes, subset)
-    points = [crt_split(data.primes, x) for x in data.top_indices]
+    indices = sorted(set(subset) | set(range(241, 385)), reverse=True)
+    assert data.pullback_indices == tuple(indices)
+    points = [crt_split(data.primes, x) for x in indices]
     coboundary = complexes.coboundary_restriction(cyclo_family.family_colors(data.primes), points)
-    projected = cyclo_family._root_relation_kernel(data.n).select_rows(data.top_indices)
+    projected = cyclo_family._root_relation_kernel(data.n).h.select_rows([data.n - 1 - x for x in indices])
     assert hermite_normal_form(coboundary) == reference_hermite_normal_form(coboundary)
     assert root_relation_lattice(primes, subset) == reference_hermite_normal_form(projected)
     assert pullback_matches_root_kernel(primes, subset)
+
+
+def test_pullback_comparison_tells_neighbouring_subsets_apart():
+    # the per-item comparison is not vacuous: the coboundary-side form for
+    # A = {0, 7} differs from the kernel-side form for A = {0, 8}, though
+    # both have the same size and the coefficients 1, -1
+    primes = (5, 7, 11)
+    data = CycloComplexData.build(primes, (0, 7))
+    assert CycloComplexData.build(primes, (0, 8)).subset_coeffs == data.subset_coeffs
+    points = [crt_split(primes, x) for x in data.pullback_indices]
+    coboundary = hermite_normal_form(
+        complexes.coboundary_restriction(cyclo_family.family_colors(primes), points)
+    )
+    assert coboundary == root_relation_lattice(primes, (0, 7))
+    assert coboundary != root_relation_lattice(primes, (0, 8))
+
+
+def test_root_relation_lattice_projects_the_cached_form(monkeypatch):
+    # at n = 385 the top rows keep every pivot row of the kernel's form
+    # exactly when 240 = phi(n) is in A: then the projection eliminates
+    # nothing, otherwise it brings the selected rows to Hermite form once
+    primes = (5, 7, 11)
+    kernel = cyclo_family._root_relation_kernel(385)
+    calls = []
+
+    def counting(m):
+        calls.append(m.rows)
+        return hermite_normal_form(m)
+
+    monkeypatch.setattr(intlinalg, "hermite_normal_form", counting)
+    for subset, eliminations in [((3, 100, 240), 0), ((3, 100, 239), 1)]:
+        calls.clear()
+        data = CycloComplexData.build(primes, subset)
+        lattice = root_relation_lattice(primes, subset)
+        assert len(calls) == eliminations
+        rows = [384 - x for x in data.pullback_indices]
+        assert lattice == hermite_normal_form(kernel.h.select_rows(rows))
+    assert cyclo_family._root_relation_kernel.cache_info().maxsize == 8
+
+
+def test_root_relation_lattice_rows_descend():
+    # golden form at n = 6, A = {0, 1}: rows are the residues 5, 4, 3, 1, 0.
+    # Presentation vectors built in ascending order miss the lattice for
+    # t = 3, so the order of quotient_presentation's vectors matters here
+    data = CycloComplexData.build((2, 3), (0, 1))
+    assert data.pullback_indices == (5, 4, 3, 1, 0)
+    lattice = root_relation_lattice((2, 3), (0, 1))
+    assert lattice.h.to_rows() == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 1, -1]]
+    assert quotient_presentation((2, 3), (0, 1)).generator_membership == ((3, True), (4, True), (5, True))
+    ascending = {x: r for r, x in enumerate(data.top_indices)}
+    vec = [0] * 5
+    vec[ascending[3]] = 1
+    for j in data.subset:
+        vec[ascending[j]] -= root_power(6, 3).coords[j]
+    assert not lattice.contains(vec)
 
 
 @settings(max_examples=25, deadline=None)
@@ -330,8 +398,8 @@ def test_pullback_sides_match_reference_hermite_form(subset):
 def test_root_relation_kernel_matches_evaluation_kernel_on_prime_products(primes):
     n = prod(primes)
     kernel = cyclo_family._root_relation_kernel(n)
-    assert kernel == hermite_normal_form(evaluation_kernel(n)).h
-    assert (kernel.rows, kernel.cols) == (n, n - euler_phi(n))
+    assert kernel == hermite_normal_form(descending(evaluation_kernel(n)))
+    assert (kernel.h.rows, kernel.rank) == (n, n - euler_phi(n))
 
 
 def test_lattice_routes_do_not_use_the_coboundary(monkeypatch):
@@ -355,7 +423,7 @@ def test_coefficient_vector_lies_in_lattice():
             n *= p
         data = CycloComplexData.build(primes, range(euler_phi(n) + 1))
         lattice = root_relation_lattice(primes, data.subset)
-        vec = [data.coeffs[x] if x <= data.totient else 0 for x in data.top_indices]
+        vec = [data.coeffs[x] if x <= data.totient else 0 for x in data.pullback_indices]
         assert lattice_contains(lattice.h, IntMatrix.from_columns([vec]))
 
 

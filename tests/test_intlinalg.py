@@ -307,6 +307,46 @@ def test_hnf_invariant_under_column_action(m, seed):
     assert hermite_normal_form(m @ right) == hermite_normal_form(m)
 
 
+@st.composite
+def hnf_projections(draw):
+    """A matrix, its Hermite form and row positions for a projection.
+
+    The positions are a random subset, with or without every pivot row of
+    the form added, increasing or in a shuffled order.
+    """
+    m = draw(hnf_test_matrices())
+    form = hermite_normal_form(m)
+    rows = draw(st.sets(st.integers(0, m.rows - 1))) if m.rows else set()
+    if draw(st.booleans()):
+        rows |= set(form.pivot_rows)
+    rows = sorted(rows)
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return m, form, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnf_projections())
+def test_hermite_projection_matches_fresh_forms(case):
+    m, form, rows = case
+    selected = form.h.select_rows(rows)
+    projected = form.project(rows)
+    assert projected == hermite_normal_form(selected) == reference_hermite_normal_form(selected)
+    assert projected == hermite_normal_form(m.select_rows(rows))
+
+
+def test_hermite_projection_of_empty_lattice_and_empty_row_set():
+    empty = hermite_normal_form(IntMatrix.zero(3, 2))
+    assert empty.pivot_rows == ()
+    assert empty.project([0, 2]).h == IntMatrix(2, 0, ())
+    assert empty.project([]).h == IntMatrix(0, 0, ())
+    full = hermite_normal_form(IntMatrix.identity(3))
+    assert full.pivot_rows == (0, 1, 2)
+    assert full.project([]).h == IntMatrix(0, 0, ())
+    assert full.project([0, 1, 2]) == full
+    assert full.project([2, 0]).h == IntMatrix.identity(2)
+
+
 # --- kernels -------------------------------------------------------------------
 
 
