@@ -17,8 +17,11 @@ to the points outside the top cells, and H_k(X) is its kernel. P is one
 sparse matrix of entries +-1 per complex, assembled once; homology
 eliminates it over its rows and cohomology over its columns, two separate
 runs with different pivot orders, so the universal-coefficient check
-(uct_holds) cross-checks them. The boundary maps are still assembled,
-sparse and on demand, for boundary_matrix.
+(uct_holds) cross-checks them.
+
+A complex therefore stores only its colors and its top cells: the
+skeleton below the top is implied by the colors, and its cells are
+enumerated on demand, for boundary_matrix.
 
 Cells are plain pairs (support, vertices): `support` is the increasing
 tuple of color indices, `vertices[j]` the element of the support[j]-th
@@ -51,8 +54,9 @@ Cell = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 @dataclass(frozen=True)
 class BalancedComplex:
     colors: tuple[FiniteAbelianGroup, ...]
-    cells_by_dim: tuple[tuple[Cell, ...], ...]
-    # The cycle matrix, its invariant factors and the sparse boundaries computed for this complex.
+    # canonically sorted points of G_0 x ... x G_k, one per top cell
+    top_cells: tuple[tuple[tuple[int, ...], ...], ...]
+    # The cycle matrix and its invariant factors computed for this complex.
     # Outside equality, hashing and repr; it lives and dies with the complex.
     _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
@@ -60,14 +64,28 @@ class BalancedComplex:
     def top_dim(self) -> int:
         return len(self.colors) - 1
 
-    def n_cells(self, dim: int) -> int:
-        return len(self.cells_by_dim[dim])
-
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(cells) for cells in self.cells_by_dim)
+        """Cell counts by dimension: f_i = e_(i+1)(|G_0|, ..., |G_k|) below the top, |T| at it."""
+        e = [1] + [0] * self.top_dim  # e_0 ... e_k of the color orders
+        for g in self.colors:
+            for j in range(self.top_dim, 0, -1):
+                e[j] += g.order * e[j - 1]
+        return tuple(e[1:]) + (len(self.top_cells),)
 
-    def top_cells(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(vertices for _, vertices in self.cells_by_dim[self.top_dim])
+    def cells(self, dim: int) -> tuple[Cell, ...]:
+        """The cells of dimension dim, 0 <= dim <= top_dim, in canonical order.
+
+        Below the top they are enumerated from the colors; nothing is kept.
+        """
+        k = self.top_dim
+        if dim == k:
+            full = tuple(range(k + 1))
+            return tuple((full, a) for a in self.top_cells)
+        return tuple(
+            (support, vertices)
+            for support in itertools.combinations(range(k + 1), dim + 1)
+            for vertices in itertools.product(*(self.colors[i].elements() for i in support))
+        )
 
 
 def nested_elements(colors) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -124,52 +142,29 @@ def build_complex(colors, top_cells) -> BalancedComplex:
     (5, 0)
     """
     colors = check_colors(colors)
-    k = len(colors) - 1
-    top = normalize_top_cells(colors, top_cells)
-    cells: list[tuple[Cell, ...]] = []
-    for dim in range(k):
-        layer = []
-        for support in itertools.combinations(range(k + 1), dim + 1):
-            for vertices in itertools.product(*(colors[i].elements() for i in support)):
-                layer.append((support, vertices))
-        cells.append(tuple(layer))
-    full = tuple(range(k + 1))
-    cells.append(tuple((full, a) for a in top))
-    return BalancedComplex(colors, tuple(cells))
+    return BalancedComplex(colors, normalize_top_cells(colors, top_cells))
 
 
-def _sparse_boundary(x: BalancedComplex, i: int):
-    """The boundary map of boundary_matrix, assembled sparse.
+def _boundary_columns(x: BalancedComplex, i: int):
+    """(row count, columns) of the boundary map of boundary_matrix.
 
-    Returns (rows, columns): rows[r] maps column indices to the nonzero
-    entries of row r, columns[c] maps row indices to those of column c.
-    Assembled once per (complex, dimension) and kept on the complex; the
-    result must not be modified. (Co)homology does not use it.
+    columns[c] maps row indices to the nonzero entries of column c. The
+    cells are enumerated afresh and nothing is kept on the complex.
+    (Co)homology does not use it.
     """
     if not 0 <= i <= x.top_dim:
         raise ValueError("dimension out of range")
-    key = ("boundary", i)
-    if key not in x._memo:
-        x._memo[key] = _assemble_boundary(x, i)
-    return x._memo[key]
-
-
-def _assemble_boundary(x: BalancedComplex, i: int):
     if i == 0:
-        n_rows = 1
-        columns = tuple({0: 1} for _ in x.cells_by_dim[0])
-    else:
-        faces = x.cells_by_dim[i - 1]
-        n_rows = len(faces)
-        index = {cell: r for r, cell in enumerate(faces)}
-        columns = tuple(
-            {
-                index[(support[:j] + support[j + 1 :], vertices[:j] + vertices[j + 1 :])]: -1 if j % 2 else 1
-                for j in range(len(support))
-            }
-            for support, vertices in x.cells_by_dim[i]
-        )
-    return _with_rows(n_rows, columns)
+        return 1, tuple({0: 1} for _ in x.cells(0))
+    index = {cell: r for r, cell in enumerate(x.cells(i - 1))}
+    columns = tuple(
+        {
+            index[(support[:j] + support[j + 1 :], vertices[:j] + vertices[j + 1 :])]: -1 if j % 2 else 1
+            for j in range(len(support))
+        }
+        for support, vertices in x.cells(i)
+    )
+    return len(index), columns
 
 
 def _with_rows(n_rows: int, columns):
@@ -184,18 +179,18 @@ def _with_rows(n_rows: int, columns):
 def boundary_matrix(x: BalancedComplex, i: int) -> IntMatrix:
     """Matrix of the boundary map from i-chains to (i-1)-chains.
 
-    Densified from the sparse assembly of _sparse_boundary.
+    Densified from the sparse columns of _boundary_columns.
     Dimension 0 yields the augmentation row of ones (reduced complex).
     Signs alternate with the position of the dropped color in the
     increasing support, so consecutive boundaries compose to zero.
     """
-    rows, columns = _sparse_boundary(x, i)
+    n_rows, columns = _boundary_columns(x, i)
     width = len(columns)
-    entries = [0] * (len(rows) * width)
-    for r, row in enumerate(rows):
-        for c, entry in row.items():
+    entries = [0] * (n_rows * width)
+    for c, column in enumerate(columns):
+        for r, entry in column.items():
             entries[r * width + c] = entry
-    return IntMatrix(len(rows), width, tuple(entries))
+    return IntMatrix(n_rows, width, tuple(entries))
 
 
 def _cycle_matrix(x: BalancedComplex):
@@ -207,7 +202,7 @@ def _cycle_matrix(x: BalancedComplex):
     cycle (e_{h_0} - e_0) x ... x (e_{h_k} - e_0): the entry
     (-1)**#{i : g_i = 0} at each point g with every g_i in {0, h_i}, at
     most 2**(k+1) of them. Returned as (rows, columns) in the layout of
-    _sparse_boundary; assembled once per complex and kept on it, so
+    _with_rows; assembled once per complex and kept on it, so
     homology and cohomology share it; the result must not be modified.
     """
     if "cycles" not in x._memo:
@@ -217,7 +212,7 @@ def _cycle_matrix(x: BalancedComplex):
 
 def _assemble_cycles(x: BalancedComplex):
     zeros = tuple(g.elements()[0] for g in x.colors)
-    tops = set(x.top_cells())
+    tops = set(x.top_cells)
     index = {g: r for r, g in enumerate(g for g in nested_elements(x.colors) if g not in tops)}
     columns = []
     for h in itertools.product(*(g.elements()[1:] for g in x.colors)):
@@ -484,7 +479,7 @@ def complex_json(x: BalancedComplex) -> dict:
     """Homology report for a complex, JSON-ready."""
     return {
         "colors": [g.to_json() for g in x.colors],
-        "A": [[list(v) for v in a] for a in x.top_cells()],
+        "A": [[list(v) for v in a] for a in x.top_cells],
         "homology": {
             str(i): reduced_homology(x, i).to_json_dict() for i in range(x.top_dim + 1)
         },

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from balacyc.complexes import BalancedComplex, _sparse_boundary
+from balacyc.complexes import BalancedComplex, _boundary_columns, _with_rows
 from balacyc.cyclotomic import CycInt, IntPoly, divisors, euler_phi, root_power, xn_minus_1
 from balacyc.groups import positive_dual_block, product_group
 from balacyc.intlinalg import (
@@ -173,13 +173,13 @@ def _boundary_factors(x: BalancedComplex, i: int, over_columns: bool) -> tuple[i
 
     Eliminated over its rows, or over its columns (the coboundary) when
     over_columns is set. One above the top dimension the map is zero.
-    Kept on the complex, like the sparse assembly.
+    Kept on the complex; the boundary map itself is not.
     """
     if i == x.top_dim + 1:
         return ()
     key = ("factors", i, over_columns)
     if key not in x._memo:
-        rows, columns = _sparse_boundary(x, i)
+        rows, columns = _with_rows(*_boundary_columns(x, i))
         x._memo[key] = sparse_invariant_factors(columns if over_columns else rows)
     return x._memo[key]
 
@@ -192,7 +192,7 @@ def reduced_homology(x: BalancedComplex, i: int) -> AbelianGroupStructure:
     """
     down = _boundary_factors(x, i, False)
     up = _boundary_factors(x, i + 1, False)
-    free = x.n_cells(i) - len(down) - len(up)
+    free = x.f_vector()[i] - len(down) - len(up)
     return AbelianGroupStructure.from_parts(free, tuple(d for d in up if d > 1))
 
 
@@ -206,7 +206,7 @@ def reduced_cohomology(x: BalancedComplex, i: int) -> AbelianGroupStructure:
     """
     into = _boundary_factors(x, i, True)
     out_of = _boundary_factors(x, i + 1, True)
-    free = x.n_cells(i) - len(into) - len(out_of)
+    free = x.f_vector()[i] - len(into) - len(out_of)
     return AbelianGroupStructure.from_parts(free, tuple(d for d in into if d > 1))
 
 

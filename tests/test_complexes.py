@@ -63,6 +63,7 @@ def test_f_vectors_frozen():
     assert build_complex((Z2, Z3), full((Z2, Z3))).f_vector() == (5, 6)
     assert build_complex((Z2, Z3), ()).f_vector() == (5, 0)
     assert build_complex((Z2, Z3, Z5), ()).f_vector() == (10, 31, 0)
+    assert build_family_complex((3, 5, 7, 11, 13), (0,)).f_vector() == (39, 574, 3954, 12673, 9255)
 
 
 def test_build_rejects_bad_input():
@@ -110,7 +111,8 @@ def test_lattice_comparison_validates_cells_once(monkeypatch):
 
 def test_cells_are_canonically_ordered():
     x = build_complex((Z2, Z3, Z5), full((Z2, Z3, Z5)))
-    for cells in x.cells_by_dim:
+    for i in range(x.top_dim + 1):
+        cells = x.cells(i)
         assert list(cells) == sorted(cells)
 
 
@@ -181,7 +183,7 @@ def test_coboundary_is_transposed_top_boundary_blockwise():
         dual = boundary_matrix(x, k).transpose()
         cob = coboundary_top_matrix(colors)
         labels = top_coboundary_domain(colors)
-        faces = x.cells_by_dim[k - 1]
+        faces = x.cells(k - 1)
         face_index = {cell: j for j, cell in enumerate(faces)}
         assert dual.rows == cob.rows
         for col, (i, t) in enumerate(labels):
@@ -278,7 +280,7 @@ def oracle_complexes(draw):
 def test_cycle_route_matches_boundary_route(x):
     # every dimension of both profiles against the elimination of every
     # boundary map, on a separate copy so no memo is shared
-    y = build_complex(x.colors, x.top_cells())
+    y = build_complex(x.colors, x.top_cells)
     assert homology_profile(x) == boundary_homology_profile(y)
     assert cohomology_profile(x) == boundary_cohomology_profile(y)
 
@@ -406,24 +408,20 @@ def test_complex_json_shape():
 # --- per-complex memo --------------------------------------------------------------
 
 
-def test_boundary_assembled_once_per_complex_and_dimension(monkeypatch):
-    cycles, boundaries = [], []
+def test_cycle_matrix_assembled_once_per_complex(monkeypatch):
+    cycles = []
     assemble_cycles = complexes._assemble_cycles
-    assemble_boundary = complexes._assemble_boundary
     monkeypatch.setattr(complexes, "_assemble_cycles", lambda x: cycles.append(x) or assemble_cycles(x))
-    monkeypatch.setattr(
-        complexes, "_assemble_boundary", lambda x, i: boundaries.append(i) or assemble_boundary(x, i)
-    )
     x = build_family_complex((2, 3, 5), (2, 6))
     homology_profile(x)
     cohomology_profile(x)
-    # one cycle matrix, shared by homology and cohomology; no boundary map
-    assert cycles == [x] and boundaries == []
+    # one cycle matrix, shared by homology and cohomology
+    assert cycles == [x]
     assert complexes._cycle_matrix(x) is complexes._cycle_matrix(x)
-    for i in (0, 1, 2, 2, 1):
+    # boundary maps keep nothing on the complex
+    for i in range(x.top_dim + 1):
         boundary_matrix(x, i)
-    assert sorted(boundaries) == [0, 1, 2]
-    assert complexes._sparse_boundary(x, 2) is complexes._sparse_boundary(x, 2)
+    assert set(x._memo) == {"cycles", ("cycle factors", False), ("cycle factors", True)}
     # the memo stays outside equality, hashing and repr
     y = build_family_complex((2, 3, 5), (2, 6))
     assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
@@ -431,9 +429,11 @@ def test_boundary_assembled_once_per_complex_and_dimension(monkeypatch):
 
 def test_homology_assembles_no_boundary_map(monkeypatch):
     def refuse(x, i):
-        raise AssertionError(f"boundary map {i} assembled")
+        raise AssertionError(f"boundary map or cells of dimension {i} asked for")
 
-    monkeypatch.setattr(complexes, "_assemble_boundary", refuse)
+    # neither a boundary map nor any cell below the top is enumerated
+    monkeypatch.setattr(complexes, "_boundary_columns", refuse)
+    monkeypatch.setattr(complexes.BalancedComplex, "cells", refuse)
     report = verify_homology_tables((2, 3, 5, 7), (7,))
     assert report.match and report.euler_poincare and report.uct
     colors = (Z22, Z3, Z2)

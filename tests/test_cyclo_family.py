@@ -124,7 +124,7 @@ def test_family_complex_frozen_shapes():
     full = build_family_complex((2, 3), (0, 1, 2))
     assert full.f_vector() == (5, 6)  # all six edges of the bipartite join
     tree = build_family_complex((2, 3), (0,))
-    assert set(tree.top_cells()) == {
+    assert set(tree.top_cells) == {
         ((0,), (0,)),
         ((1,), (0,)),
         ((0,), (1,)),

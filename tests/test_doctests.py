@@ -1,7 +1,11 @@
-"""Run the doctests embedded in the library modules."""
+"""Run the doctests embedded in the library modules and the README's library example."""
 
+import contextlib
 import doctest
 import importlib
+import io
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +17,24 @@ MODULE_NAMES = [
     "balacyc.cyclo_family",
 ]
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 
 @pytest.mark.parametrize("name", MODULE_NAMES)
 def test_module_doctests(name):
     result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def test_readme_library_example():
+    # the one python block runs as written and prints the value that each
+    # print line's comment states (the comment up to its first colon)
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    expected = [line.split("#", 1)[1].split(":")[0].strip() for line in prints]
+    assert expected == ["Z^2", "True", "True True"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected
