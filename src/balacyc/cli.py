@@ -99,7 +99,8 @@ def _parse_groups(text: str) -> tuple[FiniteAbelianGroup, ...]:
         raise UsageError("groups must be a nonempty JSON list of per-color factor lists")
     colors = []
     for color in data:
-        if not isinstance(color, list) or not all(isinstance(m, int) and m >= 1 for m in color):
+        # type, not isinstance: JSON true and false load as bool, a subclass of int
+        if not isinstance(color, list) or not all(type(m) is int and m >= 1 for m in color):
             raise UsageError("each color must be a list of positive cyclic orders")
         colors.append(FiniteAbelianGroup(tuple(color)))
     return _checked(check_colors, colors)
@@ -129,7 +130,7 @@ def _parse_point_set(text: str, colors) -> tuple:
         vertices = []
         for v in point:
             coords = v if isinstance(v, list) else [v]
-            if not all(isinstance(c, int) for c in coords):
+            if not all(type(c) is int for c in coords):
                 raise UsageError("vertex coordinates must be integers")
             vertices.append(tuple(coords))
         points.append(tuple(vertices))

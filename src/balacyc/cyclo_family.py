@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 from math import gcd, prod
 
 from .complexes import (
@@ -25,7 +26,7 @@ from .complexes import (
     nested_elements,
     uct_holds,
 )
-from .cyclotomic import cyclotomic, euler_phi, eval_at_root, is_prime, root_power
+from .cyclotomic import _remainders, cyclotomic, euler_phi, eval_at_root, is_prime, root_power
 from .groups import FiniteAbelianGroup, GroupFunction, fourier_transform
 from .intlinalg import (
     AbelianGroupStructure,
@@ -192,57 +193,63 @@ def _root_relation_kernel(n: int) -> HermiteForm:
     """Saturated kernel of evaluating integer vectors at zeta_n, canonical.
 
     A vector f on Z_n is read as the polynomial f(z) of degree < n, and
-    evaluation at zeta_n vanishes exactly when Phi_n divides f(z). Phi_n is
-    monic, so division by it stays in Z[z]: the kernel is Phi_n * Z[z]
-    truncated to degree < n, with the Z-basis z**j * Phi_n(z) for
-    0 <= j < n - phi(n). That banded basis is built from the coefficients
-    of cyclotomic(n), with rows in descending residue order n-1, ..., 0,
-    and brought to Hermite form once here. The leading 1 of z**j * Phi_n
-    sits at residue j + phi(n), so the pivot rows of the form are the
-    residues n-1, ..., phi(n), and every top index set keeps all of them
-    except possibly phi(n) itself: HermiteForm.project then returns the
-    selected rows without any elimination. The argument is division by
-    Phi_n alone, independent of the coboundary route it is compared with.
-    The cache holds a few n; at n = 1155 one form is 1155 x 675.
+    evaluation at zeta_n vanishes exactly when Phi_n divides f(z). With
+    rows in descending residue order n-1, ..., 0, the Hermite form of that
+    kernel is [I; -R]: the column for residue d = n-1, ..., phi(n) is
+    z**d - (z**d mod Phi_n), a unit at residue d and the negated remainder
+    of z**d in the residues below phi(n). These columns lie in the kernel,
+    and they span it, because a kernel vector minus its upper coordinates
+    times them is a multiple of Phi_n of degree < phi(n), hence zero. The
+    remainders come from the recurrence of cyclotomic._remainders, read
+    once here and not kept. The cache holds a few n; at n = 1155 one form
+    is 1155 x 675.
     """
-    coeffs = cyclotomic(n).coeffs[::-1]
-    width = n - euler_phi(n)
-    band = [[0] * (width - 1 - j) + list(coeffs) + [0] * j for j in range(width)]
-    return hermite_normal_form(IntMatrix.from_columns(band, rows=n))
+    phi = euler_phi(n)
+    width = n - phi
+    tails = list(islice(_remainders(n), phi, n))[::-1]  # z**d mod Phi_n, d = n-1, ..., phi(n)
+    below = (-r[i] for i in reversed(range(phi)) for r in tails)
+    return HermiteForm(IntMatrix(n, width, tuple(chain(IntMatrix.identity(width).entries, below))))
 
 
 def root_relation_lattice(primes, subset) -> HermiteForm:
     """Vanishing-evaluation functions restricted to the top index set.
 
-    The kernel lattice above is projected onto the coordinates indexed by
-    subset + upper part, in descending residue order
-    (CycloComplexData.pullback_indices), and brought to canonical form.
-    Those rows keep every pivot row of the kernel's form unless phi(n) is
-    missing from the subset, so the canonical form is in most cases a row
-    selection of the cached one (HermiteForm.project).
+    The rows of the kernel's form for subset + upper part are selected in
+    descending residue order (CycloComplexData.pullback_indices). When
+    phi(n) is in the subset they keep every unit row n-1, ..., phi(n) in
+    order, so they are already the canonical form; otherwise the selection
+    is brought to Hermite form once.
     """
     data = CycloComplexData.build(primes, subset)
     # row r of the kernel's form holds residue n-1-r
-    return _root_relation_kernel(data.n).project([data.n - 1 - x for x in data.pullback_indices])
+    selected = _root_relation_kernel(data.n).h.select_rows([data.n - 1 - x for x in data.pullback_indices])
+    if data.totient in data.subset:
+        return HermiteForm(selected)
+    return hermite_normal_form(selected)
+
+
+def _coboundary_form(data: CycloComplexData) -> HermiteForm:
+    """Canonical form of the top coboundary lattice of the complex, pulled
+    back along the CRT bijection to the residues of data.pullback_indices.
+
+    The pullback is a pure reindexing of coordinates from product-group
+    points to residues; the form is eliminated from the restricted
+    coboundary matrix itself and uses neither Phi_n nor its remainders.
+    """
+    points = [crt_split(data.primes, x) for x in data.pullback_indices]
+    return hermite_normal_form(coboundary_restriction(family_colors(data.primes), points))
 
 
 def pullback_matches_root_kernel(primes, subset) -> bool:
     """Compare the coboundary image lattice with the evaluation kernel.
 
-    The restricted coboundary lattice of the complex is pulled back along
-    the CRT bijection (a pure reindexing of coordinates from product-group
-    points to residues) and must coincide with root_relation_lattice. Both
-    list their rows in descending residue order
-    (CycloComplexData.pullback_indices). The coboundary side eliminates its
-    own restricted matrix for every subset; it is not a projection of a
-    cached form, which for the full top index set would be the very form
-    of the root-relation kernel.
+    The pulled-back coboundary form (_coboundary_form) must coincide with
+    root_relation_lattice. Both list their rows in descending residue
+    order (CycloComplexData.pullback_indices). The coboundary side
+    eliminates its own restricted matrix for every subset.
     """
     data = CycloComplexData.build(primes, subset)
-    colors = family_colors(data.primes)
-    points = [crt_split(data.primes, x) for x in data.pullback_indices]
-    pulled_back = hermite_normal_form(coboundary_restriction(colors, points))
-    return pulled_back == root_relation_lattice(primes, subset)
+    return _coboundary_form(data) == root_relation_lattice(primes, subset)
 
 
 def transform_pullback_check(primes, h: GroupFunction, m: int | None = None) -> bool:
@@ -321,26 +328,29 @@ class PresentationReport:
 def quotient_presentation(primes, subset) -> PresentationReport:
     """Present the quotient by the vanishing lattice two independent ways.
 
-    (a) directly, as the cokernel of the restricted kernel lattice inside
-    the full top index set; (b) as the cokernel of the single column of
-    subset coefficients. Both must give free rank |A|-1 plus one cyclic
-    factor of order gcd. Additionally each upper index t is checked
-    constructively: the vector that places 1 at t and the negated
-    power-basis coordinates of zeta_n**t at the subset indices lies in the
-    vanishing lattice, which rewrites the class of t in subset classes.
-    Those vectors are indexed like the lattice's rows, in descending
-    residue order (CycloComplexData.pullback_indices); the cokernels do not
-    depend on the order.
+    (a) directly, as the cokernel of the restricted kernel lattice
+    (root_relation_lattice) inside the full top index set; (b) as the
+    cokernel of the single column of subset coefficients. Both must give
+    free rank |A|-1 plus one cyclic factor of order gcd. Additionally each
+    upper index t is checked constructively: the vector that places 1 at t
+    and the negated power-basis coordinates of zeta_n**t at the subset
+    indices lies in the pulled-back coboundary lattice (_coboundary_form),
+    which rewrites the class of t in subset classes inside the lattice the
+    theorem is about. The kernel's form is read off the same remainders as
+    those coordinates, so checking them against it would test the table
+    against itself. The vectors are indexed like the lattices' rows, in
+    descending residue order (CycloComplexData.pullback_indices); the
+    cokernels do not depend on the order.
     """
     data = CycloComplexData.build(primes, subset)
     if not data.subset:
         raise ValueError("presentation requires a nonempty subset")
-    lattice = root_relation_lattice(primes, subset)
-    ambient = cokernel_structure(lattice.h)
+    ambient = cokernel_structure(root_relation_lattice(primes, subset).h)
     column = IntMatrix.from_columns([data.subset_coeffs], rows=len(data.subset))
     small = cokernel_structure(column)
     expected = AbelianGroupStructure.from_parts(len(data.subset) - 1, (data.coeff_gcd,))
 
+    coboundary = _coboundary_form(data)
     indices = data.pullback_indices
     position = {x: r for r, x in enumerate(indices)}
     checks = []
@@ -351,8 +361,7 @@ def quotient_presentation(primes, subset) -> PresentationReport:
             if j < len(coords):
                 vec[position[j]] = -coords[j]
         vec[position[t]] += 1
-        member = lattice.contains(vec)
-        checks.append((t, member))
+        checks.append((t, coboundary.contains(vec)))
     return PresentationReport(expected, ambient, small, tuple(checks))
 
 

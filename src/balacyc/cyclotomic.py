@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 
 @lru_cache(maxsize=None)
@@ -315,26 +316,31 @@ class CycInt:
         return sum(c * z**t for t, c in enumerate(self.coords))
 
 
-@lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Power-basis coordinates of zeta_n**j for j = 0..n-1.
+def _remainders(n: int):
+    """Power-basis coordinates of z**j mod Phi_n for j = 0, 1, 2, ..., endlessly.
 
-    Built by repeated multiplication by z, replacing z**phi(n) by the
-    tail of the monic relation Phi_n(z) = 0 whenever the degree overflows.
+    Each step multiplies by z and, when the degree reaches phi(n), replaces
+    z**phi(n) by the tail of the monic relation Phi_n(z) = 0:
+    r_(j+1) = z * r_j - lead(r_j) * Phi_n.
     """
     phi = euler_phi(n)
-    mod = cyclotomic(n).coeffs
-    rows = []
+    mod = cyclotomic(n).coeffs[:phi]
     cur = [0] * phi
     cur[0] = 1
-    for _ in range(n):
-        rows.append(tuple(cur))
+    while True:
+        yield tuple(cur)
         lead = cur[-1]
         nxt = [0] + cur[:-1]
         if lead:
-            nxt = [x - lead * c for x, c in zip(nxt, mod[:phi])]
+            nxt = [x - lead * c for x, c in zip(nxt, mod)]
         cur = nxt
-    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Power-basis coordinates of zeta_n**j for j = 0..n-1: the first n
+    remainders of _remainders(n)."""
+    return tuple(islice(_remainders(n), n))
 
 
 def root_power(n: int, e: int) -> CycInt:

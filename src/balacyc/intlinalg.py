@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, repeat
 from operator import add, mul, neg, sub
 
@@ -150,31 +149,6 @@ class HermiteForm:
     @property
     def rank(self) -> int:
         return self.h.cols
-
-    @cached_property
-    def pivot_rows(self) -> tuple[int, ...]:
-        """The first nonzero row of each column, left to right."""
-        return tuple(next(i for i, x in enumerate(self.h.column(j)) if x) for j in range(self.rank))
-
-    def project(self, rows) -> HermiteForm:
-        """Hermite form of the lattice projected onto the given row positions.
-
-        When the positions increase and include every pivot row, the
-        selected rows of this form are already that Hermite form, and are
-        returned as they are: each column is still zero above its pivot,
-        the pivots keep their order, sign and reduced left neighbours, the
-        selected columns generate the projection, and the form is unique.
-        Otherwise the selected rows are brought to Hermite form.
-
-        >>> form = hermite_normal_form(IntMatrix.from_columns([(1, 2, 3), (0, 2, 4)]))
-        >>> form.pivot_rows, form.project([0, 1]).h.to_rows(), form.project([1, 2]).h.to_rows()
-        ((0, 1), [[1, 0], [0, 2]], [[2, 0], [0, 1]])
-        """
-        rows = list(rows)
-        selected = self.h.select_rows(rows)
-        if all(a < b for a, b in zip(rows, rows[1:])) and set(self.pivot_rows) <= set(rows):
-            return HermiteForm(selected)
-        return hermite_normal_form(selected)
 
     def contains(self, vec) -> bool:
         """Whether vec lies in the lattice.

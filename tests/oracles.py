@@ -11,12 +11,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from balacyc.complexes import BalancedComplex, _boundary_columns, _with_rows
-from balacyc.cyclotomic import CycInt, IntPoly, divisors, euler_phi, root_power, xn_minus_1
+from balacyc.cyclotomic import CycInt, IntPoly, cyclotomic, divisors, euler_phi, root_power, xn_minus_1
 from balacyc.groups import positive_dual_block, product_group
 from balacyc.intlinalg import (
     AbelianGroupStructure,
     HermiteForm,
     IntMatrix,
+    hermite_normal_form,
     smith_normal_form,
     sparse_invariant_factors,
 )
@@ -122,6 +123,20 @@ def evaluation_kernel(n: int) -> IntMatrix:
     """
     cols = [root_power(n, e).coords for e in range(n)]
     return smith_kernel_basis(IntMatrix.from_columns(cols, rows=euler_phi(n)))
+
+
+def band_root_relation_kernel(n: int) -> HermiteForm:
+    """Hermite form of the band z**j * Phi_n(z), 0 <= j < n - phi(n).
+
+    Rows in descending residue order n-1, ..., 0. The band spans the
+    multiples of Phi_n of degree < n, which is the kernel of evaluation at
+    zeta_n because Phi_n is monic; the general elimination brings it to
+    canonical form.
+    """
+    coeffs = list(cyclotomic(n).coeffs[::-1])
+    width = n - euler_phi(n)
+    band = [[0] * (width - 1 - j) + coeffs + [0] * j for j in range(width)]
+    return hermite_normal_form(IntMatrix.from_columns(band, rows=n))
 
 
 def full_block_vanishing_matrix(colors) -> IntMatrix:

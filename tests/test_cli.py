@@ -307,6 +307,18 @@ def test_invalid_input_is_a_usage_error(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("groups", ["[[true,2],[3]]", "[[2],[false]]"])
+def test_boolean_group_orders_are_a_usage_error(capsys, groups):
+    expected = (2, "", "error: each color must be a list of positive cyclic orders\n")
+    assert run(capsys, "homology", "--groups", groups) == expected
+
+
+@pytest.mark.parametrize("points", ["[[true,2]]", "[[[0],[false]]]"])
+def test_boolean_point_coordinates_are_a_usage_error(capsys, points):
+    expected = (2, "", "error: vertex coordinates must be integers\n")
+    assert run(capsys, "verify-coboundaries", "--groups", "[[2],[3]]", "--set", points) == expected
+
+
 def test_value_error_inside_a_computation_exits_3(capsys, monkeypatch):
     def broken(primes):
         raise ValueError("boom")

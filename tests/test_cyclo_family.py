@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    band_root_relation_kernel,
     boundary_cohomology_profile,
     boundary_homology_profile,
     evaluation_kernel,
@@ -298,12 +299,15 @@ def descending(m: IntMatrix) -> IntMatrix:
 
 @pytest.mark.parametrize("n", [6, 30, 42, 105, 385])
 def test_root_relation_kernel_matches_evaluation_kernel(n):
-    # the banded z**j * Phi_n basis spans the saturated kernel of evaluation
+    # the form read off the remainders of z**d is the elimination of the
+    # banded z**j * Phi_n basis and spans the saturated kernel of evaluation
     # at zeta_n that the Smith column transform finds, rows n-1 down to 0;
-    # the pivot rows are the residues n-1, ..., phi(n)
+    # the rows for the residues n-1, ..., phi(n) are the identity
     kernel = cyclo_family._root_relation_kernel(n)
+    assert kernel == band_root_relation_kernel(n)
     assert kernel == hermite_normal_form(descending(evaluation_kernel(n)))
-    assert kernel.pivot_rows == tuple(range(n - euler_phi(n)))
+    width = n - euler_phi(n)
+    assert kernel.h.select_rows(range(width)) == IntMatrix.identity(width)
 
 
 def test_root_relation_kernel_matches_reference_hermite_form():
@@ -350,8 +354,8 @@ def test_pullback_comparison_tells_neighbouring_subsets_apart():
 
 
 def test_root_relation_lattice_projects_the_cached_form(monkeypatch):
-    # at n = 385 the top rows keep every pivot row of the kernel's form
-    # exactly when 240 = phi(n) is in A: then the projection eliminates
+    # at n = 385 the top rows keep every unit row of the kernel's form
+    # exactly when 240 = phi(n) is in A: then the selection eliminates
     # nothing, otherwise it brings the selected rows to Hermite form once
     primes = (5, 7, 11)
     kernel = cyclo_family._root_relation_kernel(385)
@@ -361,7 +365,7 @@ def test_root_relation_lattice_projects_the_cached_form(monkeypatch):
         calls.append(m.rows)
         return hermite_normal_form(m)
 
-    monkeypatch.setattr(intlinalg, "hermite_normal_form", counting)
+    monkeypatch.setattr(cyclo_family, "hermite_normal_form", counting)
     for subset, eliminations in [((3, 100, 240), 0), ((3, 100, 239), 1)]:
         calls.clear()
         data = CycloComplexData.build(primes, subset)
@@ -398,6 +402,7 @@ def test_root_relation_lattice_rows_descend():
 def test_root_relation_kernel_matches_evaluation_kernel_on_prime_products(primes):
     n = prod(primes)
     kernel = cyclo_family._root_relation_kernel(n)
+    assert kernel == band_root_relation_kernel(n)
     assert kernel == hermite_normal_form(descending(evaluation_kernel(n)))
     assert (kernel.h.rows, kernel.rank) == (n, n - euler_phi(n))
 
@@ -576,6 +581,28 @@ def test_presentation_rejects_a_corrupted_generator(monkeypatch):
     assert dict(report.generator_membership)[9] is False
     assert all(ok for t, ok in report.generator_membership if t != 9)
     assert not report.ok
+
+
+def test_presentation_generators_are_checked_against_the_coboundary(monkeypatch):
+    # the generator vectors come from the same remainders as the kernel's
+    # form, so they are checked in the pulled-back coboundary lattice: a
+    # coboundary side that spans only a sublattice (every column doubled)
+    # must fail them, while the quotient read from the kernel stays put
+    primes, subset = (2, 3, 5), tuple(range(9))
+    report = quotient_presentation(primes, subset)
+    assert report.ok
+
+    def doubled(colors, points):
+        m = complexes.coboundary_restriction(colors, points)
+        return IntMatrix(m.rows, m.cols, tuple(2 * x for x in m.entries))
+
+    monkeypatch.setattr(cyclo_family, "coboundary_restriction", doubled)
+    corrupted = quotient_presentation(primes, subset)
+    assert corrupted.ambient_quotient == report.ambient_quotient
+    assert corrupted.quotient_ok
+    assert corrupted.generator_membership
+    assert not any(ok for _, ok in corrupted.generator_membership)
+    assert not corrupted.ok
 
 
 def test_presentation_sweep_n6():
