@@ -330,14 +330,15 @@ def top_coboundary_domain(colors: tuple[FiniteAbelianGroup, ...]) -> tuple[tuple
     return tuple(labels)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def coboundary_top_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     """Matrix of the top coboundary map on the full join.
 
     Rows are indexed by the points of G_0 x ... x G_k in lex order,
     columns by top_coboundary_domain. The entry in row (g_0, ..., g_k)
     and column (i, t) is (-1)**i when t equals the row with slot i
-    removed, else 0.
+    removed, else 0. The matrix is dense (6.7M entries on
+    Z2 * Z3 * Z5 * Z7 * Z11), so the cache holds a few color tuples.
     """
     points = nested_elements(colors)
     index = {g: r for r, g in enumerate(points)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from balacyc.complexes import BalancedComplex, _boundary_columns, _with_rows
+from balacyc.cyclo_family import CycloComplexData, _coboundary_form, root_relation_lattice
 from balacyc.cyclotomic import CycInt, IntPoly, cyclotomic, divisors, euler_phi, root_power, xn_minus_1
 from balacyc.groups import positive_dual_block, product_group
 from balacyc.intlinalg import (
@@ -137,6 +138,18 @@ def band_root_relation_kernel(n: int) -> HermiteForm:
     width = n - euler_phi(n)
     band = [[0] * (width - 1 - j) + coeffs + [0] * j for j in range(width)]
     return hermite_normal_form(IntMatrix.from_columns(band, rows=n))
+
+
+def hermite_pullback_matches(primes, subset) -> bool:
+    """The pulled-back coboundary lattice equals the evaluation kernel's
+    restriction to the top indices, compared by canonical forms.
+
+    Both sides are brought to Hermite form, rows in descending residue
+    order: the coboundary restriction by a dense elimination, the kernel's
+    rows by root_relation_lattice.
+    """
+    data = CycloComplexData.build(primes, subset)
+    return _coboundary_form(data) == root_relation_lattice(primes, subset)
 
 
 def full_block_vanishing_matrix(colors) -> IntMatrix:

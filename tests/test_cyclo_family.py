@@ -3,10 +3,11 @@
 import importlib
 import random
 import sys
+from itertools import combinations
 from math import gcd, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -14,6 +15,7 @@ from oracles import (
     boundary_cohomology_profile,
     boundary_homology_profile,
     evaluation_kernel,
+    hermite_pullback_matches,
     reference_hermite_normal_form,
 )
 
@@ -447,6 +449,131 @@ def test_pullback_matches_random_n42():
     for _ in range(10):
         subset = tuple(sorted(rng.sample(range(13), rng.randint(0, 13))))
         assert pullback_matches_root_kernel((2, 3, 7), subset)
+
+
+# --- containment plus index against the Hermite comparison --------------------
+
+
+@pytest.fixture
+def fresh_coboundary_cache():
+    # a test that corrupts the pulled-back coboundary must not leave it cached
+    cached = cyclo_family._pulled_back_coboundary
+    cached.cache_clear()
+    yield
+    cached.cache_clear()
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (2, 3, 7)])
+def test_pullback_check_matches_hermite_oracle_on_every_subset(primes):
+    top = euler_phi(prod(primes))
+    for size in range(top + 2):
+        for subset in combinations(range(top + 1), size):
+            assert pullback_matches_root_kernel(primes, subset) == hermite_pullback_matches(primes, subset)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([(3, 5, 7), (5, 7, 11)]), st.data())
+@example((3, 5, 7), None)
+@example((5, 7, 11), None)
+def test_pullback_check_matches_hermite_oracle_on_drawn_subsets(primes, data):
+    # None stands for the three boundary cases: A empty, A = {phi(n)} and
+    # A the whole range below phi(n); drawn subsets cover both phi(n) in A
+    # and phi(n) outside it
+    top = euler_phi(prod(primes))
+    if data is None:
+        subsets = [(), (top,), tuple(range(top))]
+    else:
+        drawn = data.draw(st.sets(st.integers(0, top), max_size=top + 1))
+        subsets = [tuple(sorted(drawn | {top})), tuple(sorted(drawn - {top}))]
+    for subset in subsets:
+        assert pullback_matches_root_kernel(primes, subset) is True
+        assert hermite_pullback_matches(primes, subset) is True
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (2, 3, 7), (3, 5, 7)])
+def test_kernel_index_matches_the_restricted_kernel_factors(primes):
+    # the kernel side's rank and factor product, read off [I; -R], are
+    # those of the restricted kernel lattice itself
+    n = prod(primes)
+    top = euler_phi(n)
+    rows, contained, remainder = cyclo_family._pulled_back_coboundary(primes)
+    assert contained
+    assert len(rows) == n
+    assert remainder == root_power(n, top).coords
+    rng = random.Random(n)
+    subsets = [(), (top,), tuple(range(top)), tuple(range(top + 1))]
+    subsets += [tuple(sorted(rng.sample(range(top + 1), rng.randint(1, top)))) for _ in range(12)]
+    for subset in subsets:
+        lattice = root_relation_lattice(primes, subset)
+        factors = sparse_invariant_factors([{c: x for c, x in enumerate(row) if x} for row in lattice.h.to_rows()])
+        data = CycloComplexData.build(primes, subset)
+        assert cyclo_family._kernel_rank_and_index(data, remainder) == (len(factors), prod(factors))
+
+
+def test_pullback_check_fails_when_a_column_leaves_the_kernel(monkeypatch, fresh_coboundary_cache):
+    # residues 1 and 2 of Z_30 share no coboundary column; swapping their
+    # points moves each column through them out of the kernel, while the
+    # restricted lattice on all 30 residues keeps its rank and factors: only
+    # the containment half can see the swap
+    primes, subset = (2, 3, 5), tuple(range(9))
+    assert pullback_matches_root_kernel(primes, subset)
+
+    def swapped(primes, x):
+        return crt_split(primes, {1: 2, 2: 1}.get(x, x))
+
+    monkeypatch.setattr(cyclo_family, "crt_split", swapped)
+    cyclo_family._pulled_back_coboundary.cache_clear()
+    rows, contained, remainder = cyclo_family._pulled_back_coboundary(primes)
+    assert not contained
+    data = CycloComplexData.build(primes, subset)
+    factors = sparse_invariant_factors([rows[x] for x in data.pullback_indices])
+    assert (len(factors), prod(factors)) == cyclo_family._kernel_rank_and_index(data, remainder)
+    assert pullback_matches_root_kernel(primes, subset) is False
+    assert hermite_pullback_matches(primes, subset) is False
+
+
+def test_pullback_check_fails_on_a_proper_sublattice(monkeypatch):
+    # every coboundary entry doubled: each column still lies in the kernel,
+    # so only the index half can reject the sublattice, as the Hermite
+    # comparison does with the dense matrix doubled
+    primes = (2, 3, 5)
+    built = cyclo_family._pulled_back_coboundary
+
+    def doubled(primes):
+        rows, contained, remainder = built(primes)
+        assert contained
+        return tuple({c: 2 * x for c, x in row.items()} for row in rows), contained, remainder
+
+    def doubled_dense(colors, points):
+        m = complexes.coboundary_restriction(colors, points)
+        return IntMatrix(m.rows, m.cols, tuple(2 * x for x in m.entries))
+
+    monkeypatch.setattr(cyclo_family, "_pulled_back_coboundary", doubled)
+    monkeypatch.setattr(cyclo_family, "coboundary_restriction", doubled_dense)
+    for subset in [(), (8,), (2, 6), tuple(range(9))]:
+        assert pullback_matches_root_kernel(primes, subset) is False
+        assert hermite_pullback_matches(primes, subset) is False
+
+
+def test_pullback_check_builds_no_dense_matrix(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the pullback check reached a dense route")
+
+    for module, name in [
+        (complexes, "coboundary_top_matrix"),
+        (cyclo_family, "coboundary_restriction"),
+        (cyclo_family, "hermite_normal_form"),
+        (cyclo_family, "_root_relation_kernel"),
+        (cyclo_family, "eval_at_root"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert pullback_matches_root_kernel((5, 7, 11), (0, 7, 239))
+    assert pullback_matches_root_kernel((5, 7, 11), (0, 7, 240))
+
+
+def test_coboundary_caches_are_bounded():
+    assert cyclo_family._pulled_back_coboundary.cache_info().maxsize == 8
+    assert complexes.coboundary_top_matrix.cache_info().maxsize == 8
 
 
 # --- transform pullback --------------------------------------------------------
