@@ -32,11 +32,12 @@ from .cyclotomic import _remainders, cyclotomic, euler_phi, eval_at_root, is_pri
 from .groups import FiniteAbelianGroup, GroupFunction, fourier_transform
 from .intlinalg import (
     AbelianGroupStructure,
+    FixedRowReduction,
     HermiteForm,
     IntMatrix,
     cokernel_structure,
     hermite_normal_form,
-    sparse_invariant_factors,
+    reduce_fixed_rows,
 )
 
 
@@ -138,8 +139,7 @@ class CycloComplexData:
     @property
     def pullback_indices(self) -> tuple[int, ...]:
         """The top indices in descending order: the row order of
-        root_relation_lattice, of the pulled-back coboundary form and of
-        the coboundary rows that pullback_matches_root_kernel reduces."""
+        root_relation_lattice and of the pulled-back coboundary form."""
         return self.top_indices[::-1]
 
 
@@ -151,7 +151,10 @@ def build_family_complex(primes, subset):
     >>> build_family_complex((2, 3), ()).f_vector()
     (5, 3)
     """
-    data = CycloComplexData.build(primes, subset)
+    return _family_complex(CycloComplexData.build(primes, subset))
+
+
+def _family_complex(data: CycloComplexData):
     tops = [crt_split(data.primes, x) for x in data.top_indices]
     return build_complex(family_colors(data.primes), tops)
 
@@ -164,7 +167,10 @@ def predicted_homology(primes, subset, i: int) -> AbelianGroupStructure:
     is free of rank |A| when d = 0 and |A|-1 otherwise, and every other
     dimension vanishes. The subset must be nonempty.
     """
-    data = CycloComplexData.build(primes, subset)
+    return _predicted_homology(CycloComplexData.build(primes, subset), i)
+
+
+def _predicted_homology(data: CycloComplexData, i: int) -> AbelianGroupStructure:
     if not data.subset:
         raise ValueError("empty subsets are not covered by the closed form")
     k = len(data.primes) - 1
@@ -179,7 +185,10 @@ def predicted_homology(primes, subset, i: int) -> AbelianGroupStructure:
 def predicted_cohomology(primes, subset, i: int) -> AbelianGroupStructure:
     """Expected reduced cohomology: Z^(|A|-1) + Z/d at the top, Z below it
     exactly when d = 0, zero elsewhere."""
-    data = CycloComplexData.build(primes, subset)
+    return _predicted_cohomology(CycloComplexData.build(primes, subset), i)
+
+
+def _predicted_cohomology(data: CycloComplexData, i: int) -> AbelianGroupStructure:
     if not data.subset:
         raise ValueError("empty subsets are not covered by the closed form")
     k = len(data.primes) - 1
@@ -245,12 +254,15 @@ def _coboundary_form(data: CycloComplexData) -> HermiteForm:
 
 
 @lru_cache(maxsize=8)
-def _pulled_back_coboundary(primes: tuple[int, ...]) -> tuple[tuple[dict[int, int], ...], bool, tuple[int, ...]]:
-    """The full join's top coboundary on the residues of Z_n, and its
-    containment in the kernel of Z[Z_n] -> Z[zeta_n].
+def _pulled_back_coboundary(
+    primes: tuple[int, ...],
+) -> tuple[tuple[dict[int, int], ...], bool, tuple[int, ...], FixedRowReduction]:
+    """The full join's top coboundary on the residues of Z_n, its
+    containment in the kernel of Z[Z_n] -> Z[zeta_n], and its upper rows
+    eliminated once.
 
-    Returns (rows, contained, top). rows[x] is the sparse row of residue x:
-    with g = crt_split(primes, x), it maps the column of
+    Returns (rows, contained, top, upper). rows[x] is the sparse row of
+    residue x: with g = crt_split(primes, x), it maps the column of
     (i, g without slot i) in top_coboundary_domain to (-1)**i. contained
     says whether every column lies in the kernel, that is, whether the
     residues of each column, with their signs, sum to 0 in Z[zeta_n]; the
@@ -261,10 +273,13 @@ def _pulled_back_coboundary(primes: tuple[int, ...]) -> tuple[tuple[dict[int, in
     pullback_matches_root_kernel for every subset: a contained lattice of
     the same rank shares the saturation of the restricted kernel, and is
     equal to it exactly when the products of their nonzero invariant
-    factors agree. top is
-    z**phi(n) mod Phi_n, the kernel column that the residues below phi(n)
-    see (see _kernel_rank_and_index). Only the rows stay with the cache;
-    at n = 2310 they hold 11550 entries.
+    factors agree. top is z**phi(n) mod Phi_n, the kernel column that the
+    residues below phi(n) see (see _kernel_rank_and_index). upper is
+    reduce_fixed_rows of these same rows at the upper residues
+    phi(n)+1, ..., n-1, which every top index set contains: the index half
+    of each subset then reduces only the subset's rows. Only the rows and
+    that reduction stay with the cache; at n = 2310 the rows hold 11550
+    entries and the reduction's S about 79k.
     """
     n = prod(primes)
     phi = euler_phi(n)
@@ -279,7 +294,10 @@ def _pulled_back_coboundary(primes: tuple[int, ...]) -> tuple[tuple[dict[int, in
         if x == phi:
             top = r
         rows.append(row)
-    return tuple(rows), not any(any(s) for s in sums), top
+    contained = not any(any(s) for s in sums)
+    del sums  # before the reduction, so that the two never peak together
+    upper = reduce_fixed_rows([rows[x] for x in reversed(upper_indices(n))])
+    return tuple(rows), contained, top, upper
 
 
 def _kernel_rank_and_index(data: CycloComplexData, top) -> tuple[int, int]:
@@ -310,18 +328,22 @@ def pullback_matches_root_kernel(primes, subset) -> bool:
     have the same saturation, so they are equal exactly when the products
     of their nonzero invariant factors are equal. The containment is
     checked once per prime tuple, on the full join
-    (_pulled_back_coboundary). The coboundary side's factors come from
-    sparse_invariant_factors on its rows at the top indices, in
-    descending residue order (CycloComplexData.pullback_indices), with
-    neither Phi_n nor its remainders; the kernel side's rank and product
-    are read off the kernel's form (_kernel_rank_and_index), not from
-    any (co)homology computation.
+    (_pulled_back_coboundary). The coboundary side's factors are those of
+    its rows at the top indices, with neither Phi_n nor its remainders.
+    The top indices are the subset plus the upper residues, whose rows
+    every subset shares and whose unit pivots are eliminated once per
+    prime tuple (reduce_fixed_rows); each call carries only the subset's
+    rows through those pivots and runs sparse_invariant_factors on them
+    and the upper rows left over. The factors are those of
+    sparse_invariant_factors on all the top rows. The kernel side's rank
+    and product are read off the kernel's form (_kernel_rank_and_index),
+    not from any (co)homology computation.
     """
     data = CycloComplexData.build(primes, subset)
-    rows, contained, top = _pulled_back_coboundary(data.primes)
+    rows, contained, top, upper = _pulled_back_coboundary(data.primes)
     if not contained:
         return False
-    factors = sparse_invariant_factors([rows[x] for x in data.pullback_indices])
+    factors = upper.invariant_factors(rows[a] for a in data.subset)
     return (len(factors), prod(factors)) == _kernel_rank_and_index(data, top)
 
 
@@ -501,11 +523,11 @@ def verify_homology_tables(primes, subset) -> HomologyVerification:
     if not data.subset:
         raise ValueError("verification requires a nonempty subset")
     k = len(data.primes) - 1
-    x = build_family_complex(primes, subset)
+    x = _family_complex(data)
     computed_h = homology_profile(x)
     computed_c = cohomology_profile(x)
-    predicted_h = {i: predicted_homology(primes, subset, i) for i in range(k + 1)}
-    predicted_c = {i: predicted_cohomology(primes, subset, i) for i in range(k + 1)}
+    predicted_h = {i: _predicted_homology(data, i) for i in range(k + 1)}
+    predicted_c = {i: _predicted_cohomology(data, i) for i in range(k + 1)}
     match = all(
         computed_h[i] == predicted_h[i] and computed_c[i] == predicted_c[i]
         for i in range(k + 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from balacyc import cyclo_family
 from balacyc.complexes import BalancedComplex, _boundary_columns, _with_rows
 from balacyc.cyclo_family import CycloComplexData, _coboundary_form, root_relation_lattice
 from balacyc.cyclotomic import CycInt, IntPoly, cyclotomic, divisors, euler_phi, root_power, xn_minus_1
@@ -150,6 +151,20 @@ def hermite_pullback_matches(primes, subset) -> bool:
     """
     data = CycloComplexData.build(primes, subset)
     return _coboundary_form(data) == root_relation_lattice(primes, subset)
+
+
+def direct_pullback_factors(primes, subset) -> tuple[int, ...]:
+    """Invariant factors of the pulled-back coboundary rows at the top indices,
+    every row eliminated afresh.
+
+    The rows are the cached ones of _pulled_back_coboundary, looked up when
+    called, so a test that patches them is seen here too; the upper
+    residues' rows are reduced again for each subset instead of once per
+    prime tuple.
+    """
+    data = CycloComplexData.build(primes, subset)
+    rows = cyclo_family._pulled_back_coboundary(data.primes)[0]
+    return sparse_invariant_factors([rows[x] for x in data.pullback_indices])
 
 
 def full_block_vanishing_matrix(colors) -> IntMatrix:

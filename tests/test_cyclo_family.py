@@ -14,6 +14,7 @@ from oracles import (
     band_root_relation_kernel,
     boundary_cohomology_profile,
     boundary_homology_profile,
+    direct_pullback_factors,
     evaluation_kernel,
     hermite_pullback_matches,
     reference_hermite_normal_form,
@@ -496,7 +497,7 @@ def test_kernel_index_matches_the_restricted_kernel_factors(primes):
     # those of the restricted kernel lattice itself
     n = prod(primes)
     top = euler_phi(n)
-    rows, contained, remainder = cyclo_family._pulled_back_coboundary(primes)
+    rows, contained, remainder, _ = cyclo_family._pulled_back_coboundary(primes)
     assert contained
     assert len(rows) == n
     assert remainder == root_power(n, top).coords
@@ -523,10 +524,11 @@ def test_pullback_check_fails_when_a_column_leaves_the_kernel(monkeypatch, fresh
 
     monkeypatch.setattr(cyclo_family, "crt_split", swapped)
     cyclo_family._pulled_back_coboundary.cache_clear()
-    rows, contained, remainder = cyclo_family._pulled_back_coboundary(primes)
+    rows, contained, remainder, upper = cyclo_family._pulled_back_coboundary(primes)
     assert not contained
     data = CycloComplexData.build(primes, subset)
-    factors = sparse_invariant_factors([rows[x] for x in data.pullback_indices])
+    factors = direct_pullback_factors(primes, subset)
+    assert upper.invariant_factors(rows[a] for a in data.subset) == factors
     assert (len(factors), prod(factors)) == cyclo_family._kernel_rank_and_index(data, remainder)
     assert pullback_matches_root_kernel(primes, subset) is False
     assert hermite_pullback_matches(primes, subset) is False
@@ -535,14 +537,18 @@ def test_pullback_check_fails_when_a_column_leaves_the_kernel(monkeypatch, fresh
 def test_pullback_check_fails_on_a_proper_sublattice(monkeypatch):
     # every coboundary entry doubled: each column still lies in the kernel,
     # so only the index half can reject the sublattice, as the Hermite
-    # comparison does with the dense matrix doubled
+    # comparison does with the dense matrix doubled. The upper rows'
+    # reduction is rebuilt from the doubled rows, as the cache entry builds
+    # it from its own rows
     primes = (2, 3, 5)
     built = cyclo_family._pulled_back_coboundary
 
     def doubled(primes):
-        rows, contained, remainder = built(primes)
+        rows, contained, remainder, _ = built(primes)
         assert contained
-        return tuple({c: 2 * x for c, x in row.items()} for row in rows), contained, remainder
+        rows = tuple({c: 2 * x for c, x in row.items()} for row in rows)
+        upper = intlinalg.reduce_fixed_rows([rows[x] for x in reversed(upper_indices(prod(primes)))])
+        return rows, contained, remainder, upper
 
     def doubled_dense(colors, points):
         m = complexes.coboundary_restriction(colors, points)
@@ -553,6 +559,9 @@ def test_pullback_check_fails_on_a_proper_sublattice(monkeypatch):
     for subset in [(), (8,), (2, 6), tuple(range(9))]:
         assert pullback_matches_root_kernel(primes, subset) is False
         assert hermite_pullback_matches(primes, subset) is False
+        rows, _, _, upper = cyclo_family._pulled_back_coboundary(primes)
+        assert upper.invariant_factors(rows[a] for a in subset) == direct_pullback_factors(primes, subset)
+        assert upper.units == 0
 
 
 def test_pullback_check_builds_no_dense_matrix(monkeypatch):
@@ -574,6 +583,54 @@ def test_pullback_check_builds_no_dense_matrix(monkeypatch):
 def test_coboundary_caches_are_bounded():
     assert cyclo_family._pulled_back_coboundary.cache_info().maxsize == 8
     assert complexes.coboundary_top_matrix.cache_info().maxsize == 8
+    # the upper rows' reduction lives in the same bounded entry as the rows
+    # it was built from
+    rows, _, _, upper = cyclo_family._pulled_back_coboundary((2, 3, 5))
+    assert upper == intlinalg.reduce_fixed_rows([rows[x] for x in reversed(upper_indices(30))])
+
+
+# --- the upper rows eliminated once against every row afresh -------------------
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (2, 3, 7)])
+def test_upper_reduction_gives_the_direct_factors_on_every_subset(primes):
+    rows, _, _, upper = cyclo_family._pulled_back_coboundary(primes)
+    top = euler_phi(prod(primes))
+    for size in range(top + 2):
+        for subset in combinations(range(top + 1), size):
+            assert upper.invariant_factors(rows[a] for a in subset) == direct_pullback_factors(primes, subset)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([(3, 5, 7), (5, 7, 11)]), st.data())
+@example((3, 5, 7), None)
+@example((5, 7, 11), None)
+def test_upper_reduction_gives_the_direct_factors_on_drawn_subsets(primes, data):
+    # None stands for A empty, A = {phi(n)} and A the whole range below phi(n)
+    top = euler_phi(prod(primes))
+    if data is None:
+        subsets = [(), (top,), tuple(range(top))]
+    else:
+        drawn = data.draw(st.sets(st.integers(0, top), max_size=top + 1))
+        subsets = [tuple(sorted(drawn | {top})), tuple(sorted(drawn - {top}))]
+    rows, _, _, upper = cyclo_family._pulled_back_coboundary(primes)
+    assert upper.rest == ()
+    for subset in subsets:
+        assert upper.invariant_factors(rows[a] for a in subset) == direct_pullback_factors(primes, subset)
+
+
+def test_upper_reduction_gives_the_direct_factors_with_upper_rows_left_over():
+    # at n = 1155 five upper rows keep no unit entry through the pivots and
+    # meet the subset's rows in the per-call elimination
+    primes = (3, 5, 7, 11)
+    top = euler_phi(1155)
+    rows, _, _, upper = cyclo_family._pulled_back_coboundary(primes)
+    assert len(upper.rest) == 5
+    assert upper.units + len(upper.rest) == len(upper_indices(1155))
+    rng = random.Random(1155)
+    drawn = [tuple(sorted(rng.sample(range(top + 1), rng.randint(1, top)))) for _ in range(2)]
+    for subset in [(), (top,), tuple(range(top))] + drawn:
+        assert upper.invariant_factors(rows[a] for a in subset) == direct_pullback_factors(primes, subset)
 
 
 # --- transform pullback --------------------------------------------------------
