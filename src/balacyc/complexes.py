@@ -314,7 +314,7 @@ def uct_consistent(x: BalancedComplex) -> bool:
     return uct_holds(homology_profile(x), cohomology_profile(x))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def top_coboundary_domain(colors: tuple[FiniteAbelianGroup, ...]) -> tuple[tuple[int, tuple], ...]:
     """Column labels (i, t) of the top coboundary matrix.
 
@@ -392,7 +392,7 @@ def _coboundary_form(colors, cells) -> HermiteForm:
     return hermite_normal_form(coboundary_restriction(colors, cells))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def fourier_vanishing_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     """Integer matrix whose kernel is cut out by transform vanishing.
 
@@ -429,7 +429,7 @@ def fourier_vanishing_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatri
     return IntMatrix.from_rows(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _fourier_kernel(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     return kernel_basis(fourier_vanishing_matrix(colors))
 

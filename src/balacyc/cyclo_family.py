@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
 from math import gcd, prod
-from operator import add, sub
 
 from .complexes import (
-    build_complex,
+    BalancedComplex,
     coboundary_restriction,
     cohomology_profile,
     homology_profile,
@@ -66,7 +65,7 @@ def crt_split(primes, x: int) -> tuple[tuple[int, ...], ...]:
     return tuple((x % p,) for p in primes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _crt_inverse(primes: tuple[int, ...]) -> dict:
     n = prod(primes)
     return {crt_split(primes, x): x for x in range(n)}
@@ -154,9 +153,11 @@ def build_family_complex(primes, subset):
     return _family_complex(CycloComplexData.build(primes, subset))
 
 
-def _family_complex(data: CycloComplexData):
-    tops = [crt_split(data.primes, x) for x in data.top_indices]
-    return build_complex(family_colors(data.primes), tops)
+def _family_complex(data: CycloComplexData) -> BalancedComplex:
+    # distinct residues split into distinct points of the product, so the
+    # points need none of build_complex's validation, only its sort
+    tops = sorted(crt_split(data.primes, x) for x in data.top_indices)
+    return BalancedComplex(family_colors(data.primes), tuple(tops))
 
 
 def predicted_homology(primes, subset, i: int) -> AbelianGroupStructure:
@@ -253,22 +254,75 @@ def _coboundary_form(data: CycloComplexData) -> HermiteForm:
     return hermite_normal_form(coboundary_restriction(family_colors(data.primes), points))
 
 
+def _coboundary_rows(primes: tuple[int, ...]) -> tuple[dict[int, int], ...]:
+    """The full join's top coboundary as sparse rows on the residues of Z_n.
+
+    rows[x] maps the column of (i, g without slot i) in
+    top_coboundary_domain to (-1)**i, with g = crt_split(primes, x).
+    """
+    column = {label: c for c, label in enumerate(top_coboundary_domain(family_colors(primes)))}
+    rows = []
+    for x in range(prod(primes)):
+        g = crt_split(primes, x)
+        rows.append({column[(i, g[:i] + g[i + 1 :])]: -1 if i % 2 else 1 for i in range(len(g))})
+    return tuple(rows)
+
+
+def _summed_columns(n: int, rows) -> set[int]:
+    """The columns of the sparse rows on Z_n whose sums decide whether every
+    column evaluates to 0 in Z[zeta_n]: the base columns, those through
+    residue 0, and every column that is not a translate of one.
+
+    Lemma: a column whose (residue, entry) list, less its least residue x0,
+    is a base column's list evaluates to zeta_n**x0 times that base column,
+    so it vanishes exactly when the base column does. In the join's top
+    coboundary the column of (i, t) holds the fibre x0 + (n/p_i) * Z_p_i,
+    each entry (-1)**i: a translate of the base column of color i. So only
+    the k+1 base columns are summed there.
+    """
+    entries: dict[int, list[tuple[int, int]]] = {}
+    for x, row in enumerate(rows):
+        for c, e in row.items():
+            entries.setdefault(c, []).append((x, e))
+    bases = {tuple(entries[c]) for c in rows[0]}
+    translates = {c for c, e in entries.items() if tuple((x - e[0][0], v) for x, v in e) in bases}
+    return set(rows[0]) | (entries.keys() - translates)
+
+
+def _carried_rows(rows, upper: FixedRowReduction, phi: int) -> tuple[tuple[dict[int, int], ...], tuple[int, ...]]:
+    """The rows of the residues 0, ..., phi each carried through the upper
+    pivots (FixedRowReduction.carry) once, kept without repeats.
+
+    Returns (carried, shared): the distinct carried rows, and for each
+    residue a the index of its own among them.
+    """
+    index: dict[frozenset, int] = {}
+    carried = []
+    shared = []
+    for a in range(phi + 1):
+        row = upper.carry(rows[a])
+        key = frozenset(row.items())
+        if key not in index:
+            index[key] = len(carried)
+            carried.append(row)
+        shared.append(index[key])
+    return tuple(carried), tuple(shared)
+
+
 @lru_cache(maxsize=8)
-def _pulled_back_coboundary(
-    primes: tuple[int, ...],
-) -> tuple[tuple[dict[int, int], ...], bool, tuple[int, ...], FixedRowReduction]:
+def _pulled_back_coboundary(primes: tuple[int, ...]) -> tuple:
     """The full join's top coboundary on the residues of Z_n, its
     containment in the kernel of Z[Z_n] -> Z[zeta_n], and its upper rows
     eliminated once.
 
-    Returns (rows, contained, top, upper). rows[x] is the sparse row of
-    residue x: with g = crt_split(primes, x), it maps the column of
-    (i, g without slot i) in top_coboundary_domain to (-1)**i. contained
-    says whether every column lies in the kernel, that is, whether the
-    residues of each column, with their signs, sum to 0 in Z[zeta_n]; the
-    sums are taken over the power-basis coordinates of z**x mod Phi_n,
-    read once from cyclotomic._remainders and not kept. A full column in
-    the kernel K restricts to a vector of the restriction of K to any top
+    Returns (rows, contained, top, upper, carried, shared). rows are those
+    of _coboundary_rows. contained says whether every column lies in the
+    kernel, that is, whether its residues, with their entries, sum to 0 in
+    Z[zeta_n]; the sums are taken over the power-basis coordinates of
+    z**x mod Phi_n, read once from cyclotomic._remainders and not kept,
+    and only for the columns of _summed_columns: every other column is a
+    translate of a base column and vanishes with it. A full column in the
+    kernel K restricts to a vector of the restriction of K to any top
     index set, so this one check gives the containment half of
     pullback_matches_root_kernel for every subset: a contained lattice of
     the same rank shares the saturation of the restricted kernel, and is
@@ -276,28 +330,39 @@ def _pulled_back_coboundary(
     factors agree. top is z**phi(n) mod Phi_n, the kernel column that the
     residues below phi(n) see (see _kernel_rank_and_index). upper is
     reduce_fixed_rows of these same rows at the upper residues
-    phi(n)+1, ..., n-1, which every top index set contains: the index half
-    of each subset then reduces only the subset's rows. Only the rows and
-    that reduction stay with the cache; at n = 2310 the rows hold 11550
-    entries and the reduction's S about 79k.
+    phi(n)+1, ..., n-1, which every top index set contains, and carried
+    and shared are _carried_rows: the subset rows each carried through
+    upper's pivots once. The index half of each subset then reduces only
+    the leftover upper rows and its distinct carried rows
+    (_pulled_back_factors). At n = 2310 the rows hold 11550 entries, the
+    reduction's S about 77k, and the 481 residues up to phi(n) carry to
+    407 distinct rows with about 31k entries; 5 partial sums are held.
     """
     n = prod(primes)
     phi = euler_phi(n)
-    column = {label: c for c, label in enumerate(top_coboundary_domain(family_colors(primes)))}
-    sums = [[0] * phi for _ in column]
-    rows = []
+    rows = _coboundary_rows(primes)
+    sums = {c: [0] * phi for c in _summed_columns(n, rows)}
     for x, r in zip(range(n), _remainders(n)):
-        g = crt_split(primes, x)
-        row = {column[(i, g[:i] + g[i + 1 :])]: -1 if i % 2 else 1 for i in range(len(g))}
-        for c, sign in row.items():
-            sums[c] = list(map(add if sign > 0 else sub, sums[c], r))
+        for c, e in rows[x].items():
+            if c in sums:
+                sums[c] = [s + e * y for s, y in zip(sums[c], r)]
         if x == phi:
             top = r
-        rows.append(row)
-    contained = not any(any(s) for s in sums)
-    del sums  # before the reduction, so that the two never peak together
+    contained = not any(any(s) for s in sums.values())
     upper = reduce_fixed_rows([rows[x] for x in reversed(upper_indices(n))])
-    return tuple(rows), contained, top, upper
+    return (rows, contained, top, upper) + _carried_rows(rows, upper, phi)
+
+
+def _pulled_back_factors(primes: tuple[int, ...], subset) -> tuple[int, ...]:
+    """Nonzero invariant factors of the pulled-back coboundary rows at the
+    subset plus the upper residues, from the cache entry of
+    _pulled_back_coboundary: the upper rows left over and the subset's
+    distinct carried rows, each eliminated once. Rows that carry alike
+    span nothing new, so the factors are those of sparse_invariant_factors
+    on all those top rows.
+    """
+    _, _, _, upper, carried, shared = _pulled_back_coboundary(primes)
+    return upper.carried_factors(carried[i] for i in sorted({shared[a] for a in subset}))
 
 
 def _kernel_rank_and_index(data: CycloComplexData, top) -> tuple[int, int]:
@@ -327,23 +392,26 @@ def pullback_matches_root_kernel(primes, subset) -> bool:
     Lemma: if L_cob is contained in L_ker and both have the same rank, they
     have the same saturation, so they are equal exactly when the products
     of their nonzero invariant factors are equal. The containment is
-    checked once per prime tuple, on the full join
+    checked once per prime tuple, on the full join, by summing each base
+    column and each column that is not a translate of one
     (_pulled_back_coboundary). The coboundary side's factors are those of
     its rows at the top indices, with neither Phi_n nor its remainders.
     The top indices are the subset plus the upper residues, whose rows
     every subset shares and whose unit pivots are eliminated once per
-    prime tuple (reduce_fixed_rows); each call carries only the subset's
-    rows through those pivots and runs sparse_invariant_factors on them
-    and the upper rows left over. The factors are those of
-    sparse_invariant_factors on all the top rows. The kernel side's rank
+    prime tuple (reduce_fixed_rows); every residue up to phi(n) is carried
+    through those pivots once as well, and each call runs
+    sparse_invariant_factors on the upper rows left over and the subset's
+    distinct carried rows (_pulled_back_factors). Repeated rows span
+    nothing new, so the factors are those of sparse_invariant_factors on
+    all the top rows. The kernel side's rank
     and product are read off the kernel's form (_kernel_rank_and_index),
     not from any (co)homology computation.
     """
     data = CycloComplexData.build(primes, subset)
-    rows, contained, top, upper = _pulled_back_coboundary(data.primes)
+    _, contained, top, *_ = _pulled_back_coboundary(data.primes)
     if not contained:
         return False
-    factors = upper.invariant_factors(rows[a] for a in data.subset)
+    factors = _pulled_back_factors(data.primes, data.subset)
     return (len(factors), prod(factors)) == _kernel_rank_and_index(data, top)
 
 

@@ -193,7 +193,7 @@ def mobius(n: int) -> int:
     return -sign if n > 1 else sign
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, monic of degree phi(n).
 
@@ -336,7 +336,7 @@ def _remainders(n: int):
         cur = nxt
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Power-basis coordinates of zeta_n**j for j = 0..n-1: the first n
     remainders of _remainders(n)."""

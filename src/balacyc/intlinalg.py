@@ -496,7 +496,15 @@ class FixedRowReduction:
         >>> reduce_fixed_rows([{0: 1, 1: 2}]).invariant_factors([{0: 3, 1: 2}])
         (1, 4)
         """
-        return (1,) * self.units + sparse_invariant_factors(self.rest + tuple(map(self.carry, rows)))
+        return self.carried_factors(map(self.carry, rows))
+
+    def carried_factors(self, carried) -> tuple[int, ...]:
+        """invariant_factors of the rows whose carries are `carried`.
+
+        A row repeated in `carried` spans nothing new, so leaving out
+        repeats changes neither the row lattice nor the factors.
+        """
+        return (1,) * self.units + sparse_invariant_factors(self.rest + tuple(carried))
 
 
 def reduce_fixed_rows(rows) -> FixedRowReduction:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from balacyc import cyclo_family
 from balacyc.complexes import BalancedComplex, _boundary_columns, _with_rows
 from balacyc.cyclo_family import CycloComplexData, _coboundary_form, root_relation_lattice
-from balacyc.cyclotomic import CycInt, IntPoly, cyclotomic, divisors, euler_phi, root_power, xn_minus_1
+from balacyc.cyclotomic import CycInt, IntPoly, _remainders, cyclotomic, divisors, euler_phi, root_power, xn_minus_1
 from balacyc.groups import positive_dual_block, product_group
 from balacyc.intlinalg import (
     AbelianGroupStructure,
@@ -165,6 +165,26 @@ def direct_pullback_factors(primes, subset) -> tuple[int, ...]:
     data = CycloComplexData.build(primes, subset)
     rows = cyclo_family._pulled_back_coboundary(data.primes)[0]
     return sparse_invariant_factors([rows[x] for x in data.pullback_indices])
+
+
+def partial_sum_containment(primes) -> bool:
+    """Whether every column of the pulled-back coboundary rows evaluates to 0
+    in Z[zeta_n], one partial sum of phi(n) coordinates kept per column.
+
+    Each residue x adds the power-basis coordinates of z**x mod Phi_n
+    (cyclotomic._remainders), times its entry, to the sum of every column
+    it meets; no column is taken for a translate of another. The rows are
+    the cached ones of _pulled_back_coboundary, looked up when called, so
+    a test that patches them is seen here too.
+    """
+    rows = cyclo_family._pulled_back_coboundary(tuple(primes))[0]
+    n = len(rows)
+    zero = [0] * euler_phi(n)
+    sums: dict[int, list[int]] = {}
+    for row, r in zip(rows, _remainders(n)):
+        for c, e in row.items():
+            sums[c] = [s + e * y for s, y in zip(sums.get(c, zero), r)]
+    return not any(any(s) for s in sums.values())
 
 
 def full_block_vanishing_matrix(colors) -> IntMatrix:

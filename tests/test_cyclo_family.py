@@ -17,11 +17,13 @@ from oracles import (
     direct_pullback_factors,
     evaluation_kernel,
     hermite_pullback_matches,
+    partial_sum_containment,
     reference_hermite_normal_form,
 )
 
 from balacyc import complexes, cyclo_family, groups, intlinalg
 from balacyc.complexes import (
+    build_complex,
     cohomology_profile,
     fourier_lattice,
     homology_profile,
@@ -34,6 +36,7 @@ from balacyc.cyclo_family import (
     coefficient_vector_is_coboundary,
     crt_split,
     crt_unit,
+    family_colors,
     predicted_cohomology,
     predicted_homology,
     product_group_of,
@@ -44,7 +47,7 @@ from balacyc.cyclo_family import (
     upper_indices,
     verify_homology_tables,
 )
-from balacyc.cyclotomic import CycInt, cyclotomic, euler_phi, root_power
+from balacyc.cyclotomic import CycInt, _power_table, cyclotomic, euler_phi, root_power
 from balacyc.groups import FiniteAbelianGroup, GroupFunction, fourier_transform
 from balacyc.intlinalg import (
     AbelianGroupStructure,
@@ -139,6 +142,19 @@ def test_family_complex_frozen_shapes():
     forest = build_family_complex((2, 3), ())
     assert forest.f_vector() == (5, 3)
     assert str(reduced_homology(forest, 0)) == "Z"
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (2, 3, 5, 7)])
+def test_family_complex_equals_the_validated_build(primes):
+    # the family sorts its own CRT points without build_complex's checks;
+    # the complex must be the one build_complex makes of the same points
+    top = euler_phi(prod(primes))
+    rng = random.Random(top)
+    subsets = [(), (top,), tuple(range(top + 1))]
+    subsets += [tuple(rng.sample(range(top + 1), rng.randint(1, top))) for _ in range(4)]
+    for subset in subsets:
+        points = [crt_split(primes, x) for x in CycloComplexData.build(primes, subset).top_indices]
+        assert build_family_complex(primes, subset) == build_complex(family_colors(primes), points)
 
 
 # --- predictions -----------------------------------------------------------------
@@ -497,7 +513,7 @@ def test_kernel_index_matches_the_restricted_kernel_factors(primes):
     # those of the restricted kernel lattice itself
     n = prod(primes)
     top = euler_phi(n)
-    rows, contained, remainder, _ = cyclo_family._pulled_back_coboundary(primes)
+    rows, contained, remainder, *_ = cyclo_family._pulled_back_coboundary(primes)
     assert contained
     assert len(rows) == n
     assert remainder == root_power(n, top).coords
@@ -524,7 +540,7 @@ def test_pullback_check_fails_when_a_column_leaves_the_kernel(monkeypatch, fresh
 
     monkeypatch.setattr(cyclo_family, "crt_split", swapped)
     cyclo_family._pulled_back_coboundary.cache_clear()
-    rows, contained, remainder, upper = cyclo_family._pulled_back_coboundary(primes)
+    rows, contained, remainder, upper, *_ = cyclo_family._pulled_back_coboundary(primes)
     assert not contained
     data = CycloComplexData.build(primes, subset)
     factors = direct_pullback_factors(primes, subset)
@@ -534,21 +550,67 @@ def test_pullback_check_fails_when_a_column_leaves_the_kernel(monkeypatch, fresh
     assert hermite_pullback_matches(primes, subset) is False
 
 
+@pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (2, 3, 7), (3, 5, 7), (5, 7, 11)])
+@pytest.mark.parametrize("mutation", [None, "swap", "flip", "double", "move"])
+def test_containment_matches_the_partial_sum_oracle(monkeypatch, fresh_coboundary_cache, primes, mutation):
+    # the containment flag, summed on base and non-translate columns only,
+    # equals the sum over every column, on the true rows and on rows with
+    # residues 1 and 2 swapped in crt_split, a column's sign flipped (still
+    # in the kernel, but no translate), a base column's entry at residue 0
+    # doubled, or a column moved off its fibre at one residue. The last is
+    # no translate of a base column and no longer vanishes: the translate
+    # shortcut applied to it would wrongly keep the flag true
+    n = prod(primes)
+    if mutation == "swap":
+        monkeypatch.setattr(cyclo_family, "crt_split", lambda primes, x: crt_split(primes, {1: 2, 2: 1}.get(x, x)))
+    rows = list(cyclo_family._coboundary_rows(primes))
+    # a column through residue 1; never a base column, as 1 is a multiple of no n/p
+    c = min(rows[1])
+    touched = {c} if mutation in ("flip", "move") else set()
+    if mutation == "swap":
+        touched = set(rows[1]) | set(rows[2])
+    elif mutation == "flip":
+        rows = [{j: -x if j == c else x for j, x in row.items()} for row in rows]
+    elif mutation == "double":
+        b = min(rows[0])
+        rows[0] = {**rows[0], b: 2 * rows[0][b]}
+        touched = {b}
+    elif mutation == "move":
+        # residue 2 lies outside the fibre of c: 2 and 1 differ mod every prime
+        rows[2] = {**rows[2], c: rows[1][c]}
+        rows[1] = {j: x for j, x in rows[1].items() if j != c}
+    rows = tuple(rows)
+    monkeypatch.setattr(cyclo_family, "_coboundary_rows", lambda primes: rows)
+    contained = cyclo_family._pulled_back_coboundary(primes)[1]
+    assert contained == partial_sum_containment(primes) == (mutation in (None, "flip"))
+    assert touched <= cyclo_family._summed_columns(n, rows)
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (3, 5, 7), (5, 7, 11), (3, 5, 7, 11)])
+def test_containment_sums_only_the_base_columns(primes):
+    # every other column of the join's coboundary is a translate of the
+    # base column of its color, so only k+1 partial sums are ever held
+    rows = cyclo_family._pulled_back_coboundary(primes)[0]
+    summed = cyclo_family._summed_columns(prod(primes), rows)
+    assert summed == set(rows[0])
+    assert len(summed) == len(primes)
+
+
 def test_pullback_check_fails_on_a_proper_sublattice(monkeypatch):
     # every coboundary entry doubled: each column still lies in the kernel,
     # so only the index half can reject the sublattice, as the Hermite
     # comparison does with the dense matrix doubled. The upper rows'
-    # reduction is rebuilt from the doubled rows, as the cache entry builds
-    # it from its own rows
+    # reduction and the carried rows are rebuilt from the doubled rows, as
+    # the cache entry builds them from its own rows
     primes = (2, 3, 5)
     built = cyclo_family._pulled_back_coboundary
 
     def doubled(primes):
-        rows, contained, remainder, _ = built(primes)
+        rows, contained, remainder, *_ = built(primes)
         assert contained
         rows = tuple({c: 2 * x for c, x in row.items()} for row in rows)
         upper = intlinalg.reduce_fixed_rows([rows[x] for x in reversed(upper_indices(prod(primes)))])
-        return rows, contained, remainder, upper
+        return (rows, contained, remainder, upper) + cyclo_family._carried_rows(rows, upper, euler_phi(prod(primes)))
 
     def doubled_dense(colors, points):
         m = complexes.coboundary_restriction(colors, points)
@@ -559,8 +621,8 @@ def test_pullback_check_fails_on_a_proper_sublattice(monkeypatch):
     for subset in [(), (8,), (2, 6), tuple(range(9))]:
         assert pullback_matches_root_kernel(primes, subset) is False
         assert hermite_pullback_matches(primes, subset) is False
-        rows, _, _, upper = cyclo_family._pulled_back_coboundary(primes)
-        assert upper.invariant_factors(rows[a] for a in subset) == direct_pullback_factors(primes, subset)
+        upper = cyclo_family._pulled_back_coboundary(primes)[3]
+        assert cyclo_family._pulled_back_factors(primes, subset) == direct_pullback_factors(primes, subset)
         assert upper.units == 0
 
 
@@ -583,10 +645,27 @@ def test_pullback_check_builds_no_dense_matrix(monkeypatch):
 def test_coboundary_caches_are_bounded():
     assert cyclo_family._pulled_back_coboundary.cache_info().maxsize == 8
     assert complexes.coboundary_top_matrix.cache_info().maxsize == 8
-    # the upper rows' reduction lives in the same bounded entry as the rows
-    # it was built from
-    rows, _, _, upper = cyclo_family._pulled_back_coboundary((2, 3, 5))
+    # the upper rows' reduction and the carried rows live in the same
+    # bounded entry as the rows they were built from
+    rows, _, _, upper, carried, shared = cyclo_family._pulled_back_coboundary((2, 3, 5))
     assert upper == intlinalg.reduce_fixed_rows([rows[x] for x in reversed(upper_indices(30))])
+    assert (carried, shared) == cyclo_family._carried_rows(rows, upper, 8)
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        cyclo_family._crt_inverse,
+        complexes.top_coboundary_domain,
+        complexes.fourier_vanishing_matrix,
+        complexes._fourier_kernel,
+        groups.positive_dual_block,
+        _power_table,
+        cyclotomic,
+    ],
+)
+def test_per_n_caches_are_bounded(cached):
+    assert cached.cache_info().maxsize == 8
 
 
 # --- the upper rows eliminated once against every row afresh -------------------
@@ -594,11 +673,10 @@ def test_coboundary_caches_are_bounded():
 
 @pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (2, 3, 7)])
 def test_upper_reduction_gives_the_direct_factors_on_every_subset(primes):
-    rows, _, _, upper = cyclo_family._pulled_back_coboundary(primes)
     top = euler_phi(prod(primes))
     for size in range(top + 2):
         for subset in combinations(range(top + 1), size):
-            assert upper.invariant_factors(rows[a] for a in subset) == direct_pullback_factors(primes, subset)
+            assert cyclo_family._pulled_back_factors(primes, subset) == direct_pullback_factors(primes, subset)
 
 
 @settings(max_examples=15, deadline=None)
@@ -613,10 +691,10 @@ def test_upper_reduction_gives_the_direct_factors_on_drawn_subsets(primes, data)
     else:
         drawn = data.draw(st.sets(st.integers(0, top), max_size=top + 1))
         subsets = [tuple(sorted(drawn | {top})), tuple(sorted(drawn - {top}))]
-    rows, _, _, upper = cyclo_family._pulled_back_coboundary(primes)
+    upper = cyclo_family._pulled_back_coboundary(primes)[3]
     assert upper.rest == ()
     for subset in subsets:
-        assert upper.invariant_factors(rows[a] for a in subset) == direct_pullback_factors(primes, subset)
+        assert cyclo_family._pulled_back_factors(primes, subset) == direct_pullback_factors(primes, subset)
 
 
 def test_upper_reduction_gives_the_direct_factors_with_upper_rows_left_over():
@@ -624,13 +702,13 @@ def test_upper_reduction_gives_the_direct_factors_with_upper_rows_left_over():
     # meet the subset's rows in the per-call elimination
     primes = (3, 5, 7, 11)
     top = euler_phi(1155)
-    rows, _, _, upper = cyclo_family._pulled_back_coboundary(primes)
+    upper = cyclo_family._pulled_back_coboundary(primes)[3]
     assert len(upper.rest) == 5
     assert upper.units + len(upper.rest) == len(upper_indices(1155))
     rng = random.Random(1155)
     drawn = [tuple(sorted(rng.sample(range(top + 1), rng.randint(1, top)))) for _ in range(2)]
     for subset in [(), (top,), tuple(range(top))] + drawn:
-        assert upper.invariant_factors(rows[a] for a in subset) == direct_pullback_factors(primes, subset)
+        assert cyclo_family._pulled_back_factors(primes, subset) == direct_pullback_factors(primes, subset)
 
 
 # --- transform pullback --------------------------------------------------------

@@ -238,6 +238,23 @@ def test_fixed_row_reduction_matches_all_rows_at_once(m, data):
     assert not any(set(reduction.carry(row)) & set(reduction.transform) for row in rows)
 
 
+@settings(max_examples=150)
+@given(sparse_test_matrices, st.data())
+def test_repeated_rows_leave_the_invariant_factors_unchanged(m, data):
+    # a copy of a row spans nothing new: the factors, and so the rank, are
+    # those of the rows without it, whatever the order the rows come in
+    rows = sparse_rows(m)
+    copies = data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    grown = data.draw(st.permutations(rows + copies))
+    factors = sparse_invariant_factors(rows)
+    assert sparse_invariant_factors(grown) == factors
+    assert len(factors) == smith_normal_form(m).rank
+    fixed = intlinalg.reduce_fixed_rows(rows[: m.rows // 2])
+    extra = rows[m.rows // 2 :]
+    carried = [fixed.carry(row) for row in extra]
+    assert fixed.carried_factors(carried + carried[:2]) == fixed.invariant_factors(extra) == factors
+
+
 def test_fixed_rows_without_units_stay_behind():
     # the second fixed row has no unit entry, before or after the pivot on
     # (0, 0); it is left over and meets the extra row in the core
