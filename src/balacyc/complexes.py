@@ -23,6 +23,13 @@ A complex therefore stores only its colors and its top cells: the
 skeleton below the top is implied by the colors, and its cells are
 enumerated on demand, for boundary_matrix.
 
+The two lattice descriptions are compared once per color tuple, on the
+full join (_fourier_certificate): when the top coboundary image equals
+the transform-vanishing lattice there, every restriction to a set of top
+cells agrees too. The peel (_peel) writes any function on the join as a
+top coboundary plus a remainder on the points with no coordinate 0; the
+CRT pullback in cyclo_family uses it as well.
+
 Cells are plain pairs (support, vertices): `support` is the increasing
 tuple of color indices, `vertices[j]` the element of the support[j]-th
 group. Tuple comparison on these pairs is exactly the documented cell
@@ -35,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .cyclotomic import euler_phi, root_power
 from .groups import FiniteAbelianGroup, positive_dual_block, product_group
@@ -184,7 +191,11 @@ def boundary_matrix(x: BalancedComplex, i: int) -> IntMatrix:
     Signs alternate with the position of the dropped color in the
     increasing support, so consecutive boundaries compose to zero.
     """
-    n_rows, columns = _boundary_columns(x, i)
+    return _dense(*_boundary_columns(x, i))
+
+
+def _dense(n_rows: int, columns) -> IntMatrix:
+    """The matrix with the given sparse {row: entry} columns."""
     width = len(columns)
     entries = [0] * (n_rows * width)
     for c, column in enumerate(columns):
@@ -330,6 +341,20 @@ def top_coboundary_domain(colors: tuple[FiniteAbelianGroup, ...]) -> tuple[tuple
     return tuple(labels)
 
 
+def _coboundary_columns(colors: tuple[FiniteAbelianGroup, ...]) -> tuple[dict[int, int], ...]:
+    """The sparse columns of coboundary_top_matrix, in top_coboundary_domain order.
+
+    Column (i, t) maps the row (nested_elements order) of each point
+    t[:i] + (g_i,) + t[i:], g_i in G_i, to (-1)**i: the fibre of slot i
+    through t.
+    """
+    index = {g: r for r, g in enumerate(nested_elements(colors))}
+    return tuple(
+        {index[t[:i] + (gi,) + t[i:]]: -1 if i % 2 else 1 for gi in colors[i].elements()}
+        for i, t in top_coboundary_domain(colors)
+    )
+
+
 @lru_cache(maxsize=8)
 def coboundary_top_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     """Matrix of the top coboundary map on the full join.
@@ -337,20 +362,11 @@ def coboundary_top_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     Rows are indexed by the points of G_0 x ... x G_k in lex order,
     columns by top_coboundary_domain. The entry in row (g_0, ..., g_k)
     and column (i, t) is (-1)**i when t equals the row with slot i
-    removed, else 0. The matrix is dense (6.7M entries on
-    Z2 * Z3 * Z5 * Z7 * Z11), so the cache holds a few color tuples.
+    removed, else 0: _coboundary_columns, densified. The matrix is dense
+    (6.7M entries on Z2 * Z3 * Z5 * Z7 * Z11), so the cache holds a few
+    color tuples.
     """
-    points = nested_elements(colors)
-    index = {g: r for r, g in enumerate(points)}
-    labels = top_coboundary_domain(colors)
-    width = len(labels)
-    entries = [0] * (len(points) * width)
-    for c, (i, t) in enumerate(labels):
-        sign = -1 if i % 2 else 1
-        for gi in colors[i].elements():
-            g = t[:i] + (gi,) + t[i:]
-            entries[index[g] * width + c] = sign
-    return IntMatrix(len(points), width, tuple(entries))
+    return _dense(prod(g.order for g in colors), _coboundary_columns(colors))
 
 
 def apply_top_coboundary(colors, cochain) -> tuple[int, ...]:
@@ -455,13 +471,140 @@ def coboundary_matches_fourier(colors, top_cells) -> bool:
     """Whether the two lattice descriptions agree for this set of top cells.
 
     The restricted coboundary image and the restricted transform-vanishing
-    lattice are computed along independent routes and compared through
-    their canonical forms. The cells are validated and sorted once, for
-    both.
+    lattice agree for every set of top cells once they agree on the full
+    join, so the cells are only validated, and every set of top cells
+    over these colors shares the verdict of _fourier_certificate. The
+    per-set comparison of coboundary_lattice with fourier_lattice is the
+    test oracle.
     """
     colors = tuple(colors)
-    cells = normalize_top_cells(colors, top_cells)
-    return _coboundary_form(colors, cells) == _fourier_form(colors, cells)
+    normalize_top_cells(colors, top_cells)
+    return _fourier_certificate(colors)
+
+
+def _peel_order(colors, points) -> tuple[list[int], list[tuple[int, int]]]:
+    """Each point's level, and the peel's steps.
+
+    The level of a point g is the last slot i with g_i = 0 (0 being the
+    first element of each color), or -1 when no coordinate is 0: on N.
+    The steps are (row, column) for every point off N by decreasing
+    level: the row of g in `points` and the column (i, g without slot i)
+    of top_coboundary_domain, i the level of g.
+    """
+    zeros = tuple(g.elements()[0] for g in colors)
+    column = {label: c for c, label in enumerate(top_coboundary_domain(colors))}
+    level = []
+    for g in points:
+        i = len(g) - 1
+        while i >= 0 and g[i] != zeros[i]:
+            i -= 1
+        level.append(i)
+    steps = [(x, column[(i, g[:i] + g[i + 1 :])]) for x, (g, i) in enumerate(zip(points, level)) if i >= 0]
+    steps.sort(key=lambda step: -level[step[0]])
+    return level, steps
+
+
+def _peel(colors, points, columns, f) -> tuple[dict[int, int], dict[int, int]]:
+    """A cochain c and a remainder r with f = columns @ c + r, r on N.
+
+    `columns` are sparse top coboundary columns in top_coboundary_domain
+    order, `points[x]` is the point of row x, and `f` maps rows to
+    integers. For i = k, ..., 0 (_peel_order), each point g with g_i = 0
+    and every later coordinate nonzero is cleared by the column
+    (i, g without slot i): its value there is divided exactly by the
+    column's entry at g, or, if it does not divide, left in the
+    remainder. In the top coboundary that column is the fibre of slot i
+    through g, whose other points have g_i nonzero and the same later
+    coordinates: they are cleared later or lie in N. Returns c and r as
+    {column: value} and {row: value}. Nothing here is trusted: callers
+    apply the columns to c again (_coboundary_of).
+    """
+    rest = {x: v for x, v in f.items() if v}
+    cochain = {}
+    for x, c in _peel_order(colors, points)[1]:
+        v = rest.get(x)
+        e = columns[c].get(x)
+        if not v or not e or v % e:
+            continue
+        cochain[c] = q = v // e
+        for y, w in columns[c].items():
+            z = rest.get(y, 0) - q * w
+            if z:
+                rest[y] = z
+            else:
+                rest.pop(y, None)
+    return cochain, rest
+
+
+def _coboundary_of(columns, cochain) -> dict[int, int]:
+    """The sparse columns applied to a {column: value} cochain, as {row: value}."""
+    out: dict[int, int] = {}
+    for c, q in cochain.items():
+        for y, w in columns[c].items():
+            out[y] = out.get(y, 0) + q * w
+    return {y: v for y, v in out.items() if v}
+
+
+@lru_cache(maxsize=8)
+def _fourier_certificate(colors: tuple[FiniteAbelianGroup, ...]) -> bool:
+    """Whether the full join's top coboundary image im delta_J equals K, the
+    saturated kernel of fourier_vanishing_matrix: then their restrictions
+    to any set of top cells agree too.
+
+    Three exact checks on the sparse columns of delta_J, N being the
+    points with no coordinate 0. (a) im delta_J lies in K: the vanishing
+    matrix annihilates every column (not only the base columns and their
+    translates, which would trust its rows to be character values).
+    (b) Z^G = im delta_J + Z^N: each peel step's column has entry +-1 at
+    its point and its other points at a lower level (_peel_order), so the
+    peel writes any f as delta_J c + r with r on N. (c) K meets Z^N only
+    in 0: per color, [chi(g)] over chi nontrivial and g nonzero has full
+    column rank (_injective_off_zero), and on N the transform at the
+    characters nontrivial in every slot is the tensor product of these.
+    Then f in K gives r = f - delta_J c in K on N, so r = 0.
+    """
+    columns = _coboundary_columns(colors)
+    vanishing = fourier_vanishing_matrix(colors)
+    by_point = [vanishing.column(x) for x in range(vanishing.cols)]
+    contained = all(_annihilates(by_point, column) for column in columns)
+    level, steps = _peel_order(colors, nested_elements(colors))
+    peels = all(
+        columns[c].get(x) in (1, -1) and all(level[y] < level[x] for y in columns[c] if y != x) for x, c in steps
+    )
+    n = product_group(colors).exponent
+    return contained and peels and all(_injective_off_zero(g, n) for g in colors)
+
+
+def _annihilates(by_point, column) -> bool:
+    """Whether the matrix with columns `by_point` kills the sparse column."""
+    total = [0] * len(by_point[0]) if by_point else []
+    for x, e in column.items():
+        total = [t + e * v for t, v in zip(total, by_point[x])]
+    return not any(total)
+
+
+def _injective_off_zero(g: FiniteAbelianGroup, n: int) -> bool:
+    """Whether no nonzero integer function on the nonzero elements of g has
+    a transform vanishing at every nontrivial character: check (c) of
+    _fourier_certificate for one color.
+
+    chi(x) is written in the power basis of Z[zeta_n], n a multiple of
+    the exponent of g. The rows of all nontrivial characters are closed
+    under Galois conjugation, so full column rank over Q rules out a
+    complex kernel too; as in fourier_vanishing_matrix, one character
+    per orbit chi -> u * chi, u a unit mod n, cuts out the same kernel.
+    """
+    step = n // g.exponent
+    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+    seen = set()
+    rows = []
+    for chi in g.characters()[1:]:
+        if chi in seen:
+            continue
+        seen.update(tuple(u * a % m for a, m in zip(chi, g.orders)) for u in units)
+        values = [root_power(n, step * g.pairing_exponent(chi, x)).coords for x in g.elements()[1:]]
+        rows.extend({j: v[t] for j, v in enumerate(values) if v[t]} for t in range(euler_phi(n)))
+    return len(sparse_invariant_factors(rows)) == g.order - 1
 
 
 def is_coboundary(colors, top_cells, values) -> bool:

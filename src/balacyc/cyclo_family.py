@@ -19,11 +19,11 @@ from math import gcd, prod
 
 from .complexes import (
     BalancedComplex,
+    _coboundary_of,
+    _peel,
     coboundary_restriction,
     cohomology_profile,
     homology_profile,
-    is_coboundary,
-    nested_elements,
     top_coboundary_domain,
     uct_holds,
 )
@@ -31,12 +31,10 @@ from .cyclotomic import _remainders, cyclotomic, euler_phi, eval_at_root, is_pri
 from .groups import FiniteAbelianGroup, GroupFunction, fourier_transform
 from .intlinalg import (
     AbelianGroupStructure,
-    FixedRowReduction,
     HermiteForm,
     IntMatrix,
     cokernel_structure,
     hermite_normal_form,
-    reduce_fixed_rows,
 )
 
 
@@ -268,151 +266,99 @@ def _coboundary_rows(primes: tuple[int, ...]) -> tuple[dict[int, int], ...]:
     return tuple(rows)
 
 
-def _summed_columns(n: int, rows) -> set[int]:
-    """The columns of the sparse rows on Z_n whose sums decide whether every
-    column evaluates to 0 in Z[zeta_n]: the base columns, those through
-    residue 0, and every column that is not a translate of one.
+def _summed_columns(n: int, columns) -> set[int]:
+    """The sparse columns on Z_n whose sums decide whether every column
+    evaluates to 0 in Z[zeta_n]: the base columns, those through residue
+    0, and every column that is not a translate of one.
 
-    Lemma: a column whose (residue, entry) list, less its least residue x0,
-    is a base column's list evaluates to zeta_n**x0 times that base column,
-    so it vanishes exactly when the base column does. In the join's top
-    coboundary the column of (i, t) holds the fibre x0 + (n/p_i) * Z_p_i,
-    each entry (-1)**i: a translate of the base column of color i. So only
-    the k+1 base columns are summed there.
+    Lemma: a column whose (residue, entry) pairs, each residue less its
+    least residue x0 (mod n), are a base column's pairs evaluates to
+    zeta_n**x0 times that base column, so it vanishes exactly when the
+    base column does. In the join's top coboundary the column of (i, t)
+    holds the fibre x0 + (n/p_i) * Z_p_i, each entry (-1)**i: a translate
+    of the base column of color i. So only the k+1 base columns are
+    summed there. An empty column vanishes and is left out.
     """
-    entries: dict[int, list[tuple[int, int]]] = {}
-    for x, row in enumerate(rows):
-        for c, e in row.items():
-            entries.setdefault(c, []).append((x, e))
-    bases = {tuple(entries[c]) for c in rows[0]}
-    translates = {c for c, e in entries.items() if tuple((x - e[0][0], v) for x, v in e) in bases}
-    return set(rows[0]) | (entries.keys() - translates)
-
-
-def _carried_rows(rows, upper: FixedRowReduction, phi: int) -> tuple[tuple[dict[int, int], ...], tuple[int, ...]]:
-    """The rows of the residues 0, ..., phi each carried through the upper
-    pivots (FixedRowReduction.carry) once, kept without repeats.
-
-    Returns (carried, shared): the distinct carried rows, and for each
-    residue a the index of its own among them.
-    """
-    index: dict[frozenset, int] = {}
-    carried = []
-    shared = []
-    for a in range(phi + 1):
-        row = upper.carry(rows[a])
-        key = frozenset(row.items())
-        if key not in index:
-            index[key] = len(carried)
-            carried.append(row)
-        shared.append(index[key])
-    return tuple(carried), tuple(shared)
+    bases = {frozenset(column.items()) for column in columns if 0 in column}
+    summed = set()
+    for c, column in enumerate(columns):
+        if 0 in column:
+            summed.add(c)
+        elif column:
+            x0 = min(column)
+            if frozenset(((x - x0) % n, e) for x, e in column.items()) not in bases:
+                summed.add(c)
+    return summed
 
 
 @lru_cache(maxsize=8)
-def _pulled_back_coboundary(primes: tuple[int, ...]) -> tuple:
-    """The full join's top coboundary on the residues of Z_n, its
-    containment in the kernel of Z[Z_n] -> Z[zeta_n], and its upper rows
-    eliminated once.
+def _pullback_certificate(primes: tuple[int, ...]) -> tuple[bool, bool, bool, dict[int, int], dict[int, int]]:
+    """One exact certificate per prime tuple that the full join's top
+    coboundary lattice, carried to Z_n (L_cob), equals the kernel L_ker of
+    Z[Z_n] -> Z[zeta_n].
 
-    Returns (rows, contained, top, upper, carried, shared). rows are those
-    of _coboundary_rows. contained says whether every column lies in the
-    kernel, that is, whether its residues, with their entries, sum to 0 in
-    Z[zeta_n]; the sums are taken over the power-basis coordinates of
-    z**x mod Phi_n, read once from cyclotomic._remainders and not kept,
-    and only for the columns of _summed_columns: every other column is a
-    translate of a base column and vanishes with it. A full column in the
-    kernel K restricts to a vector of the restriction of K to any top
-    index set, so this one check gives the containment half of
-    pullback_matches_root_kernel for every subset: a contained lattice of
-    the same rank shares the saturation of the restricted kernel, and is
-    equal to it exactly when the products of their nonzero invariant
-    factors agree. top is z**phi(n) mod Phi_n, the kernel column that the
-    residues below phi(n) see (see _kernel_rank_and_index). upper is
-    reduce_fixed_rows of these same rows at the upper residues
-    phi(n)+1, ..., n-1, which every top index set contains, and carried
-    and shared are _carried_rows: the subset rows each carried through
-    upper's pivots once. The index half of each subset then reduces only
-    the leftover upper rows and its distinct carried rows
-    (_pulled_back_factors). At n = 2310 the rows hold 11550 entries, the
-    reduction's S about 77k, and the 481 residues up to phi(n) carry to
-    407 distinct rows with about 31k entries; 5 partial sums are held.
+    Returns (contained, closed, solved, cochain, remainder), read off the
+    columns of _coboundary_rows:
+    - contained: L_cob lies in L_ker: the columns of _summed_columns sum
+      to 0 in Z[zeta_n], over the coordinates of z**x mod Phi_n streamed
+      once from cyclotomic._remainders; every other column is a translate
+      of a base column and vanishes with it.
+    - closed: L_cob is closed under multiplication by z (_shift_closed).
+    - cochain and remainder: the peel (complexes._peel) of f, the
+      coefficients of Phi_n up to degree phi(n) and zero above.
+    - solved: the columns applied to the cochain give f exactly, so Phi_n
+      lies in L_cob; the peel itself is not trusted.
+    With closed and solved, L_cob holds every z**j * Phi_n, which span
+    L_ker as Phi_n is monic; with contained, L_cob = L_ker. At n = 2310
+    the entry holds a cochain of 1181 entries; the columns are not kept.
     """
     n = prod(primes)
     phi = euler_phi(n)
-    rows = _coboundary_rows(primes)
-    sums = {c: [0] * phi for c in _summed_columns(n, rows)}
-    for x, r in zip(range(n), _remainders(n)):
-        for c, e in rows[x].items():
-            if c in sums:
+    columns: list[dict[int, int]] = [{} for _ in top_coboundary_domain(family_colors(primes))]
+    for x, row in enumerate(_coboundary_rows(primes)):
+        for c, e in row.items():
+            columns[c][x] = e
+    summed = _summed_columns(n, columns)
+    sums = {c: [0] * phi for c in summed}
+    last = max((x for c in summed for x in columns[c]), default=-1)
+    for x, r in zip(range(last + 1), _remainders(n)):
+        for c in summed:
+            e = columns[c].get(x)
+            if e:
                 sums[c] = [s + e * y for s, y in zip(sums[c], r)]
-        if x == phi:
-            top = r
     contained = not any(any(s) for s in sums.values())
-    upper = reduce_fixed_rows([rows[x] for x in reversed(upper_indices(n))])
-    return (rows, contained, top, upper) + _carried_rows(rows, upper, phi)
+    coeffs = cyclotomic(n).coeffs
+    f = {x: coeffs[x] for x in range(phi + 1) if coeffs[x]}
+    points = [crt_split(primes, x) for x in range(n)]
+    cochain, remainder = _peel(family_colors(primes), points, columns, f)
+    solved = _coboundary_of(columns, cochain) == f
+    return contained, _shift_closed(n, columns), solved, cochain, remainder
 
 
-def _pulled_back_factors(primes: tuple[int, ...], subset) -> tuple[int, ...]:
-    """Nonzero invariant factors of the pulled-back coboundary rows at the
-    subset plus the upper residues, from the cache entry of
-    _pulled_back_coboundary: the upper rows left over and the subset's
-    distinct carried rows, each eliminated once. Rows that carry alike
-    span nothing new, so the factors are those of sparse_invariant_factors
-    on all those top rows.
-    """
-    _, _, _, upper, carried, shared = _pulled_back_coboundary(primes)
-    return upper.carried_factors(carried[i] for i in sorted({shared[a] for a in subset}))
-
-
-def _kernel_rank_and_index(data: CycloComplexData, top) -> tuple[int, int]:
-    """Rank and product of the nonzero invariant factors of the kernel's
-    restriction to the top indices (root_relation_lattice).
-
-    The restriction is spanned by the columns of the kernel's form [I; -R]
-    (see _root_relation_kernel) on those indices. The column of each
-    residue d > phi(n), always a top index, keeps its unit at d, and so
-    does the column of phi(n) when phi(n) is in the subset: then every
-    factor is 1. Otherwise the column of phi(n) is -top on the subset and
-    zero on every other top index, so it adds one factor, the gcd of top
-    over the subset, when that gcd is nonzero. top is z**phi(n) mod Phi_n
-    from _pulled_back_coboundary.
-    """
-    units = data.n - 1 - data.totient
-    if data.totient in data.subset:
-        return units + 1, 1
-    d = gcd(*(top[a] for a in data.subset))
-    return (units + 1, d) if d else (units, 1)
+def _shift_closed(n: int, columns) -> bool:
+    """Whether each sparse column on Z_n, every residue x moved to x + 1 mod n,
+    is again a column up to sign."""
+    shapes = {frozenset(column.items()) for column in columns}
+    return all(
+        frozenset(((x + 1) % n, e) for x, e in column.items()) in shapes
+        or frozenset(((x + 1) % n, -e) for x, e in column.items()) in shapes
+        for column in columns
+    )
 
 
 def pullback_matches_root_kernel(primes, subset) -> bool:
     """Whether the pulled-back coboundary lattice equals the evaluation kernel's
     restriction to the top indices (root_relation_lattice).
 
-    Lemma: if L_cob is contained in L_ker and both have the same rank, they
-    have the same saturation, so they are equal exactly when the products
-    of their nonzero invariant factors are equal. The containment is
-    checked once per prime tuple, on the full join, by summing each base
-    column and each column that is not a translate of one
-    (_pulled_back_coboundary). The coboundary side's factors are those of
-    its rows at the top indices, with neither Phi_n nor its remainders.
-    The top indices are the subset plus the upper residues, whose rows
-    every subset shares and whose unit pivots are eliminated once per
-    prime tuple (reduce_fixed_rows); every residue up to phi(n) is carried
-    through those pivots once as well, and each call runs
-    sparse_invariant_factors on the upper rows left over and the subset's
-    distinct carried rows (_pulled_back_factors). Repeated rows span
-    nothing new, so the factors are those of sparse_invariant_factors on
-    all the top rows. The kernel side's rank
-    and product are read off the kernel's form (_kernel_rank_and_index),
-    not from any (co)homology computation.
+    Every pullback item for one n shares one verdict: if the two lattices
+    are equal on all of Z_n, their restrictions to any top index set are
+    equal too. The subset is validated and the verdict read off
+    _pullback_certificate, which uses neither a dense matrix nor the
+    kernel's form. The per-subset Hermite comparison is the test oracle.
     """
     data = CycloComplexData.build(primes, subset)
-    _, contained, top, *_ = _pulled_back_coboundary(data.primes)
-    if not contained:
-        return False
-    factors = _pulled_back_factors(data.primes, data.subset)
-    return (len(factors), prod(factors)) == _kernel_rank_and_index(data, top)
+    contained, closed, solved, *_ = _pullback_certificate(data.primes)
+    return contained and closed and solved
 
 
 def transform_pullback_check(primes, h: GroupFunction, m: int | None = None) -> bool:
@@ -458,16 +404,12 @@ def coefficient_vector_is_coboundary(primes) -> bool:
     The function on Z_n equal to the coefficients of the n-th cyclotomic
     polynomial up to degree phi(n) and zero above, carried to the product
     group through the CRT map, must lie in the image of the top coboundary
-    over the full join.
+    over the full join. The peel of _pullback_certificate gives a cochain
+    for it, and the top coboundary applied to that cochain must give the
+    vector back exactly.
     """
     data = CycloComplexData.build(primes, ())
-    colors = family_colors(data.primes)
-    inverse = _crt_inverse(data.primes)
-    values = []
-    for g in nested_elements(colors):
-        x = inverse[g]
-        values.append(data.coeffs[x] if x <= data.totient else 0)
-    return is_coboundary(colors, nested_elements(colors), values)
+    return _pullback_certificate(data.primes)[2]
 
 
 @dataclass(frozen=True)
@@ -504,8 +446,8 @@ def quotient_presentation(primes, subset) -> PresentationReport:
     against itself. The vectors are indexed like the rows of both forms,
     in descending residue order (CycloComplexData.pullback_indices); the
     cokernels do not depend on the order. pullback_matches_root_kernel
-    does not compare these forms: it decides the same equality by
-    containment plus index.
+    does not compare these forms: it decides the same equality once per
+    n, on the full join (_pullback_certificate).
     """
     data = CycloComplexData.build(primes, subset)
     if not data.subset:

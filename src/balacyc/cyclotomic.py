@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import islice
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def euler_phi(n: int) -> int:
     """Euler totient, by trial-division factorization.
 
@@ -37,7 +37,7 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def divisors(n: int) -> tuple[int, ...]:
     """Positive divisors of n in increasing order.
 

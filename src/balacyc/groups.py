@@ -23,7 +23,7 @@ from math import lcm, prod
 from .cyclotomic import CycInt, eval_at_root, root_power
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _tuples(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(*(range(m) for m in orders)))
 

@@ -9,9 +9,7 @@ echelon columns, kernels from the Hermite form of m stacked on the
 identity, and cokernels from sparse_invariant_factors. No program path
 uses the Smith transforms u and v: smith_normal_form stays as the public
 reference, and sparse_invariant_factors diagonalizes its dense core with
-the same elimination loop but without transforms. reduce_fixed_rows runs
-the same unit phase once on rows that many matrices share, so that each
-of them reduces only its own extra rows.
+the same elimination loop but without transforms.
 """
 
 from __future__ import annotations
@@ -353,8 +351,33 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     return SmithForm(d, IntMatrix(rows, rows, tuple(x for r in u for x in r)), IntMatrix(cols, cols, tuple(x for r in v for x in r)), rank)
 
 
-def _sparse_work(rows) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
-    """Copies of the nonzero rows, keyed by position, and each column's rows."""
+def sparse_invariant_factors(rows) -> tuple[int, ...]:
+    """Nonzero invariant factors of a sparse integer matrix; no transforms.
+
+    `rows` holds one {column index: entry} mapping per row and is not
+    modified. Entries of absolute value 1 are eliminated first, one pivot
+    at a time, each chosen by least Markowitz cost
+    (row count - 1) * (column count - 1) from a heap, so fill-in stays
+    small. After a row update only the unit entries in the pivot row's
+    columns are queued again, since only those entries changed value; the
+    others keep a cost that may have gone stale, and a queued cost that
+    has since changed is corrected when it surfaces. Every unit entry
+    stays queued, so only the pivot order depends on this; a matrix with
+    a dense row does not requeue that whole row after every pivot.
+    Clearing the pivot column by row operations
+    leaves the pivot alone in its column; the pivot row is then dropped,
+    since column operations would clear it without touching the rest.
+    Each unit pivot contributes the factor 1. What is left, a core without
+    unit entries, is diagonalized densely by the loop of smith_normal_form
+    without its transforms, whose entries would outgrow the diagonal's by
+    far. The result equals smith_normal_form(m).invariant_factors for the
+    dense m, and the rank is its length.
+
+    >>> sparse_invariant_factors([{0: 2, 1: 4}, {0: 6, 1: 8}])
+    (2, 4)
+    >>> sparse_invariant_factors([{0: 1, 2: 1}, {1: 3}, {}])
+    (1, 3)
+    """
     work = {}
     cols: dict[int, set[int]] = {}
     for r, row in enumerate(rows):
@@ -363,28 +386,6 @@ def _sparse_work(rows) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
             work[r] = row
             for c in row:
                 cols.setdefault(c, set()).add(r)
-    return work, cols
-
-
-def _eliminate_units(work, cols, pivots: list | None = None) -> int:
-    """The unit phase of sparse_invariant_factors, in place; returns the
-    number of unit pivots.
-
-    Entries of absolute value 1 are eliminated one pivot at a time, each
-    chosen by least Markowitz cost (row count - 1) * (column count - 1)
-    from a heap, so fill-in stays small. After a row update only the unit
-    entries in the pivot row's columns are queued again, since only those
-    entries changed value; the others keep a cost that may have gone
-    stale, and a queued cost that has since changed is corrected when it
-    surfaces. Every unit entry stays queued, so only the pivot order
-    depends on this; a matrix with a dense row does not requeue that whole
-    row after every pivot. Clearing the pivot column by row operations
-    leaves the pivot alone in its column; the pivot row is then dropped
-    from `work`, and its column from `cols`, since column operations would
-    clear the row without touching the rest. When `pivots` is given, each
-    pivot is appended to it as (column, pivot, pivot row): the row as it
-    stood when it was dropped, zero on every earlier pivot column.
-    """
 
     def unit_entries(r, row, among):
         return [((len(row) - 1) * (len(cols[c]) - 1), r, c) for c in among if row.get(c) in (1, -1)]
@@ -404,8 +405,6 @@ def _eliminate_units(work, cols, pivots: list | None = None) -> int:
             continue
         units += 1
         pivot = prow[c]
-        if pivots is not None:
-            pivots.append((c, pivot, prow))
         del work[r]
         for j in prow:
             cols[j].discard(r)
@@ -429,28 +428,6 @@ def _eliminate_units(work, cols, pivots: list | None = None) -> int:
                     heapq.heappush(heap, entry)
             else:
                 del work[i]
-    return units
-
-
-def sparse_invariant_factors(rows) -> tuple[int, ...]:
-    """Nonzero invariant factors of a sparse integer matrix; no transforms.
-
-    `rows` holds one {column index: entry} mapping per row and is not
-    modified. Entries of absolute value 1 are eliminated first by
-    _eliminate_units, each unit pivot contributing the factor 1. What is
-    left, a core without unit entries, is diagonalized densely by the loop
-    of smith_normal_form without its transforms, whose entries would
-    outgrow the diagonal's by far. The result equals
-    smith_normal_form(m).invariant_factors for the dense m, and the rank
-    is its length.
-
-    >>> sparse_invariant_factors([{0: 2, 1: 4}, {0: 6, 1: 8}])
-    (2, 4)
-    >>> sparse_invariant_factors([{0: 1, 2: 1}, {1: 3}, {}])
-    (1, 3)
-    """
-    work, cols = _sparse_work(rows)
-    units = _eliminate_units(work, cols)
     if not work:
         return (1,) * units
     core_cols = {c: k for k, c in enumerate(sorted(c for c, members in cols.items() if members))}
@@ -462,87 +439,6 @@ def sparse_invariant_factors(rows) -> tuple[int, ...]:
         core.append(dense)
     rank = _smith_reduce(core)
     return (1,) * units + tuple(core[i][i] for i in range(rank))
-
-
-@dataclass(frozen=True)
-class FixedRowReduction:
-    """The unit phase of sparse_invariant_factors run once on fixed rows,
-    for many matrices that share them (see reduce_fixed_rows).
-
-    `units` counts the pivots, `rest` holds the fixed rows left over and
-    `transform` maps each pivot column to its row of S, on the columns
-    that never held a pivot.
-    """
-
-    units: int
-    rest: tuple[dict[int, int], ...]
-    transform: dict[int, dict[int, int]]
-
-    def carry(self, row) -> dict[int, int]:
-        """The sparse row times S: the row operations of every pivot."""
-        out: dict[int, int] = {}
-        for c, x in row.items():
-            image = self.transform.get(c)
-            if image is None:
-                out[c] = out.get(c, 0) + x
-            else:
-                for j, y in image.items():
-                    out[j] = out.get(j, 0) + x * y
-        return {j: x for j, x in out.items() if x}
-
-    def invariant_factors(self, rows) -> tuple[int, ...]:
-        """Nonzero invariant factors of the fixed rows together with `rows`.
-
-        >>> reduce_fixed_rows([{0: 1, 1: 2}]).invariant_factors([{0: 3, 1: 2}])
-        (1, 4)
-        """
-        return self.carried_factors(map(self.carry, rows))
-
-    def carried_factors(self, carried) -> tuple[int, ...]:
-        """invariant_factors of the rows whose carries are `carried`.
-
-        A row repeated in `carried` spans nothing new, so leaving out
-        repeats changes neither the row lattice nor the factors.
-        """
-        return (1,) * self.units + sparse_invariant_factors(self.rest + tuple(carried))
-
-
-def reduce_fixed_rows(rows) -> FixedRowReduction:
-    """Eliminate the unit entries of a fixed set of sparse rows once, so that
-    each matrix made of them plus a few extra rows needs only its extra rows
-    reduced.
-
-    Lemma: run the unit phase of sparse_invariant_factors (_eliminate_units)
-    with its pivots taken among the fixed rows only. Each pivot is a row
-    operation plus a dropped row and column, so it adds the factor 1, and
-    every other row v, fixed or extra, is carried to v @ S. S is the product
-    of the pivots' row operations v -> v - v[c] * pivot * (pivot row), an
-    integer matrix that depends on the pivots alone: it is the identity on
-    every row but the pivot columns', and going through the pivots in
-    reverse, the row of pivot column c is -pivot times the pivot row with
-    each later pivot column's entry replaced by that column's row of S.
-    Hence, for any matrix, the invariant factors of the fixed rows plus
-    extra rows E are `units` ones followed by sparse_invariant_factors of
-    the leftover fixed rows plus [v @ S for v in E]
-    (FixedRowReduction.invariant_factors). `rows` is not modified.
-    """
-    work, cols = _sparse_work(rows)
-    pivots: list = []
-    units = _eliminate_units(work, cols, pivots)
-    transform: dict[int, dict[int, int]] = {}
-    for c, pivot, prow in reversed(pivots):
-        image: dict[int, int] = {}
-        for j, x in prow.items():
-            if j == c:
-                continue
-            later = transform.get(j)
-            if later is None:
-                image[j] = image.get(j, 0) - pivot * x
-            else:
-                for k, y in later.items():
-                    image[k] = image.get(k, 0) - pivot * x * y
-        transform[c] = {k: y for k, y in image.items() if y}
-    return FixedRowReduction(units, tuple(work[r] for r in sorted(work)), transform)
 
 
 def hermite_normal_form(m: IntMatrix) -> HermiteForm:

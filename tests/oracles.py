@@ -9,9 +9,10 @@ results against them.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, prod
 
 from balacyc import cyclo_family
-from balacyc.complexes import BalancedComplex, _boundary_columns, _with_rows
+from balacyc.complexes import BalancedComplex, _boundary_columns, _with_rows, coboundary_lattice, fourier_lattice
 from balacyc.cyclo_family import CycloComplexData, _coboundary_form, root_relation_lattice
 from balacyc.cyclotomic import CycInt, IntPoly, _remainders, cyclotomic, divisors, euler_phi, root_power, xn_minus_1
 from balacyc.groups import positive_dual_block, product_group
@@ -157,14 +158,48 @@ def direct_pullback_factors(primes, subset) -> tuple[int, ...]:
     """Invariant factors of the pulled-back coboundary rows at the top indices,
     every row eliminated afresh.
 
-    The rows are the cached ones of _pulled_back_coboundary, looked up when
-    called, so a test that patches them is seen here too; the upper
-    residues' rows are reduced again for each subset instead of once per
-    prime tuple.
+    The rows are those of _coboundary_rows, looked up when called, so a
+    test that patches them, or crt_split, is seen here too.
     """
     data = CycloComplexData.build(primes, subset)
-    rows = cyclo_family._pulled_back_coboundary(data.primes)[0]
+    rows = cyclo_family._coboundary_rows(data.primes)
     return sparse_invariant_factors([rows[x] for x in data.pullback_indices])
+
+
+def kernel_rank_and_index(data: CycloComplexData) -> tuple[int, int]:
+    """Rank and product of the nonzero invariant factors of the kernel's
+    restriction to the top indices (root_relation_lattice).
+
+    The restriction is spanned by the columns of the kernel's form [I; -R]
+    on those indices. The column of each residue d > phi(n), always a top
+    index, keeps its unit at d, and so does the column of phi(n) when
+    phi(n) is in the subset: then every factor is 1. Otherwise the column
+    of phi(n) is minus z**phi(n) mod Phi_n on the subset and zero on every
+    other top index, so it adds one factor, the gcd of that remainder over
+    the subset, when that gcd is nonzero.
+    """
+    units = data.n - 1 - data.totient
+    if data.totient in data.subset:
+        return units + 1, 1
+    top = root_power(data.n, data.totient).coords
+    d = gcd(*(top[a] for a in data.subset))
+    return (units + 1, d) if d else (units, 1)
+
+
+def index_pullback_matches(primes, subset) -> bool:
+    """The pullback verdict by containment plus index, per subset.
+
+    A contained lattice of the same rank shares the saturation of the
+    restricted kernel, and is equal to it exactly when the products of
+    their nonzero invariant factors agree: every column of the
+    pulled-back coboundary must evaluate to 0 (partial_sum_containment),
+    and the factors of its rows at the top indices
+    (direct_pullback_factors) must have the kernel side's rank and
+    product (kernel_rank_and_index).
+    """
+    factors = direct_pullback_factors(primes, subset)
+    data = CycloComplexData.build(primes, subset)
+    return partial_sum_containment(primes) and (len(factors), prod(factors)) == kernel_rank_and_index(data)
 
 
 def partial_sum_containment(primes) -> bool:
@@ -174,10 +209,10 @@ def partial_sum_containment(primes) -> bool:
     Each residue x adds the power-basis coordinates of z**x mod Phi_n
     (cyclotomic._remainders), times its entry, to the sum of every column
     it meets; no column is taken for a translate of another. The rows are
-    the cached ones of _pulled_back_coboundary, looked up when called, so
-    a test that patches them is seen here too.
+    those of _coboundary_rows, looked up when called, so a test that
+    patches them is seen here too.
     """
-    rows = cyclo_family._pulled_back_coboundary(tuple(primes))[0]
+    rows = cyclo_family._coboundary_rows(tuple(primes))
     n = len(rows)
     zero = [0] * euler_phi(n)
     sums: dict[int, list[int]] = {}
@@ -185,6 +220,14 @@ def partial_sum_containment(primes) -> bool:
         for c, e in row.items():
             sums[c] = [s + e * y for s, y in zip(sums.get(c, zero), r)]
     return not any(any(s) for s in sums.values())
+
+
+def hermite_fourier_matches(colors, top_cells) -> bool:
+    """The restricted coboundary lattice equals the restricted
+    transform-vanishing lattice for this set of top cells, compared by
+    canonical forms: the per-set Hermite comparison, a dense coboundary
+    restriction against the projected kernel of the vanishing matrix."""
+    return coboundary_lattice(colors, top_cells) == fourier_lattice(colors, top_cells)
 
 
 def full_block_vanishing_matrix(colors) -> IntMatrix:

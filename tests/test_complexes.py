@@ -10,7 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import boundary_cohomology_profile, boundary_homology_profile, full_block_vanishing_matrix
+from oracles import (
+    boundary_cohomology_profile,
+    boundary_homology_profile,
+    full_block_vanishing_matrix,
+    hermite_fourier_matches,
+)
 
 from balacyc import complexes
 from balacyc.complexes import (
@@ -368,6 +373,119 @@ def test_orbit_vanishing_matrix_matches_full_block(colors, full_rows, orbit_rows
     assert (full_block.rows, reduced.rows) == (full_rows, orbit_rows)
     kernel = complexes._fourier_kernel(colors)
     assert hermite_normal_form(kernel) == hermite_normal_form(kernel_basis(full_block))
+
+
+# --- the peel and the per-tuple certificate -------------------------------------
+
+Z24 = FiniteAbelianGroup((2, 4))
+# the color tuples of the default sweep's coboundary sections
+SWEEP_TUPLES = [(Z2, Z2), (Z2, Z3), (Z2, Z2, Z2), (Z4, Z3), (Z22, Z3), (Z2, Z3, Z5)]
+
+
+@st.composite
+def peel_cases(draw):
+    colors = tuple(draw(st.lists(st.sampled_from([Z2, Z3, Z4, Z5, Z22, Z24]), min_size=1, max_size=3)))
+    size = len(nested_elements(colors))
+    f = draw(st.dictionaries(st.integers(0, size - 1), st.integers(-6, 6)))
+    return colors, f
+
+
+@settings(max_examples=120, deadline=None)
+@given(peel_cases())
+@example(((Z2,), {0: 3, 1: -1}))
+@example(((Z5,), {2: 1}))
+@example(((Z2, Z2), {0: 1, 3: 2}))
+@example(((Z22, Z24), {x: x - 7 for x in range(32)}))
+def test_peel_writes_f_as_a_coboundary_plus_a_remainder_on_N(case):
+    # cyclic and non-cyclic colors, colors of order 2, and k = 0
+    colors, f = case
+    points = nested_elements(colors)
+    columns = complexes._coboundary_columns(colors)
+    cochain, rest = complexes._peel(colors, points, columns, f)
+    total = complexes._coboundary_of(columns, cochain)
+    for x, v in rest.items():
+        total[x] = total.get(x, 0) + v
+    assert {x: v for x, v in total.items() if v} == {x: v for x, v in f.items() if v}
+    zeros = tuple(g.elements()[0] for g in colors)
+    assert all(all(a != z for a, z in zip(points[x], zeros)) for x in rest)
+    assert set(cochain) <= {c for _, c in complexes._peel_order(colors, points)[1]}
+    # the sparse product agrees with the dense coboundary matrix
+    assert apply_top_coboundary(colors, [cochain.get(c, 0) for c in range(len(columns))]) == tuple(
+        total.get(x, 0) - rest.get(x, 0) for x in range(len(points))
+    )
+
+
+@pytest.mark.parametrize("colors", SWEEP_TUPLES, ids=lambda colors: "*".join(str(g.orders) for g in colors))
+def test_fourier_verdict_matches_the_hermite_oracle_on_sweep_tuples(colors):
+    points = list(nested_elements(colors))
+    assert complexes._fourier_certificate(colors) is True
+    if len(points) <= 8:
+        sets = [tops for size in range(len(points) + 1) for tops in itertools.combinations(points, size)]
+    else:
+        rng = random.Random(len(points))
+        sets = [(), points] + [rng.sample(points, rng.randint(1, len(points) - 1)) for _ in range(6)]
+    for tops in sets:
+        assert coboundary_matches_fourier(colors, tops) == hermite_fourier_matches(colors, tops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SWEEP_TUPLES + [(Z3, Z5), (Z24, Z3)]), st.data())
+def test_fourier_verdict_matches_the_hermite_oracle_on_drawn_point_sets(colors, data):
+    tops = data.draw(st.sets(st.sampled_from(nested_elements(colors))))
+    assert coboundary_matches_fourier(colors, tops) is hermite_fourier_matches(colors, tops) is True
+
+
+@pytest.fixture
+def clear_fourier_caches():
+    # a test that corrupts a route must not leave its results cached
+    def clear():
+        for cached in (
+            complexes._fourier_certificate,
+            complexes._fourier_kernel,
+            fourier_vanishing_matrix,
+            coboundary_top_matrix,
+        ):
+            cached.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+@pytest.mark.parametrize("mutation", ["pairing on a base fibre", "pairing off the base fibres", "flip entry", "double"])
+@pytest.mark.parametrize("colors", [(Z2, Z3), (Z22, Z3), (Z2, Z3, Z5)], ids=["2*3", "2x2*3", "2*3*5"])
+def test_fourier_verdict_fails_under_mutation(monkeypatch, clear_fourier_caches, colors, mutation):
+    # a perturbed pairing_exponent (the character value at one point moves
+    # by one power: the point with 1 in the last coordinate and 0
+    # elsewhere, on a base column, or the point with 1 everywhere, on none,
+    # where only a column that is a translate of a base column sees it),
+    # one entry of one coboundary column sign-flipped, or every entry
+    # doubled (a proper sublattice: no peel step has a unit). The
+    # certificate sees (a), (a), (a) and (b) fail; the per-set Hermite
+    # comparison, computed from the same corrupted routes, rejects the
+    # full point set as well
+    points = nested_elements(colors)
+    assert coboundary_matches_fourier(colors, points)
+    if mutation.startswith("pairing"):
+        original = FiniteAbelianGroup.pairing_exponent
+        width = len(product_group(colors).orders)
+        moved = (0,) * (width - 1) + (1,) if mutation == "pairing on a base fibre" else (1,) * width
+
+        def perturbed(self, chi, x):
+            return (original(self, chi, x) + (tuple(x) == moved)) % self.exponent
+
+        monkeypatch.setattr(FiniteAbelianGroup, "pairing_exponent", perturbed)
+    else:
+        columns = complexes._coboundary_columns(colors)
+        if mutation == "flip entry":
+            columns = tuple({**col, 0: -col[0]} if c == 0 else col for c, col in enumerate(columns))
+        else:
+            columns = tuple({x: 2 * e for x, e in col.items()} for col in columns)
+        monkeypatch.setattr(complexes, "_coboundary_columns", lambda colors: columns)
+    clear_fourier_caches()
+    assert coboundary_matches_fourier(colors, points) is False
+    assert coboundary_matches_fourier(colors, ()) is False
+    assert hermite_fourier_matches(colors, points) is False
 
 
 # --- membership ------------------------------------------------------------------

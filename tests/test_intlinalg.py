@@ -216,28 +216,6 @@ def test_sparse_invariant_factors_of_empty_and_zero_matrices(shape):
     assert sparse_invariant_factors([{0: 0, 2: 0}] * shape[0]) == ()
 
 
-@settings(max_examples=200)
-@given(sparse_test_matrices, st.data())
-def test_fixed_row_reduction_matches_all_rows_at_once(m, data):
-    # the first `split` rows are fixed, some of them scaled by a non-unit so
-    # that they hold no unit entry and stay behind in `rest`; the others are
-    # the extra rows of one call
-    split = data.draw(st.integers(0, m.rows))
-    scales = data.draw(st.lists(st.sampled_from((1, 1, 2, 3, 6)), min_size=split, max_size=split))
-    rows = sparse_rows(m)
-    fixed = [{c: k * x for c, x in row.items()} for k, row in zip(scales, rows)]
-    extra = rows[split:]
-    snapshot = [dict(row) for row in fixed]
-    reduction = intlinalg.reduce_fixed_rows(fixed)
-    assert fixed == snapshot
-    whole = IntMatrix(m.rows, m.cols, tuple(x for row in fixed + extra for x in (row.get(c, 0) for c in range(m.cols))))
-    expected = smith_normal_form(whole).invariant_factors
-    assert reduction.invariant_factors(extra) == sparse_invariant_factors(fixed + extra) == expected
-    # S carries the rows left over to themselves and clears every pivot column
-    assert all(reduction.carry(row) == row for row in reduction.rest)
-    assert not any(set(reduction.carry(row)) & set(reduction.transform) for row in rows)
-
-
 @settings(max_examples=150)
 @given(sparse_test_matrices, st.data())
 def test_repeated_rows_leave_the_invariant_factors_unchanged(m, data):
@@ -249,23 +227,6 @@ def test_repeated_rows_leave_the_invariant_factors_unchanged(m, data):
     factors = sparse_invariant_factors(rows)
     assert sparse_invariant_factors(grown) == factors
     assert len(factors) == smith_normal_form(m).rank
-    fixed = intlinalg.reduce_fixed_rows(rows[: m.rows // 2])
-    extra = rows[m.rows // 2 :]
-    carried = [fixed.carry(row) for row in extra]
-    assert fixed.carried_factors(carried + carried[:2]) == fixed.invariant_factors(extra) == factors
-
-
-def test_fixed_rows_without_units_stay_behind():
-    # the second fixed row has no unit entry, before or after the pivot on
-    # (0, 0); it is left over and meets the extra row in the core
-    fixed = [{0: 1, 1: 1}, {1: 2, 2: 4}]
-    reduction = intlinalg.reduce_fixed_rows(fixed)
-    assert reduction.units == 1
-    assert reduction.rest == ({1: 2, 2: 4},)
-    assert reduction.transform == {0: {1: -1}}
-    assert reduction.carry({0: 3, 2: 1}) == {1: -3, 2: 1}
-    assert reduction.invariant_factors([{0: 2, 2: 2}]) == (1, 2, 6)
-    assert sparse_invariant_factors(fixed + [{0: 2, 2: 2}]) == (1, 2, 6)
 
 
 # --- Hermite normal form ------------------------------------------------------
