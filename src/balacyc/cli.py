@@ -22,6 +22,7 @@ import math
 import random
 import sys
 import traceback
+from json.encoder import encode_basestring_ascii
 
 from .complexes import (
     build_complex,
@@ -47,7 +48,6 @@ from .sweeps import (
     run_coboundary_sweep,
     run_family_sweep,
     run_pullback_sweep,
-    verified_counts,
 )
 
 
@@ -369,13 +369,75 @@ def _cmd_verify_coeff_coboundary(args):
 
 
 def _cmd_sweep(args):
-    report = default_sweep_report(args.seed)
-    lines = []
-    for name, section in report["sections"].items():
-        verified, total = verified_counts(section)
-        lines.append(f"{name}: {verified}/{total} verified")
+    report, counts = default_sweep_report(args.seed)
+    lines = [f"{name}: {verified}/{total} verified" for name, (verified, total) in counts.items()]
     lines.append("all verified" if report["ok"] else "MISMATCH FOUND")
     return report, report["ok"], "\n".join(lines)
+
+
+# How _report_json writes each scalar type; every other type is refused.
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _report_json(report) -> str:
+    """The report as json.dumps(report, sort_keys=True, indent=2) writes it.
+
+    Reports hold only dicts with str keys, lists, tuples, str, int, bool
+    and None, dispatched on the exact type; anything else, a float
+    included, raises TypeError. Strings are escaped to ASCII by the json
+    module's own encoder. With indent set, json.dumps cannot use its C
+    encoder; this writer takes about half its time on a sweep report.
+    """
+    chunks = []
+    put = chunks.append
+
+    def write(o, level):
+        # o is a container; its scalar members are written in place
+        inner = "\n" + "  " * (level + 1)
+        if type(o) is dict:
+            if not o:
+                put("{}")
+                return
+            sep = "{" + inner
+            for key in sorted(o):
+                if type(key) is not str:
+                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
+                put(sep + encode_basestring_ascii(key) + ": ")
+                value = o[key]
+                scalar = _JSON_SCALARS.get(type(value))
+                if scalar:
+                    put(scalar(value))
+                else:
+                    write(value, level + 1)
+                sep = "," + inner
+            put("\n" + "  " * level + "}")
+        elif type(o) is list or type(o) is tuple:
+            if not o:
+                put("[]")
+                return
+            sep = "[" + inner
+            for value in o:
+                put(sep)
+                scalar = _JSON_SCALARS.get(type(value))
+                if scalar:
+                    put(scalar(value))
+                else:
+                    write(value, level + 1)
+                sep = "," + inner
+            put("\n" + "  " * level + "]")
+        else:
+            raise TypeError(f"{type(o).__name__} is not a report value")
+
+    scalar = _JSON_SCALARS.get(type(report))
+    if scalar:
+        return scalar(report)
+    write(report, 0)
+    return "".join(chunks)
 
 
 _DISPATCH = {
@@ -405,7 +467,7 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _report_json(report) + "\n"
     else:
         text = table + "\n"
     if args.out:

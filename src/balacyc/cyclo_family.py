@@ -252,18 +252,23 @@ def _coboundary_form(data: CycloComplexData) -> HermiteForm:
     return hermite_normal_form(coboundary_restriction(family_colors(data.primes), points))
 
 
-def _coboundary_rows(primes: tuple[int, ...]) -> tuple[dict[int, int], ...]:
+def _coboundary_rows(primes: tuple[int, ...], points) -> tuple[dict[int, int], ...]:
     """The full join's top coboundary as sparse rows on the residues of Z_n.
 
-    rows[x] maps the column of (i, g without slot i) in
-    top_coboundary_domain to (-1)**i, with g = crt_split(primes, x).
+    points[x] is the point of residue x, crt_split(primes, x) (see
+    _crt_points); rows[x] maps the column of (i, g without slot i) in
+    top_coboundary_domain to (-1)**i, with g = points[x].
     """
     column = {label: c for c, label in enumerate(top_coboundary_domain(family_colors(primes)))}
-    rows = []
-    for x in range(prod(primes)):
-        g = crt_split(primes, x)
-        rows.append({column[(i, g[:i] + g[i + 1 :])]: -1 if i % 2 else 1 for i in range(len(g))})
-    return tuple(rows)
+    signs = [-1 if i % 2 else 1 for i in range(len(primes))]
+    return tuple(
+        {column[(i, g[:i] + g[i + 1 :])]: e for i, e in enumerate(signs)} for g in points
+    )
+
+
+def _crt_points(primes: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """crt_split(primes, x) for every residue x of Z_n, in residue order."""
+    return [crt_split(primes, x) for x in range(prod(primes))]
 
 
 def _summed_columns(n: int, columns) -> set[int]:
@@ -298,7 +303,8 @@ def _pullback_certificate(primes: tuple[int, ...]) -> tuple[bool, bool, bool, di
     Z[Z_n] -> Z[zeta_n].
 
     Returns (contained, closed, solved, cochain, remainder), read off the
-    columns of _coboundary_rows:
+    columns of _coboundary_rows, built from the n CRT points of
+    _crt_points, computed once and read by the peel too:
     - contained: L_cob lies in L_ker: the columns of _summed_columns sum
       to 0 in Z[zeta_n], over the coordinates of z**x mod Phi_n streamed
       once from cyclotomic._remainders; every other column is a translate
@@ -314,8 +320,9 @@ def _pullback_certificate(primes: tuple[int, ...]) -> tuple[bool, bool, bool, di
     """
     n = prod(primes)
     phi = euler_phi(n)
+    points = _crt_points(primes)
     columns: list[dict[int, int]] = [{} for _ in top_coboundary_domain(family_colors(primes))]
-    for x, row in enumerate(_coboundary_rows(primes)):
+    for x, row in enumerate(_coboundary_rows(primes, points)):
         for c, e in row.items():
             columns[c][x] = e
     summed = _summed_columns(n, columns)
@@ -329,7 +336,6 @@ def _pullback_certificate(primes: tuple[int, ...]) -> tuple[bool, bool, bool, di
     contained = not any(any(s) for s in sums.values())
     coeffs = cyclotomic(n).coeffs
     f = {x: coeffs[x] for x in range(phi + 1) if coeffs[x]}
-    points = [crt_split(primes, x) for x in range(n)]
     cochain, remainder = _peel(family_colors(primes), points, columns, f)
     solved = _coboundary_of(columns, cochain) == f
     return contained, _shift_closed(n, columns), solved, cochain, remainder
@@ -371,9 +377,12 @@ def transform_pullback_check(primes, h: GroupFunction, m: int | None = None) -> 
     the units of Z_n.
 
     The Z_n side is summed in the group ring Z[Z_n], h(x) going into bucket
-    residue(x) * unit * m mod n, and reduced to Z[zeta_n] once. Its
+    residue(x) * unit * m mod n, and reduced to Z[zeta_n] once by
+    eval_at_root. The twisted residue residue(x) * unit mod n is computed
+    once per support point, before the loop over m. The Z_n side's
     exponents come from the CRT residues, the product-group side's from
-    pairing_exponent; the two meet only as reduced values in Z[zeta_n].
+    the pairing (fourier_transform's exponent rows); the two meet only as
+    reduced values in Z[zeta_n].
     """
     data = CycloComplexData.build(primes, ())
     n = data.n
@@ -383,12 +392,12 @@ def transform_pullback_check(primes, h: GroupFunction, m: int | None = None) -> 
     if {(data.unit * x) % n for x in units} != units:
         return False
     inverse = _crt_inverse(data.primes)
-    residues = {x: inverse[tuple((xi,) for xi in x)] for x in h.values}
+    twisted = [(inverse[tuple((xi,) for xi in x)] * data.unit % n, v) for x, v in h.values.items()]
     hat = fourier_transform(h)
     for point in range(n) if m is None else (m,):
         buckets = [0] * n
-        for x, v in h.values.items():
-            buckets[residues[x] * data.unit * point % n] += v
+        for r, v in twisted:
+            buckets[r * point % n] += v
         if eval_at_root(buckets, n) != hat[tuple(point % p for p in data.primes)]:
             return False
     return True

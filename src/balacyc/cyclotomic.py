@@ -12,6 +12,7 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import mul
 
 
 @lru_cache(maxsize=8)
@@ -358,23 +359,33 @@ def root_power(n: int, e: int) -> CycInt:
     return CycInt(n, _power_table(n)[e % n])
 
 
+@lru_cache(maxsize=8)
+def _power_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """_power_table(n) transposed: column t holds coordinate t of
+    zeta_n**j for j = 0..n-1, the same n * phi(n) entries, read off the
+    first n remainders of _remainders(n)."""
+    return tuple(zip(*islice(_remainders(n), n)))
+
+
 def eval_at_root(values, n: int) -> CycInt:
     """Sum of values[l] * zeta_n**l, exponents taken modulo n.
 
     Accepts an IntPoly or any integer sequence. This is the evaluation
     map Z[Z_n] -> Z[zeta_n] underlying all vanishing-sum tests here.
+    The values are first folded into n buckets, one per residue mod n;
+    coordinate t of the result is then the sum of the buckets times
+    column t of the power table (_power_columns), phi(n) sums in all.
 
     >>> eval_at_root(cyclotomic(6), 6).is_zero()
     True
     >>> eval_at_root([1, 1, 1, 1, 1, 1], 6).is_zero()
     True
+    >>> eval_at_root([0, 0, 0, 0, 0, 0, 0, 1], 6) == root_power(6, 1)
+    True
     """
     if n < 1:
         raise ValueError("n must be positive")
     coeffs = values.coeffs if isinstance(values, IntPoly) else values
-    table = _power_table(n)
-    acc = [0] * euler_phi(n)
-    for exp, c in enumerate(coeffs):
-        if c:
-            acc = [x + c * t for x, t in zip(acc, table[exp % n])]
-    return CycInt(n, tuple(acc))
+    if len(coeffs) > n:
+        coeffs = [sum(coeffs[r::n]) for r in range(n)]
+    return CycInt(n, tuple(sum(map(mul, coeffs, col)) for col in _power_columns(n)))

@@ -8,9 +8,12 @@ of the group, so vanishing is an exact coordinate test.
 Every character value is a power of zeta_N, and pairing_exponent gives
 that power as an integer. A character sum sum_x f(x) * chi(x) is
 therefore first collected in the group ring Z[Z_N]: f(x) is added into
-bucket pairing_exponent(chi, x), and the N buckets are reduced to
-Z[zeta_N] once, by eval_at_root. Fourier inversion is summed the same
-way, one reduction per point.
+bucket e, chi(x) = zeta_N**e, and the N buckets are reduced to Z[zeta_N]
+once, by eval_at_root (phi(N) column sums over the power table). The
+exponents of one character at every element come as one exponent row
+(_exponent_row), built slot by slot from chi_i * N / m_i in O(|G|), not
+by one pairing_exponent call per element. Fourier inversion is summed
+the same way, one exponent row and one reduction per point.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
+from operator import add
 
 from .cyclotomic import CycInt, eval_at_root, root_power
 
@@ -166,12 +170,32 @@ class GroupFunction:
         return tuple(self.values.get(x, 0) for x in self.group.elements())
 
 
+def _exponent_row(g: FiniteAbelianGroup, chi) -> list[int]:
+    """pairing_exponent(chi, x) for every x in g.elements(), in that order.
+
+    The exponent is sum_i chi_i * x_i * N / m_i mod N, so the row is grown
+    one slot at a time: each entry of the row so far is followed by its
+    m_i successors in steps of chi_i * N / m_i, which is the lexicographic
+    order of the elements.
+
+    >>> _exponent_row(FiniteAbelianGroup((2, 3)), (1, 1))
+    [0, 2, 4, 3, 5, 1]
+    """
+    n = g.exponent
+    row = [0]
+    for a, m in zip(chi, g.orders):
+        step = a * (n // m)
+        row = [(e + step * xi) % n for e in row for xi in range(m)]
+    return row
+
+
 def fourier_transform(f: GroupFunction) -> dict[tuple[int, ...], CycInt]:
     """Exact character sums sum_x f(x) chi(x) for every character chi.
 
-    For each chi the values f(x) are added into N buckets indexed by
-    pairing_exponent(chi, x), an element of the group ring Z[Z_N], and
-    that element is reduced to Z[zeta_N] by one eval_at_root call.
+    For each chi the dense value vector of f is added into N buckets along
+    chi's exponent row (_exponent_row): an element of the group ring
+    Z[Z_N], reduced to Z[zeta_N] by one eval_at_root call. One row of |G|
+    exponents is alive at a time; no |G| x |G| table is kept.
 
     >>> G = FiniteAbelianGroup((3,))
     >>> hat = fourier_transform(GroupFunction(G, {(0,): 1, (1,): 1, (2,): 1}))
@@ -180,11 +204,12 @@ def fourier_transform(f: GroupFunction) -> dict[tuple[int, ...], CycInt]:
     """
     g = f.group
     n = g.exponent
+    vec = f.as_vector()
     out = {}
     for chi in g.characters():
         buckets = [0] * n
-        for x, v in f.values.items():
-            buckets[g.pairing_exponent(chi, x)] += v
+        for e, v in zip(_exponent_row(g, chi), vec):
+            buckets[e] += v
         out[chi] = eval_at_root(buckets, n)
     return out
 
@@ -197,20 +222,22 @@ def fourier_support(f: GroupFunction) -> set[tuple[int, ...]]:
 def inversion_check(f: GroupFunction) -> bool:
     """Exact Fourier inversion: |G| * f(x) = sum_chi fhat(chi) * chi(-x).
 
-    Coordinate t of fhat(chi) is the coefficient of zeta_N**t, so it goes
-    into bucket t + pairing_exponent(chi, -x) mod N; the buckets are
-    reduced once per point x.
+    The pairing is symmetric, so the exponents of chi(-x) over all chi are
+    the exponent row of -x read as a character. Coordinate t of fhat(chi)
+    is the coefficient of zeta_N**t, so the coordinates of fhat(chi) are
+    added into buckets s, ..., s + phi(N) - 1, s that exponent; the
+    N + phi(N) - 1 buckets are folded mod N and reduced by one eval_at_root
+    call per point x.
     """
     g = f.group
     n = g.exponent
     hat = fourier_transform(f)
+    coords = [hat[chi].coords for chi in g.characters()]
+    width = len(coords[0])
     for x in g.elements():
-        neg = g.neg(x)
-        buckets = [0] * n
-        for chi, val in hat.items():
-            shift = g.pairing_exponent(chi, neg)
-            for t, c in enumerate(val.coords):
-                buckets[(t + shift) % n] += c
+        buckets = [0] * (n + width - 1)
+        for s, c in zip(_exponent_row(g, g.neg(x)), coords):
+            buckets[s : s + width] = map(add, buckets[s : s + width], c)
         if eval_at_root(buckets, n) != CycInt.from_int(n, g.order * f(x)):
             return False
     return True

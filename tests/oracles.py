@@ -14,7 +14,17 @@ from math import gcd, prod
 from balacyc import cyclo_family
 from balacyc.complexes import BalancedComplex, _boundary_columns, _with_rows, coboundary_lattice, fourier_lattice
 from balacyc.cyclo_family import CycloComplexData, _coboundary_form, root_relation_lattice
-from balacyc.cyclotomic import CycInt, IntPoly, _remainders, cyclotomic, divisors, euler_phi, root_power, xn_minus_1
+from balacyc.cyclotomic import (
+    CycInt,
+    IntPoly,
+    _power_table,
+    _remainders,
+    cyclotomic,
+    divisors,
+    euler_phi,
+    root_power,
+    xn_minus_1,
+)
 from balacyc.groups import positive_dual_block, product_group
 from balacyc.intlinalg import (
     AbelianGroupStructure,
@@ -162,7 +172,7 @@ def direct_pullback_factors(primes, subset) -> tuple[int, ...]:
     test that patches them, or crt_split, is seen here too.
     """
     data = CycloComplexData.build(primes, subset)
-    rows = cyclo_family._coboundary_rows(data.primes)
+    rows = cyclo_family._coboundary_rows(data.primes, cyclo_family._crt_points(data.primes))
     return sparse_invariant_factors([rows[x] for x in data.pullback_indices])
 
 
@@ -212,7 +222,8 @@ def partial_sum_containment(primes) -> bool:
     those of _coboundary_rows, looked up when called, so a test that
     patches them is seen here too.
     """
-    rows = cyclo_family._coboundary_rows(tuple(primes))
+    primes = tuple(primes)
+    rows = cyclo_family._coboundary_rows(primes, cyclo_family._crt_points(primes))
     n = len(rows)
     zero = [0] * euler_phi(n)
     sums: dict[int, list[int]] = {}
@@ -244,6 +255,18 @@ def full_block_vanishing_matrix(colors) -> IntMatrix:
     if not rows:
         return IntMatrix.zero(0, len(points))
     return IntMatrix.from_rows(rows)
+
+
+def rowsum_eval_at_root(values, n: int) -> CycInt:
+    """Sum of values[l] * zeta_n**l, one power-table row added per nonzero
+    value: the row sums that eval_at_root's column sums replaced."""
+    coeffs = values.coeffs if isinstance(values, IntPoly) else values
+    table = _power_table(n)
+    acc = [0] * euler_phi(n)
+    for exp, c in enumerate(coeffs):
+        if c:
+            acc = [x + c * t for x, t in zip(acc, table[exp % n])]
+    return CycInt(n, tuple(acc))
 
 
 def termwise_fourier_transform(f) -> dict:

@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balacyc import cli, sweeps
 
@@ -327,3 +329,60 @@ def test_value_error_inside_a_computation_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-coeff-coboundary", "--primes", "2,3")
     assert code == 3 and out == ""
     assert "internal error: ValueError: boom" in err
+
+
+# --- the report writer -------------------------------------------------------
+
+# Strings with quotes, backslashes, control characters and non-ASCII text.
+report_strings = st.one_of(
+    st.text(max_size=8),
+    st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t a\u00e9\u20ac\U0001f600'), max_size=6),
+)
+report_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.integers(-(2**80), 2**80), report_strings
+)
+report_values = st.recursive(
+    report_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(report_strings, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_values)
+def test_report_writer_matches_indented_json_dumps(value):
+    assert cli._report_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, [0, 2.0], {"a": {1}}, {"a": 1, 2: "b"}, {3: 4}, {(1,): 2}, {1, 2}, frozenset()])
+def test_report_writer_refuses_what_a_report_cannot_hold(value):
+    with pytest.raises(TypeError):
+        cli._report_json(value)
+
+
+# One fast invocation per command; its JSON bytes must be what json.dumps
+# writes for the parsed report.
+JSON_INVOCATIONS = {
+    "cyclo": ["cyclo", "105"],
+    "homology": ["homology", "--groups", "[[2],[3]]"],
+    "verify-coboundaries": ["verify-coboundaries", "--groups", "[[2],[3]]", "--all-subsets", "--max-size", "2"],
+    "verify-pullback": ["verify-pullback", "--primes", "2,3,5", "--random", "5", "--seed", "3"],
+    "verify-homology": ["verify-homology", "--primes", "2,3", "--all-subsets"],
+    "verify-coeff-coboundary": ["verify-coeff-coboundary", "--primes", "2,3,5"],
+    "sweep": ["sweep", "--seed", "5"],
+}
+
+
+def test_every_command_has_a_json_bytes_case():
+    assert set(JSON_INVOCATIONS) == set(cli._DISPATCH)
+
+
+@pytest.mark.parametrize("command", sorted(JSON_INVOCATIONS))
+def test_json_bytes_are_those_of_json_dumps(capsys, command):
+    code, out, _ = run(capsys, *JSON_INVOCATIONS[command], "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

@@ -49,7 +49,7 @@ from balacyc.cyclo_family import (
     upper_indices,
     verify_homology_tables,
 )
-from balacyc.cyclotomic import CycInt, IntPoly, _power_table, cyclotomic, divisors, euler_phi, root_power
+from balacyc.cyclotomic import CycInt, IntPoly, _power_columns, _power_table, cyclotomic, divisors, euler_phi, root_power
 from balacyc.groups import FiniteAbelianGroup, GroupFunction, fourier_transform
 from balacyc.intlinalg import (
     AbelianGroupStructure,
@@ -572,7 +572,7 @@ def test_containment_matches_the_partial_sum_oracle(monkeypatch, fresh_certifica
     n = prod(primes)
     if mutation == "swap":
         monkeypatch.setattr(cyclo_family, "crt_split", lambda primes, x: crt_split(primes, {1: 2, 2: 1}.get(x, x)))
-    rows = list(cyclo_family._coboundary_rows(primes))
+    rows = list(cyclo_family._coboundary_rows(primes, cyclo_family._crt_points(primes)))
     # a column through residue 1; never a base column, as 1 is a multiple of no n/p
     c = min(rows[1])
     touched = {c} if mutation in ("flip", "move") else set()
@@ -589,7 +589,7 @@ def test_containment_matches_the_partial_sum_oracle(monkeypatch, fresh_certifica
         rows[2] = {**rows[2], c: rows[1][c]}
         rows[1] = {j: x for j, x in rows[1].items() if j != c}
     rows = tuple(rows)
-    monkeypatch.setattr(cyclo_family, "_coboundary_rows", lambda primes: rows)
+    monkeypatch.setattr(cyclo_family, "_coboundary_rows", lambda primes, points: rows)
     contained = cyclo_family._pullback_certificate(primes)[0]
     assert contained == partial_sum_containment(primes) == (mutation in (None, "flip"))
     columns = columns_of(rows, len(complexes.top_coboundary_domain(family_colors(primes))))
@@ -601,7 +601,7 @@ def test_containment_sums_only_the_base_columns(primes):
     # every other column of the join's coboundary is a translate of the
     # base column of its color, so only k+1 partial sums are ever held
     n = prod(primes)
-    rows = cyclo_family._coboundary_rows(primes)
+    rows = cyclo_family._coboundary_rows(primes, cyclo_family._crt_points(primes))
     columns = columns_of(rows, len(complexes.top_coboundary_domain(family_colors(primes))))
     summed = cyclo_family._summed_columns(n, columns)
     assert summed == set(rows[0])
@@ -615,13 +615,14 @@ def test_pullback_check_fails_on_a_proper_sublattice(monkeypatch, fresh_certific
     # not shown to lie in the lattice; the Hermite comparison, with the
     # dense matrix doubled, rejects the sublattice too
     primes = (2, 3, 5)
-    rows = tuple({c: 2 * x for c, x in row.items()} for row in cyclo_family._coboundary_rows(primes))
+    true_rows = cyclo_family._coboundary_rows(primes, cyclo_family._crt_points(primes))
+    rows = tuple({c: 2 * x for c, x in row.items()} for row in true_rows)
 
     def doubled_dense(colors, points):
         m = complexes.coboundary_restriction(colors, points)
         return IntMatrix(m.rows, m.cols, tuple(2 * x for x in m.entries))
 
-    monkeypatch.setattr(cyclo_family, "_coboundary_rows", lambda primes: rows)
+    monkeypatch.setattr(cyclo_family, "_coboundary_rows", lambda primes, points: rows)
     monkeypatch.setattr(cyclo_family, "coboundary_restriction", doubled_dense)
     contained, closed, solved, _, remainder = cyclo_family._pullback_certificate(primes)
     assert (contained, closed, solved) == (True, True, False)
@@ -642,7 +643,7 @@ def test_pullback_check_fails_under_mutation(monkeypatch, fresh_certificate, pri
     # shift), or one coefficient of Phi_n perturbed (the peel then leaves a
     # remainder): each turns the verdict false
     top = euler_phi(prod(primes))
-    rows = [dict(row) for row in cyclo_family._coboundary_rows(primes)]
+    rows = [dict(row) for row in cyclo_family._coboundary_rows(primes, cyclo_family._crt_points(primes))]
     c = min(rows[1])
     if mutation == "flip entry":
         rows[1][c] = -rows[1][c]
@@ -658,7 +659,7 @@ def test_pullback_check_fails_under_mutation(monkeypatch, fresh_certificate, pri
         perturbed = IntPoly(tuple(x + (j == 1) for j, x in enumerate(poly.coeffs)))
         monkeypatch.setattr(cyclo_family, "cyclotomic", lambda n: perturbed)
     rows = tuple(rows)
-    monkeypatch.setattr(cyclo_family, "_coboundary_rows", lambda primes: rows)
+    monkeypatch.setattr(cyclo_family, "_coboundary_rows", lambda primes, points: rows)
     contained, closed, solved, _, remainder = cyclo_family._pullback_certificate(primes)
     assert not (contained and closed and solved)
     if mutation == "phi":
@@ -728,6 +729,7 @@ CACHE_BOUNDS = {"_tuples": 16}
         groups.positive_dual_block,
         groups._tuples,
         _power_table,
+        _power_columns,
         cyclotomic,
         euler_phi,
         divisors,

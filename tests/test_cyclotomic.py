@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cofactor_cyclotomic
+from oracles import cofactor_cyclotomic, rowsum_eval_at_root
 
 from balacyc.cyclotomic import (
     CycInt,
@@ -323,3 +323,21 @@ def test_eval_matches_horner_embedding():
     z = cmath.exp(2j * cmath.pi / 6)
     direct = sum(c * z**k for k, c in enumerate(vec))
     assert abs(exact - direct) < 1e-9
+
+
+@st.composite
+def root_sums(draw):
+    """(values, n): values shorter than, as long as, or longer than n, with
+    small, negative and large entries, as a list or an IntPoly."""
+    n = draw(st.sampled_from([1, 2, 3, 6, 30, 105]))
+    length = draw(st.sampled_from([0, 1, max(n - 1, 0), n, n + 1, 2 * n + 3, 3 * n]))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    values = draw(st.lists(entry, min_size=length, max_size=length))
+    return (IntPoly(tuple(values)) if draw(st.booleans()) else values), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(root_sums())
+def test_column_sums_match_the_row_sums(case):
+    values, n = case
+    assert eval_at_root(values, n) == rowsum_eval_at_root(values, n)

@@ -1,9 +1,10 @@
 """Characters, orthogonality, and the exact Fourier transform."""
 
 import random
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import termwise_fourier_transform, termwise_inversion_check
@@ -137,6 +138,36 @@ def test_bucketed_sums_match_termwise(g, data):
     f = GroupFunction.from_vector(g, vec)
     assert fourier_transform(f) == termwise_fourier_transform(f)
     assert inversion_check(f) == termwise_inversion_check(f)
+
+
+# Orders of small groups drawn by hypothesis, trivial factors and the
+# empty product included.
+small_orders = st.lists(st.integers(1, 6), max_size=3).map(tuple).filter(lambda o: prod(o) <= 36)
+
+
+@st.composite
+def group_functions(draw):
+    g = FiniteAbelianGroup(draw(small_orders))
+    entry = st.one_of(st.integers(-5, 5), st.integers(-(2**65), 2**65))
+    return GroupFunction.from_vector(g, draw(st.lists(entry, min_size=g.order, max_size=g.order)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_functions())
+@example(GroupFunction(FiniteAbelianGroup((2, 2)), {(0, 1): 3, (1, 1): -2}))
+@example(GroupFunction(FiniteAbelianGroup((4, 2)), {(3, 1): 1, (2, 0): 5, (1, 1): -4}))
+@example(GroupFunction(FiniteAbelianGroup((3, 3)), {(1, 2): 2, (2, 2): -1, (0, 0): 7}))
+def test_exponent_row_sums_match_termwise_on_drawn_groups(f):
+    assert fourier_transform(f) == termwise_fourier_transform(f)
+    assert inversion_check(f) and termwise_inversion_check(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_orders, st.data())
+def test_exponent_row_is_the_pairing_at_every_element(orders, data):
+    g = FiniteAbelianGroup(orders)
+    chi = data.draw(st.sampled_from(g.characters()))
+    assert groups._exponent_row(g, chi) == [g.pairing_exponent(chi, x) for x in g.elements()]
 
 
 @pytest.mark.parametrize("g", DIFFERENTIAL_GROUPS)
