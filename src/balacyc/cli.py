@@ -9,7 +9,8 @@ sets), 3 internal error.
 Input is validated here, before any computation starts, with the library's
 own checks (check_primes, check_colors, CycloComplexData.build,
 normalize_top_cells, build_complex); only their ValueErrors become usage
-errors. A ValueError raised later, inside a computation, is an internal
+errors. So is --out: a report path that cannot be written is a usage
+error too. A ValueError raised later, inside a computation, is an internal
 error. A selection of no sets at all is a usage error too, never an
 empty verified run.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import traceback
@@ -65,6 +67,15 @@ def _checked(check, *args):
         return check(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _check_out(path) -> None:
+    """UsageError unless a report can be written to path: not a directory,
+    in an existing directory, writable."""
+    parent = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        raise UsageError(f"cannot write the report to {path!r}")
 
 
 def _int_at_least(minimum: int, kind: str):
@@ -458,6 +469,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.out:
+            _check_out(args.out)
         report, ok, table = _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

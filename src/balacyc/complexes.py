@@ -28,7 +28,9 @@ full join (_fourier_certificate): when the top coboundary image equals
 the transform-vanishing lattice there, every restriction to a set of top
 cells agrees too. The peel (_peel) writes any function on the join as a
 top coboundary plus a remainder on the points with no coordinate 0; the
-CRT pullback in cyclo_family uses it as well.
+CRT pullback in cyclo_family uses it as well, and both certificates read
+the top coboundary's sparse columns from one builder, _coboundary_columns,
+with rows in the order of the points each passes.
 
 Cells are plain pairs (support, vertices): `support` is the increasing
 tuple of color indices, `vertices[j]` the element of the support[j]-th
@@ -341,14 +343,16 @@ def top_coboundary_domain(colors: tuple[FiniteAbelianGroup, ...]) -> tuple[tuple
     return tuple(labels)
 
 
-def _coboundary_columns(colors: tuple[FiniteAbelianGroup, ...]) -> tuple[dict[int, int], ...]:
-    """The sparse columns of coboundary_top_matrix, in top_coboundary_domain order.
+def _coboundary_columns(colors: tuple[FiniteAbelianGroup, ...], points) -> tuple[dict[int, int], ...]:
+    """The sparse columns of the top coboundary, in top_coboundary_domain order.
 
-    Column (i, t) maps the row (nested_elements order) of each point
-    t[:i] + (g_i,) + t[i:], g_i in G_i, to (-1)**i: the fibre of slot i
-    through t.
+    Row r is the point points[r]; points lists every point of
+    G_0 x ... x G_k once, in any order (nested_elements for
+    coboundary_top_matrix, the CRT points of Z_n for the pullback).
+    Column (i, t) maps the row of each point t[:i] + (g_i,) + t[i:],
+    g_i in G_i, to (-1)**i: the fibre of slot i through t.
     """
-    index = {g: r for r, g in enumerate(nested_elements(colors))}
+    index = {g: r for r, g in enumerate(points)}
     return tuple(
         {index[t[:i] + (gi,) + t[i:]]: -1 if i % 2 else 1 for gi in colors[i].elements()}
         for i, t in top_coboundary_domain(colors)
@@ -366,7 +370,7 @@ def coboundary_top_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     (6.7M entries on Z2 * Z3 * Z5 * Z7 * Z11), so the cache holds a few
     color tuples.
     """
-    return _dense(prod(g.order for g in colors), _coboundary_columns(colors))
+    return _dense(prod(g.order for g in colors), _coboundary_columns(colors, nested_elements(colors)))
 
 
 def apply_top_coboundary(colors, cochain) -> tuple[int, ...]:
@@ -551,28 +555,29 @@ def _fourier_certificate(colors: tuple[FiniteAbelianGroup, ...]) -> bool:
     saturated kernel of fourier_vanishing_matrix: then their restrictions
     to any set of top cells agree too.
 
-    Three exact checks on the sparse columns of delta_J, N being the
-    points with no coordinate 0. (a) im delta_J lies in K: the vanishing
-    matrix annihilates every column (not only the base columns and their
-    translates, which would trust its rows to be character values).
-    (b) Z^G = im delta_J + Z^N: each peel step's column has entry +-1 at
-    its point and its other points at a lower level (_peel_order), so the
-    peel writes any f as delta_J c + r with r on N. (c) K meets Z^N only
-    in 0: per color, [chi(g)] over chi nontrivial and g nonzero has full
-    column rank (_injective_off_zero), and on N the transform at the
-    characters nontrivial in every slot is the tensor product of these.
-    Then f in K gives r = f - delta_J c in K on N, so r = 0.
+    Three exact checks on the sparse columns of delta_J (_coboundary_columns
+    over nested_elements), N being the points with no coordinate 0.
+    (a) im delta_J lies in K: the vanishing matrix annihilates every
+    column (not only the base columns and their translates, which would
+    trust its rows to be character values). (b) Z^G = im delta_J + Z^N:
+    each peel step's column has entry +-1 at its point and its other
+    points at a lower level (_peel_order), so the peel writes any f as
+    delta_J c + r with r on N. (c) K meets Z^N only in 0: per color,
+    [chi(g)] over chi nontrivial and g nonzero, in g's own conductor, has
+    full column rank (_injective_off_zero), and on N the transform at the characters
+    nontrivial in every slot is the tensor product of these. Then f in K
+    gives r = f - delta_J c in K on N, so r = 0.
     """
-    columns = _coboundary_columns(colors)
+    points = nested_elements(colors)
+    columns = _coboundary_columns(colors, points)
     vanishing = fourier_vanishing_matrix(colors)
     by_point = [vanishing.column(x) for x in range(vanishing.cols)]
     contained = all(_annihilates(by_point, column) for column in columns)
-    level, steps = _peel_order(colors, nested_elements(colors))
+    level, steps = _peel_order(colors, points)
     peels = all(
         columns[c].get(x) in (1, -1) and all(level[y] < level[x] for y in columns[c] if y != x) for x, c in steps
     )
-    n = product_group(colors).exponent
-    return contained and peels and all(_injective_off_zero(g, n) for g in colors)
+    return contained and peels and all(_injective_off_zero(g) for g in colors)
 
 
 def _annihilates(by_point, column) -> bool:
@@ -583,27 +588,16 @@ def _annihilates(by_point, column) -> bool:
     return not any(total)
 
 
-def _injective_off_zero(g: FiniteAbelianGroup, n: int) -> bool:
+def _injective_off_zero(g: FiniteAbelianGroup) -> bool:
     """Whether no nonzero integer function on the nonzero elements of g has
     a transform vanishing at every nontrivial character: check (c) of
     _fourier_certificate for one color.
 
-    chi(x) is written in the power basis of Z[zeta_n], n a multiple of
-    the exponent of g. The rows of all nontrivial characters are closed
-    under Galois conjugation, so full column rank over Q rules out a
-    complex kernel too; as in fourier_vanishing_matrix, one character
-    per orbit chi -> u * chi, u a unit mod n, cuts out the same kernel.
+    That is full column rank of fourier_vanishing_matrix((g,)), in g's
+    own conductor, without its column at 0. Its rows are one character
+    per Galois orbit, so full rank over Q rules out a complex kernel too.
     """
-    step = n // g.exponent
-    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
-    seen = set()
-    rows = []
-    for chi in g.characters()[1:]:
-        if chi in seen:
-            continue
-        seen.update(tuple(u * a % m for a, m in zip(chi, g.orders)) for u in units)
-        values = [root_power(n, step * g.pairing_exponent(chi, x)).coords for x in g.elements()[1:]]
-        rows.extend({j: v[t] for j, v in enumerate(values) if v[t]} for t in range(euler_phi(n)))
+    rows = [{j: v for j, v in enumerate(row[1:]) if v} for row in fourier_vanishing_matrix((g,)).to_rows()]
     return len(sparse_invariant_factors(rows)) == g.order - 1
 
 

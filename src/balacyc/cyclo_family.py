@@ -19,12 +19,12 @@ from math import gcd, prod
 
 from .complexes import (
     BalancedComplex,
+    _coboundary_columns,
     _coboundary_of,
     _peel,
     coboundary_restriction,
     cohomology_profile,
     homology_profile,
-    top_coboundary_domain,
     uct_holds,
 )
 from .cyclotomic import _remainders, cyclotomic, euler_phi, eval_at_root, is_prime, root_power
@@ -252,48 +252,9 @@ def _coboundary_form(data: CycloComplexData) -> HermiteForm:
     return hermite_normal_form(coboundary_restriction(family_colors(data.primes), points))
 
 
-def _coboundary_rows(primes: tuple[int, ...], points) -> tuple[dict[int, int], ...]:
-    """The full join's top coboundary as sparse rows on the residues of Z_n.
-
-    points[x] is the point of residue x, crt_split(primes, x) (see
-    _crt_points); rows[x] maps the column of (i, g without slot i) in
-    top_coboundary_domain to (-1)**i, with g = points[x].
-    """
-    column = {label: c for c, label in enumerate(top_coboundary_domain(family_colors(primes)))}
-    signs = [-1 if i % 2 else 1 for i in range(len(primes))]
-    return tuple(
-        {column[(i, g[:i] + g[i + 1 :])]: e for i, e in enumerate(signs)} for g in points
-    )
-
-
 def _crt_points(primes: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
     """crt_split(primes, x) for every residue x of Z_n, in residue order."""
     return [crt_split(primes, x) for x in range(prod(primes))]
-
-
-def _summed_columns(n: int, columns) -> set[int]:
-    """The sparse columns on Z_n whose sums decide whether every column
-    evaluates to 0 in Z[zeta_n]: the base columns, those through residue
-    0, and every column that is not a translate of one.
-
-    Lemma: a column whose (residue, entry) pairs, each residue less its
-    least residue x0 (mod n), are a base column's pairs evaluates to
-    zeta_n**x0 times that base column, so it vanishes exactly when the
-    base column does. In the join's top coboundary the column of (i, t)
-    holds the fibre x0 + (n/p_i) * Z_p_i, each entry (-1)**i: a translate
-    of the base column of color i. So only the k+1 base columns are
-    summed there. An empty column vanishes and is left out.
-    """
-    bases = {frozenset(column.items()) for column in columns if 0 in column}
-    summed = set()
-    for c, column in enumerate(columns):
-        if 0 in column:
-            summed.add(c)
-        elif column:
-            x0 = min(column)
-            if frozenset(((x - x0) % n, e) for x, e in column.items()) not in bases:
-                summed.add(c)
-    return summed
 
 
 @lru_cache(maxsize=8)
@@ -303,13 +264,16 @@ def _pullback_certificate(primes: tuple[int, ...]) -> tuple[bool, bool, bool, di
     Z[Z_n] -> Z[zeta_n].
 
     Returns (contained, closed, solved, cochain, remainder), read off the
-    columns of _coboundary_rows, built from the n CRT points of
-    _crt_points, computed once and read by the peel too:
-    - contained: L_cob lies in L_ker: the columns of _summed_columns sum
-      to 0 in Z[zeta_n], over the coordinates of z**x mod Phi_n streamed
-      once from cyclotomic._remainders; every other column is a translate
-      of a base column and vanishes with it.
-    - closed: L_cob is closed under multiplication by z (_shift_closed).
+    sparse columns of the join's top coboundary with row x the CRT point
+    of residue x (_coboundary_columns over _crt_points), computed once
+    and read by the peel too:
+    - closed: L_cob is closed under multiplication by z: each column,
+      shifted by one residue, is a column up to sign (_shift_closed).
+    - contained: the columns through residue 0, the k+1 base columns of
+      the join, sum to 0 in Z[zeta_n], over the coordinates of z**x mod
+      Phi_n streamed once from cyclotomic._remainders. With closed, a
+      column c through x, shifted n - x times, is +-a column through 0,
+      so z**(n-x) * c, and with it c, vanishes too: L_cob lies in L_ker.
     - cochain and remainder: the peel (complexes._peel) of f, the
       coefficients of Phi_n up to degree phi(n) and zero above.
     - solved: the columns applied to the cochain give f exactly, so Phi_n
@@ -320,23 +284,21 @@ def _pullback_certificate(primes: tuple[int, ...]) -> tuple[bool, bool, bool, di
     """
     n = prod(primes)
     phi = euler_phi(n)
+    colors = family_colors(primes)
     points = _crt_points(primes)
-    columns: list[dict[int, int]] = [{} for _ in top_coboundary_domain(family_colors(primes))]
-    for x, row in enumerate(_coboundary_rows(primes, points)):
-        for c, e in row.items():
-            columns[c][x] = e
-    summed = _summed_columns(n, columns)
-    sums = {c: [0] * phi for c in summed}
-    last = max((x for c in summed for x in columns[c]), default=-1)
+    columns = _coboundary_columns(colors, points)
+    base = {c: column for c, column in enumerate(columns) if 0 in column}
+    sums = {c: [0] * phi for c in base}
+    last = max((x for column in base.values() for x in column), default=-1)
     for x, r in zip(range(last + 1), _remainders(n)):
-        for c in summed:
-            e = columns[c].get(x)
+        for c, column in base.items():
+            e = column.get(x)
             if e:
                 sums[c] = [s + e * y for s, y in zip(sums[c], r)]
     contained = not any(any(s) for s in sums.values())
     coeffs = cyclotomic(n).coeffs
     f = {x: coeffs[x] for x in range(phi + 1) if coeffs[x]}
-    cochain, remainder = _peel(family_colors(primes), points, columns, f)
+    cochain, remainder = _peel(colors, points, columns, f)
     solved = _coboundary_of(columns, cochain) == f
     return contained, _shift_closed(n, columns), solved, cochain, remainder
 

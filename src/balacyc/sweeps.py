@@ -219,16 +219,12 @@ def default_sweep_report(seed: int = DEFAULT_SEED) -> tuple[dict, dict[str, tupl
     return report, counts
 
 
-def verified_counts(node) -> tuple[int, int]:
-    """(verified, total) over the dicts that carry "ok" in a report dict or list."""
-    verified = total = 0
-    if isinstance(node, dict):
-        if "ok" in node:
-            verified, total = int(bool(node["ok"])), 1
-        node = node.values()
-    for child in node:
-        if isinstance(child, (dict, list)):
-            v, t = verified_counts(child)
-            verified += v
-            total += t
-    return verified, total
+def verified_counts(section) -> tuple[int, int]:
+    """(verified, total) of a report section's items.
+
+    Every "ok" sits at item level: a section is a list of groups, each
+    with its "items", or, like coefficient_coboundary, the list of items
+    itself.
+    """
+    items = [item for group in section for item in group.get("items", (group,))]
+    return sum(bool(item["ok"]) for item in items), len(items)

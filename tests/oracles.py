@@ -13,7 +13,7 @@ from math import gcd, prod
 
 from balacyc import cyclo_family
 from balacyc.complexes import BalancedComplex, _boundary_columns, _with_rows, coboundary_lattice, fourier_lattice
-from balacyc.cyclo_family import CycloComplexData, _coboundary_form, root_relation_lattice
+from balacyc.cyclo_family import CycloComplexData, _coboundary_form, family_colors, root_relation_lattice
 from balacyc.cyclotomic import (
     CycInt,
     IntPoly,
@@ -25,7 +25,7 @@ from balacyc.cyclotomic import (
     root_power,
     xn_minus_1,
 )
-from balacyc.groups import positive_dual_block, product_group
+from balacyc.groups import FiniteAbelianGroup, positive_dual_block, product_group
 from balacyc.intlinalg import (
     AbelianGroupStructure,
     HermiteForm,
@@ -168,12 +168,28 @@ def direct_pullback_factors(primes, subset) -> tuple[int, ...]:
     """Invariant factors of the pulled-back coboundary rows at the top indices,
     every row eliminated afresh.
 
-    The rows are those of _coboundary_rows, looked up when called, so a
-    test that patches them, or crt_split, is seen here too.
+    The rows are those of pullback_rows, so a test that patches
+    _coboundary_columns, or crt_split, is seen here too.
     """
     data = CycloComplexData.build(primes, subset)
-    rows = cyclo_family._coboundary_rows(data.primes, cyclo_family._crt_points(data.primes))
+    rows = pullback_rows(data.primes)
     return sparse_invariant_factors([rows[x] for x in data.pullback_indices])
+
+
+def pullback_rows(primes) -> list[dict[int, int]]:
+    """The join's top coboundary on the residues of Z_n, as sparse rows.
+
+    cyclo_family._coboundary_columns over the CRT points, looked up when
+    called and transposed here: rows[x] maps each column through residue
+    x to its entry.
+    """
+    primes = tuple(primes)
+    columns = cyclo_family._coboundary_columns(family_colors(primes), cyclo_family._crt_points(primes))
+    rows: list[dict[int, int]] = [{} for _ in range(prod(primes))]
+    for c, column in enumerate(columns):
+        for x, e in column.items():
+            rows[x][c] = e
+    return rows
 
 
 def kernel_rank_and_index(data: CycloComplexData) -> tuple[int, int]:
@@ -218,12 +234,11 @@ def partial_sum_containment(primes) -> bool:
 
     Each residue x adds the power-basis coordinates of z**x mod Phi_n
     (cyclotomic._remainders), times its entry, to the sum of every column
-    it meets; no column is taken for a translate of another. The rows are
-    those of _coboundary_rows, looked up when called, so a test that
-    patches them is seen here too.
+    it meets; no column is taken for a shift of another. The rows are
+    those of pullback_rows, so a test that patches _coboundary_columns is
+    seen here too.
     """
-    primes = tuple(primes)
-    rows = cyclo_family._coboundary_rows(primes, cyclo_family._crt_points(primes))
+    rows = pullback_rows(primes)
     n = len(rows)
     zero = [0] * euler_phi(n)
     sums: dict[int, list[int]] = {}
@@ -255,6 +270,40 @@ def full_block_vanishing_matrix(colors) -> IntMatrix:
     if not rows:
         return IntMatrix.zero(0, len(points))
     return IntMatrix.from_rows(rows)
+
+
+def conductor_injective_off_zero(g: FiniteAbelianGroup, n: int) -> bool:
+    """Check (c) of complexes._fourier_certificate for one color, with chi(x)
+    written in the power basis of Z[zeta_n], n any multiple of the exponent
+    of g: one character per orbit chi -> u * chi, u a unit mod n, and
+    full column rank of their coordinate rows on the nonzero elements."""
+    step = n // g.exponent
+    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+    seen = set()
+    rows = []
+    for chi in g.characters()[1:]:
+        if chi in seen:
+            continue
+        seen.update(tuple(u * a % m for a, m in zip(chi, g.orders)) for u in units)
+        values = [root_power(n, step * g.pairing_exponent(chi, x)).coords for x in g.elements()[1:]]
+        rows.extend({j: v[t] for j, v in enumerate(values) if v[t]} for t in range(euler_phi(n)))
+    return len(sparse_invariant_factors(rows)) == g.order - 1
+
+
+def walked_verified_counts(node) -> tuple[int, int]:
+    """(verified, total) over every dict that carries "ok", anywhere in a
+    report dict or list, found by walking every node."""
+    verified = total = 0
+    if isinstance(node, dict):
+        if "ok" in node:
+            verified, total = int(bool(node["ok"])), 1
+        node = node.values()
+    for child in node:
+        if isinstance(child, (dict, list)):
+            v, t = walked_verified_counts(child)
+            verified += v
+            total += t
+    return verified, total
 
 
 def rowsum_eval_at_root(values, n: int) -> CycInt:

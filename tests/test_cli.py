@@ -208,6 +208,20 @@ def test_sweep_table_counts_a_failing_item(capsys, monkeypatch):
     ]
 
 
+def test_unwritable_out_is_a_usage_error_before_the_computation(capsys, monkeypatch, tmp_path):
+    # a missing directory or a directory as the file: exit 2 with one
+    # error line, and the command is never dispatched
+    def refuse(args):
+        raise AssertionError("the computation ran before --out was checked")
+
+    monkeypatch.setitem(cli._DISPATCH, "cyclo", refuse)
+    for target in (tmp_path / "missing" / "r.json", tmp_path):
+        code, out, err = run(capsys, "cyclo", "6", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("seed", [0, 37])
 def test_sweep_report_bytes_match_recorded_digest(tmp_path, capsys, seed):
     digests = json.loads((ROOT / "perfbench" / "sweep_digests.json").read_text())

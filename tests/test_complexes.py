@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 import weakref
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     boundary_cohomology_profile,
     boundary_homology_profile,
+    conductor_injective_off_zero,
     full_block_vanishing_matrix,
     hermite_fourier_matches,
 )
@@ -47,6 +49,7 @@ from balacyc.groups import (
     product_group,
 )
 from balacyc.cyclo_family import build_family_complex, verify_homology_tables
+from balacyc.cyclotomic import euler_phi
 from balacyc.intlinalg import AbelianGroupStructure, hermite_normal_form, kernel_basis, smith_normal_form
 
 Z2 = FiniteAbelianGroup((2,))
@@ -54,6 +57,7 @@ Z3 = FiniteAbelianGroup((3,))
 Z4 = FiniteAbelianGroup((4,))
 Z5 = FiniteAbelianGroup((5,))
 Z7 = FiniteAbelianGroup((7,))
+Z9 = FiniteAbelianGroup((9,))
 Z22 = FiniteAbelianGroup((2, 2))
 
 
@@ -400,7 +404,7 @@ def test_peel_writes_f_as_a_coboundary_plus_a_remainder_on_N(case):
     # cyclic and non-cyclic colors, colors of order 2, and k = 0
     colors, f = case
     points = nested_elements(colors)
-    columns = complexes._coboundary_columns(colors)
+    columns = complexes._coboundary_columns(colors, points)
     cochain, rest = complexes._peel(colors, points, columns, f)
     total = complexes._coboundary_of(columns, cochain)
     for x, v in rest.items():
@@ -476,16 +480,67 @@ def test_fourier_verdict_fails_under_mutation(monkeypatch, clear_fourier_caches,
 
         monkeypatch.setattr(FiniteAbelianGroup, "pairing_exponent", perturbed)
     else:
-        columns = complexes._coboundary_columns(colors)
+        columns = complexes._coboundary_columns(colors, points)
         if mutation == "flip entry":
             columns = tuple({**col, 0: -col[0]} if c == 0 else col for c, col in enumerate(columns))
         else:
             columns = tuple({x: 2 * e for x, e in col.items()} for col in columns)
-        monkeypatch.setattr(complexes, "_coboundary_columns", lambda colors: columns)
+        monkeypatch.setattr(complexes, "_coboundary_columns", lambda colors, points: columns)
     clear_fourier_caches()
     assert coboundary_matches_fourier(colors, points) is False
     assert coboundary_matches_fourier(colors, ()) is False
     assert hermite_fourier_matches(colors, points) is False
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([Z2, Z3, Z22, Z24, Z9]), min_size=1, max_size=3), st.randoms(use_true_random=False))
+@example([Z22, Z24, Z9], random.Random(0))
+def test_coboundary_columns_follow_the_point_order(colors, rng):
+    # k = 0..2, cyclic and non-cyclic colors: the columns over shuffled
+    # points are the nested-order columns with their rows renumbered, and
+    # densified they are the rows of the dense coboundary in that order
+    colors = tuple(colors)
+    nested = nested_elements(colors)
+    points = list(nested)
+    rng.shuffle(points)
+    row_of = {g: r for r, g in enumerate(points)}
+    renumbered = tuple(
+        {row_of[nested[x]]: e for x, e in column.items()} for column in complexes._coboundary_columns(colors, nested)
+    )
+    columns = complexes._coboundary_columns(colors, points)
+    assert columns == renumbered
+    position = {g: x for x, g in enumerate(nested)}
+    dense = coboundary_top_matrix(colors).select_rows([position[g] for g in points])
+    assert complexes._dense(len(points), columns) == dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 9), min_size=1, max_size=2).filter(lambda orders: prod(orders) <= 36), st.integers(1, 4))
+@example([2, 2], 3)
+@example([9], 2)
+def test_injective_off_zero_matches_the_product_conductor_check(orders, multiple):
+    # check (c) in g's own conductor agrees with it written in the
+    # conductor of a product whose exponent g's divides
+    g = FiniteAbelianGroup(tuple(orders))
+    assert complexes._injective_off_zero(g) is conductor_injective_off_zero(g, multiple * g.exponent) is True
+
+
+@pytest.mark.parametrize("colors", [(Z4, Z3), (Z22, Z3), (Z2, Z3, Z5)], ids=["4*3", "2x2*3", "2*3*5"])
+def test_fourier_verdict_fails_without_one_orbit_of_a_color(monkeypatch, clear_fourier_caches, colors):
+    # the single-color vanishing matrix of the first color loses the rows
+    # of its first character orbit: check (c) no longer has full rank
+    assert coboundary_matches_fourier(colors, ())
+    real = complexes.fourier_vanishing_matrix
+    first = colors[0]
+
+    def without_one_orbit(cs):
+        m = real(cs)
+        return m.select_rows(range(euler_phi(first.exponent), m.rows)) if cs == (first,) else m
+
+    monkeypatch.setattr(complexes, "fourier_vanishing_matrix", without_one_orbit)
+    clear_fourier_caches()
+    assert complexes._injective_off_zero(first) is False
+    assert coboundary_matches_fourier(colors, ()) is False
 
 
 # --- membership ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from oracles import (
     index_pullback_matches,
     kernel_rank_and_index,
     partial_sum_containment,
+    pullback_rows,
     reference_hermite_normal_form,
 )
 
@@ -484,7 +485,7 @@ def fresh_certificate():
 
 
 def columns_of(rows, width):
-    """The sparse columns of sparse rows on Z_n, as the certificate builds them."""
+    """The sparse columns of sparse rows on Z_n, as _coboundary_columns builds them."""
     columns = [{} for _ in range(width)]
     for x, row in enumerate(rows):
         for c, e in row.items():
@@ -540,7 +541,9 @@ def test_pullback_check_fails_when_a_column_leaves_the_kernel(monkeypatch, fresh
     # residues 1 and 2 of Z_30 share no coboundary column; swapping their
     # points moves each column through them out of the kernel, while the
     # restricted lattice on all 30 residues keeps its rank and factors: the
-    # index alone cannot see the swap, the containment half does
+    # index alone cannot see the swap, containment with closure does (the
+    # base columns, through residue 0, miss both residues: only the shift
+    # closure sees the moved columns)
     primes, subset = (2, 3, 5), tuple(range(9))
     assert pullback_matches_root_kernel(primes, subset)
 
@@ -549,8 +552,8 @@ def test_pullback_check_fails_when_a_column_leaves_the_kernel(monkeypatch, fresh
 
     monkeypatch.setattr(cyclo_family, "crt_split", swapped)
     cyclo_family._pullback_certificate.cache_clear()
-    contained, *_ = cyclo_family._pullback_certificate(primes)
-    assert not contained
+    contained, closed, *_ = cyclo_family._pullback_certificate(primes)
+    assert not (contained and closed)
     data = CycloComplexData.build(primes, subset)
     factors = direct_pullback_factors(primes, subset)
     assert (len(factors), prod(factors)) == kernel_rank_and_index(data)
@@ -562,50 +565,47 @@ def test_pullback_check_fails_when_a_column_leaves_the_kernel(monkeypatch, fresh
 @pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (2, 3, 7), (3, 5, 7), (5, 7, 11)])
 @pytest.mark.parametrize("mutation", [None, "swap", "flip", "double", "move"])
 def test_containment_matches_the_partial_sum_oracle(monkeypatch, fresh_certificate, primes, mutation):
-    # the containment flag, summed on base and non-translate columns only,
-    # equals the sum over every column, on the true rows and on rows with
-    # residues 1 and 2 swapped in crt_split, a column's sign flipped (still
-    # in the kernel, but no translate), a base column's entry at residue 0
-    # doubled, or a column moved off its fibre at one residue. The last is
-    # no translate of a base column and no longer vanishes: the translate
-    # shortcut applied to it would wrongly keep the flag true
+    # containment (the base columns, through residue 0, summed) with
+    # closure under the shift equals the sum over every column, on the true
+    # rows and on rows with residues 1 and 2 swapped in crt_split, a
+    # column's sign flipped (still in the kernel, and closed up to sign), a
+    # base column's entry at residue 0 doubled, or a column moved off its
+    # fibre at one residue. The moved column misses residue 0, so from
+    # n = 30 on containment holds and only closure sees it
     n = prod(primes)
     if mutation == "swap":
         monkeypatch.setattr(cyclo_family, "crt_split", lambda primes, x: crt_split(primes, {1: 2, 2: 1}.get(x, x)))
-    rows = list(cyclo_family._coboundary_rows(primes, cyclo_family._crt_points(primes)))
+    rows = pullback_rows(primes)
     # a column through residue 1; never a base column, as 1 is a multiple of no n/p
     c = min(rows[1])
-    touched = {c} if mutation in ("flip", "move") else set()
-    if mutation == "swap":
-        touched = set(rows[1]) | set(rows[2])
-    elif mutation == "flip":
+    if mutation == "flip":
         rows = [{j: -x if j == c else x for j, x in row.items()} for row in rows]
     elif mutation == "double":
         b = min(rows[0])
         rows[0] = {**rows[0], b: 2 * rows[0][b]}
-        touched = {b}
     elif mutation == "move":
         # residue 2 lies outside the fibre of c: 2 and 1 differ mod every prime
         rows[2] = {**rows[2], c: rows[1][c]}
         rows[1] = {j: x for j, x in rows[1].items() if j != c}
-    rows = tuple(rows)
-    monkeypatch.setattr(cyclo_family, "_coboundary_rows", lambda primes, points: rows)
-    contained = cyclo_family._pullback_certificate(primes)[0]
-    assert contained == partial_sum_containment(primes) == (mutation in (None, "flip"))
     columns = columns_of(rows, len(complexes.top_coboundary_domain(family_colors(primes))))
-    assert touched <= cyclo_family._summed_columns(n, columns)
+    monkeypatch.setattr(cyclo_family, "_coboundary_columns", lambda colors, points: columns)
+    contained, closed, *_ = cyclo_family._pullback_certificate(primes)
+    assert (contained and closed) == partial_sum_containment(primes) == (mutation in (None, "flip"))
+    if mutation == "double":
+        assert not contained
+    if mutation == "move" and n >= 30:
+        assert contained and not closed
 
 
 @pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (3, 5, 7), (5, 7, 11), (3, 5, 7, 11)])
 def test_containment_sums_only_the_base_columns(primes):
-    # every other column of the join's coboundary is a translate of the
-    # base column of its color, so only k+1 partial sums are ever held
+    # the columns through residue 0, the only ones containment sums, are
+    # the k+1 fibres {a * n/p_i} of the colors, in color order; closure
+    # carries every other column to +- one of them
     n = prod(primes)
-    rows = cyclo_family._coboundary_rows(primes, cyclo_family._crt_points(primes))
-    columns = columns_of(rows, len(complexes.top_coboundary_domain(family_colors(primes))))
-    summed = cyclo_family._summed_columns(n, columns)
-    assert summed == set(rows[0])
-    assert len(summed) == len(primes)
+    columns = cyclo_family._coboundary_columns(family_colors(primes), cyclo_family._crt_points(primes))
+    base = [column for column in columns if 0 in column]
+    assert base == [{a * (n // p): -1 if i % 2 else 1 for a in range(p)} for i, p in enumerate(primes)]
 
 
 def test_pullback_check_fails_on_a_proper_sublattice(monkeypatch, fresh_certificate):
@@ -615,14 +615,14 @@ def test_pullback_check_fails_on_a_proper_sublattice(monkeypatch, fresh_certific
     # not shown to lie in the lattice; the Hermite comparison, with the
     # dense matrix doubled, rejects the sublattice too
     primes = (2, 3, 5)
-    true_rows = cyclo_family._coboundary_rows(primes, cyclo_family._crt_points(primes))
-    rows = tuple({c: 2 * x for c, x in row.items()} for row in true_rows)
+    rows = [{c: 2 * x for c, x in row.items()} for row in pullback_rows(primes)]
+    columns = columns_of(rows, len(complexes.top_coboundary_domain(family_colors(primes))))
 
     def doubled_dense(colors, points):
         m = complexes.coboundary_restriction(colors, points)
         return IntMatrix(m.rows, m.cols, tuple(2 * x for x in m.entries))
 
-    monkeypatch.setattr(cyclo_family, "_coboundary_rows", lambda primes, points: rows)
+    monkeypatch.setattr(cyclo_family, "_coboundary_columns", lambda colors, points: columns)
     monkeypatch.setattr(cyclo_family, "coboundary_restriction", doubled_dense)
     contained, closed, solved, _, remainder = cyclo_family._pullback_certificate(primes)
     assert (contained, closed, solved) == (True, True, False)
@@ -643,7 +643,7 @@ def test_pullback_check_fails_under_mutation(monkeypatch, fresh_certificate, pri
     # shift), or one coefficient of Phi_n perturbed (the peel then leaves a
     # remainder): each turns the verdict false
     top = euler_phi(prod(primes))
-    rows = [dict(row) for row in cyclo_family._coboundary_rows(primes, cyclo_family._crt_points(primes))]
+    rows = pullback_rows(primes)
     c = min(rows[1])
     if mutation == "flip entry":
         rows[1][c] = -rows[1][c]
@@ -658,8 +658,8 @@ def test_pullback_check_fails_under_mutation(monkeypatch, fresh_certificate, pri
         poly = cyclotomic(prod(primes))
         perturbed = IntPoly(tuple(x + (j == 1) for j, x in enumerate(poly.coeffs)))
         monkeypatch.setattr(cyclo_family, "cyclotomic", lambda n: perturbed)
-    rows = tuple(rows)
-    monkeypatch.setattr(cyclo_family, "_coboundary_rows", lambda primes, points: rows)
+    columns = columns_of(rows, len(complexes.top_coboundary_domain(family_colors(primes))))
+    monkeypatch.setattr(cyclo_family, "_coboundary_columns", lambda colors, points: columns)
     contained, closed, solved, _, remainder = cyclo_family._pullback_certificate(primes)
     assert not (contained and closed and solved)
     if mutation == "phi":

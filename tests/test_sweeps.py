@@ -3,9 +3,12 @@
 import json
 
 import pytest
+from oracles import walked_verified_counts
 
+from balacyc import sweeps
 from balacyc.sweeps import (
     bounded_subsets,
+    default_sweep_report,
     family_subsets,
     pullback_subsets,
     random_index_subsets,
@@ -74,3 +77,22 @@ def test_transform_sweep_items():
     items = run_transform_pullback_sweep((2, 3), 5, 3, 11)
     assert [i["function"] for i in items] == list(range(5))
     assert all(i["ok"] for i in items)
+
+
+@pytest.mark.parametrize("seed, failing", [(0, False), (1, False), (2, False), (3, False), (0, True)])
+def test_verified_counts_match_the_walked_counts(monkeypatch, seed, failing):
+    # the per-section item counts equal a walk over every node of the
+    # report, also with one failing coefficient-coboundary item
+    if failing:
+        real = sweeps.run_coefficient_coboundary_sweep
+
+        def one_failing(prime_tuples):
+            items = real(prime_tuples)
+            items[0]["ok"] = False
+            return items
+
+        monkeypatch.setattr(sweeps, "run_coefficient_coboundary_sweep", one_failing)
+    report, counts = default_sweep_report(seed)
+    assert counts == {name: walked_verified_counts(section) for name, section in report["sections"].items()}
+    assert report["ok"] is not failing
+    assert (counts["coefficient_coboundary"] == (2, 3)) is failing
