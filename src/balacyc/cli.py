@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="subset", help="one point set as JSON")
     p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
     p.add_argument("--max-size", type=_int_at_least(0, "nonnegative"), default=None)
-    p.add_argument("--random", type=int, default=0, metavar="N")
+    p.add_argument("--random", type=_int_at_least(1, "positive"), metavar="N")
     common(p)
 
     p = sub.add_parser(
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="subset", help="comma list of residues (may be empty)")
     p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
     p.add_argument("--max-size", type=_int_at_least(0, "nonnegative"), default=None)
-    p.add_argument("--random", type=int, default=0, metavar="N")
+    p.add_argument("--random", type=_int_at_least(1, "positive"), metavar="N")
     common(p)
 
     p = sub.add_parser(
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="subset", help="one nonempty comma list of residues")
     p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
     p.add_argument("--max-size", type=_int_at_least(0, "nonnegative"), default=None)
-    p.add_argument("--random", type=int, default=0, metavar="N")
+    p.add_argument("--random", type=_int_at_least(1, "positive"), metavar="N")
     common(p)
 
     p = sub.add_parser(
@@ -298,7 +298,7 @@ def _cmd_verify_coboundaries(args):
         point_sets = [points]
     elif args.exhaustive:
         point_sets = _exhaustive_subsets(nested_elements(colors), 0, args.max_size)
-    elif args.random > 0:
+    elif args.random:
         point_sets = sorted(random_point_subsets(colors, args.random, random.Random(args.seed)))
     else:
         raise UsageError("choose one of --set, --all-subsets, --random N")
@@ -325,7 +325,7 @@ def _index_subsets_from_args(args, data: CycloComplexData, nonempty: bool):
         return [subset]
     if args.exhaustive:
         return _exhaustive_subsets(range(data.totient + 1), int(nonempty), args.max_size)
-    if args.random > 0:
+    if args.random:
         drawn = random_index_subsets(data.totient, args.random, random.Random(args.seed), nonempty)
         return sorted(drawn, key=lambda s: (len(s), s))
     raise UsageError("choose one of --set, --all-subsets, --random N")

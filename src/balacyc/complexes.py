@@ -13,11 +13,13 @@ Z-basis of products (e_{h_0} - e_0) x ... x (e_{h_k} - e_0) with every
 h_i nonzero (Kunneth for the augmented chain complexes Z^{G_i} -> Z).
 Since X shares every chain group of J below the top, H_i(X) = 0 for
 i < k - 1, H_{k-1}(X) is the cokernel of the restriction P of that basis
-to the points outside the top cells, and H_k(X) is its kernel. P is one
-sparse matrix of entries +-1 per complex, assembled once; homology
-eliminates it over its rows and cohomology over its columns, two separate
-runs with different pivot orders, so the universal-coefficient check
-(uct_holds) cross-checks them.
+to the free points, those outside the top cells, and H_k(X) is its
+kernel. P is one sparse matrix of entries +-1 per complex, assembled once
+and row by row from the free points (_assemble_cycles): one membership
+test per point of the join, then work per free point and per entry of P;
+homology eliminates it over its rows and cohomology over its columns, two
+separate runs with different pivot orders, so the universal-coefficient
+check (uct_holds) cross-checks them.
 
 A complex therefore stores only its colors and its top cells: the
 skeleton below the top is implied by the colors, and its cells are
@@ -45,6 +47,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
+from operator import getitem
 
 from .cyclotomic import euler_phi, root_power
 from .groups import FiniteAbelianGroup, positive_dual_block, product_group
@@ -176,15 +179,6 @@ def _boundary_columns(x: BalancedComplex, i: int):
     return len(index), columns
 
 
-def _with_rows(n_rows: int, columns):
-    """(rows, columns) of the sparse matrix with the given {row: entry} columns."""
-    rows = tuple({} for _ in range(n_rows))
-    for c, column in enumerate(columns):
-        for r, entry in column.items():
-            rows[r][c] = entry
-    return rows, tuple(columns)
-
-
 def boundary_matrix(x: BalancedComplex, i: int) -> IntMatrix:
     """Matrix of the boundary map from i-chains to (i-1)-chains.
 
@@ -209,14 +203,16 @@ def _dense(n_rows: int, columns) -> IntMatrix:
 def _cycle_matrix(x: BalancedComplex):
     """The top cycles of the join, restricted to the points outside the top cells.
 
-    Rows are the m points of G_0 x ... x G_k that are not top cells, in
-    nested_elements order; columns are the z points h with every h_i
-    nonzero, 0 being the first element of each color. Column h is the
-    cycle (e_{h_0} - e_0) x ... x (e_{h_k} - e_0): the entry
-    (-1)**#{i : g_i = 0} at each point g with every g_i in {0, h_i}, at
-    most 2**(k+1) of them. Returned as (rows, columns) in the layout of
-    _with_rows; assembled once per complex and kept on it, so
-    homology and cohomology share it; the result must not be modified.
+    Rows are the m free points, the points of G_0 x ... x G_k that are not
+    top cells, in nested_elements order; columns are the z points h with
+    every h_i nonzero, in lex order, 0 being the first element of each
+    color. Column h is the cycle (e_{h_0} - e_0) x ... x (e_{h_k} - e_0):
+    the entry (-1)**#{i : g_i = 0} at each point g with every g_i in
+    {0, h_i}, at most 2**(k+1) of them. Returned as (rows, columns):
+    rows[r] maps column indices to the entries of row r and columns[c] row
+    indices to those of column c, keys increasing. Assembled from the free
+    points (_assemble_cycles) once per complex and kept on it, so homology
+    and cohomology share it; the result must not be modified.
     """
     if "cycles" not in x._memo:
         x._memo["cycles"] = _assemble_cycles(x)
@@ -224,18 +220,40 @@ def _cycle_matrix(x: BalancedComplex):
 
 
 def _assemble_cycles(x: BalancedComplex):
-    zeros = tuple(g.elements()[0] for g in x.colors)
-    tops = set(x.top_cells)
-    index = {g: r for r, g in enumerate(g for g in nested_elements(x.colors) if g not in tops)}
-    columns = []
-    for h in itertools.product(*(g.elements()[1:] for g in x.colors)):
-        column = {}
-        for g in itertools.product(*zip(zeros, h)):
-            r = index.get(g)
-            if r is not None:
-                column[r] = -1 if sum(a == b for a, b in zip(g, zeros)) % 2 else 1
-        columns.append(column)
-    return _with_rows(len(index), columns)
+    """(rows, columns) of _cycle_matrix, built row by row from the free points.
+
+    With S the slots where a free point g is 0, row g holds (-1)**|S| at
+    every column h that agrees with g off S and is nonzero on S. A column's
+    index is a mixed radix over each color's nonzero elements, so the row's
+    columns are g's share of that index off S plus one offset per choice of
+    h on S, and the offsets are computed once per S. The columns are filled
+    in the same pass: one step per point and one per entry of P.
+    """
+    colors = x.colors
+    strides = [prod(g.order - 1 for g in colors[i + 1 :]) for i in range(len(colors))]
+    # per color: each element's share of a column index, and the color's bit
+    # in S, which only its zero sets
+    share, bit = [], []
+    for i, (g, s) in enumerate(zip(colors, strides)):
+        zero, *rest = g.elements()
+        share.append({zero: 0, **{v: j * s for j, v in enumerate(rest)}})
+        bit.append({zero: 1 << i, **dict.fromkeys(rest, 0)})
+    spans = {}
+    rows = []
+    columns = tuple({} for _ in range(prod(g.order - 1 for g in colors)))
+    for g in itertools.filterfalse(set(x.top_cells).__contains__, nested_elements(colors)):
+        mask = sum(map(getitem, bit, g))
+        if mask not in spans:
+            on_s = [range(0, (c.order - 1) * s, s) for i, (c, s) in enumerate(zip(colors, strides)) if mask >> i & 1]
+            spans[mask] = -1 if len(on_s) % 2 else 1, [sum(t) for t in itertools.product(*on_s)]
+        sign, offsets = spans[mask]
+        base = sum(map(getitem, share, g))
+        r = len(rows)
+        row = {base + o: sign for o in offsets}
+        for c in row:
+            columns[c][r] = sign
+        rows.append(row)
+    return tuple(rows), columns
 
 
 def _cycle_factors(x: BalancedComplex, over_columns: bool) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ from .complexes import (
     coboundary_restriction,
     cohomology_profile,
     homology_profile,
+    nested_elements,
     uct_holds,
 )
 from .cyclotomic import _remainders, cyclotomic, euler_phi, eval_at_root, is_prime, root_power
@@ -112,7 +113,12 @@ class CycloComplexData:
         primes = check_primes(primes)
         n = prod(primes)
         totient = euler_phi(n)
-        subset = tuple(sorted(set(int(j) for j in subset)))
+        subset = tuple(subset)
+        # type, not isinstance: True is an int too, and nothing is truncated
+        for j in subset:
+            if type(j) is not int:
+                raise ValueError(f"subset entries must be integers, not {j!r}")
+        subset = tuple(sorted(set(subset)))
         if subset and not (0 <= subset[0] and subset[-1] <= totient):
             raise ValueError(f"subset must lie in 0..{totient}")
         coeffs = cyclotomic(n).coeffs
@@ -152,10 +158,17 @@ def build_family_complex(primes, subset):
 
 
 def _family_complex(data: CycloComplexData) -> BalancedComplex:
-    # distinct residues split into distinct points of the product, so the
-    # points need none of build_complex's validation, only its sort
-    tops = sorted(crt_split(data.primes, x) for x in data.top_indices)
-    return BalancedComplex(family_colors(data.primes), tuple(tops))
+    """The complex of build_family_complex, from its free residues.
+
+    The residues outside the top indices are {0, ..., phi(n)} minus the
+    subset; only their CRT points are split. Every other point is a top
+    cell, taken in nested_elements order, which is the canonical order,
+    so the top cells need neither build_complex's validation nor a sort.
+    """
+    colors = family_colors(data.primes)
+    subset = set(data.subset)
+    free = {crt_split(data.primes, x) for x in range(data.totient + 1) if x not in subset}
+    return BalancedComplex(colors, tuple(g for g in nested_elements(colors) if g not in free))
 
 
 def predicted_homology(primes, subset, i: int) -> AbelianGroupStructure:

@@ -8,11 +8,12 @@ results against them.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from math import gcd, prod
 
 from balacyc import cyclo_family
-from balacyc.complexes import BalancedComplex, _boundary_columns, _with_rows, coboundary_lattice, fourier_lattice
+from balacyc.complexes import BalancedComplex, _boundary_columns, coboundary_lattice, fourier_lattice, nested_elements
 from balacyc.cyclo_family import CycloComplexData, _coboundary_form, family_colors, root_relation_lattice
 from balacyc.cyclotomic import (
     CycInt,
@@ -344,6 +345,36 @@ def termwise_inversion_check(f) -> bool:
         if rhs != CycInt.from_int(n, g.order * f(x)):
             return False
     return True
+
+
+def _with_rows(n_rows: int, columns):
+    """(rows, columns) of the sparse matrix with the given {row: entry} columns."""
+    rows = tuple({} for _ in range(n_rows))
+    for c, column in enumerate(columns):
+        for r, entry in column.items():
+            rows[r][c] = entry
+    return rows, tuple(columns)
+
+
+def column_cycle_matrix(x: BalancedComplex):
+    """complexes._cycle_matrix assembled column by column, from its definition.
+
+    Column h, every h_i nonzero, looks up each of the 2**(k+1) points g with
+    g_i in {0, h_i} among the free points and gives it the sign
+    (-1)**#{i : g_i = 0}; the rows come from transposing the columns.
+    """
+    zeros = tuple(g.elements()[0] for g in x.colors)
+    tops = set(x.top_cells)
+    index = {g: r for r, g in enumerate(g for g in nested_elements(x.colors) if g not in tops)}
+    columns = []
+    for h in itertools.product(*(g.elements()[1:] for g in x.colors)):
+        column = {}
+        for g in itertools.product(*zip(zeros, h)):
+            r = index.get(g)
+            if r is not None:
+                column[r] = -1 if sum(a == b for a, b in zip(g, zeros)) % 2 else 1
+        columns.append(column)
+    return _with_rows(len(index), columns)
 
 
 def _boundary_factors(x: BalancedComplex, i: int, over_columns: bool) -> tuple[int, ...]:

@@ -260,6 +260,23 @@ def test_negative_max_size_is_a_usage_error(capsys, argv):
     assert "argument --max-size: must be a nonnegative integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-pullback", "--primes", "2,3"),
+        ("verify-homology", "--primes", "2,3"),
+        ("verify-coboundaries", "--groups", "[[2],[3]]"),
+    ],
+)
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_nonpositive_random_is_a_usage_error(capsys, argv, count):
+    # the flag was given, so the error names it rather than asking for one
+    code, out, err = run(capsys, *argv, "--random", count)
+    assert code == 2 and out == ""
+    assert "argument --random: must be a positive integer" in err
+    assert "choose one" not in err
+
+
 def test_empty_selection_is_a_usage_error(capsys):
     # verify-homology needs nonempty sets, so --max-size 0 selects none
     argv = ("verify-homology", "--primes", "2,3", "--all-subsets", "--max-size", "0")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     boundary_cohomology_profile,
     boundary_homology_profile,
+    column_cycle_matrix,
     conductor_injective_off_zero,
     full_block_vanishing_matrix,
     hermite_fourier_matches,
@@ -292,6 +293,48 @@ def test_cycle_route_matches_boundary_route(x):
     y = build_complex(x.colors, x.top_cells)
     assert homology_profile(x) == boundary_homology_profile(y)
     assert cohomology_profile(x) == boundary_cohomology_profile(y)
+
+
+@st.composite
+def small_family_complexes(draw):
+    # every prime tuple with n <= 330 that these primes make, in any order
+    primes = draw(
+        st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=2, max_size=4, unique=True).filter(
+            lambda ps: prod(ps) <= 330
+        )
+    )
+    top = euler_phi(prod(primes))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return build_family_complex(primes, rng.sample(range(top + 1), rng.randint(0, top + 1)))
+
+
+def _layouts(matrix):
+    # every entry in its row and its column, keys in order: both
+    # eliminations see the same matrix in the same order
+    rows, columns = matrix
+    return [list(row.items()) for row in rows], [list(column.items()) for column in columns]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(oracle_complexes(), small_family_complexes()))
+@example(build_complex((Z5,), ()))
+@example(build_complex((Z22,), full((Z22,))))
+@example(build_complex((Z4,), full((Z4,))[1:]))
+@example(build_complex((Z22, Z4, Z2), ()))
+@example(build_complex((Z22, Z4, Z2), full((Z22, Z4, Z2))))
+@example(build_complex((Z4, Z22, Z3), full((Z4, Z22, Z3))[::5]))
+@example(build_family_complex((2, 3, 5, 11), (0, 5, 17, 80)))
+def test_cycle_matrix_matches_column_assembly(x):
+    assert _layouts(complexes._assemble_cycles(x)) == _layouts(column_cycle_matrix(x))
+
+
+def test_cycle_matrix_at_15015_matches_column_assembly():
+    # the first five-prime case, whose elimination leaves the dense core
+    # that no Smith reduction here finishes yet: P must stay this matrix
+    x = build_family_complex((3, 5, 7, 11, 13), (0,))
+    rows, columns = complexes._assemble_cycles(x)
+    assert (len(rows), len(columns)) == (5760, 5760)
+    assert _layouts((rows, columns)) == _layouts(column_cycle_matrix(x))
 
 
 def test_homology_rejects_dimensions_out_of_range():

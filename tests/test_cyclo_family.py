@@ -127,6 +127,19 @@ def test_family_data_fields():
         CycloComplexData.build((2, 3), (7,))
 
 
+@pytest.mark.parametrize("entry", [1.5, 0.2, True, "2"])
+def test_subset_entries_must_be_ints(entry):
+    # nothing is truncated or converted: 1.5 is not residue 1, True not 1, "2" not 2
+    for build in (
+        lambda: CycloComplexData.build((2, 3), (0, entry)),
+        lambda: verify_homology_tables((2, 3), (entry,)),
+        lambda: pullback_matches_root_kernel((2, 3), (entry,)),
+        lambda: build_family_complex((2, 3), (entry,)),
+    ):
+        with pytest.raises(ValueError, match="subset entries must be integers"):
+            build()
+
+
 # --- complexes -----------------------------------------------------------------
 
 
@@ -147,10 +160,11 @@ def test_family_complex_frozen_shapes():
     assert str(reduced_homology(forest, 0)) == "Z"
 
 
-@pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (2, 3, 5, 7)])
+@pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (2, 3, 5, 7), (3, 5, 7), (2, 3, 5, 11)])
 def test_family_complex_equals_the_validated_build(primes):
-    # the family sorts its own CRT points without build_complex's checks;
-    # the complex must be the one build_complex makes of the same points
+    # the family splits only its free residues and takes every other point
+    # as a top cell, without build_complex's checks; the complex must be
+    # the one build_complex makes of every top index's CRT point
     top = euler_phi(prod(primes))
     rng = random.Random(top)
     subsets = [(), (top,), tuple(range(top + 1))]
