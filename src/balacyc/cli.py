@@ -269,15 +269,33 @@ def _cmd_homology(args):
 
 
 def _exhaustive_subsets(universe, min_size: int, max_size) -> list:
-    """All subsets with min_size..max_size elements, refused when none or too many."""
+    """All subsets with min_size..max_size elements, refused when none or too many.
+
+    The count is never summed over every size of a large universe: with no
+    max_size it is 2^N less the sizes below min_size, and otherwise the sum
+    stops once it passes the limit, so a refusal may name a lower bound.
+    """
     universe = tuple(universe)
-    top = len(universe) if max_size is None else min(max_size, len(universe))
-    count = sum(math.comb(len(universe), size) for size in range(min_size, top + 1))
+    n = len(universe)
+    top = n if max_size is None else min(max_size, n)
+    if max_size is None:
+        count, size = 2**n - sum(math.comb(n, s) for s in range(min_size)), top + 1
+    else:
+        count, size = 0, min_size
+        while size <= top and count <= MAX_ENUMERATED_SETS:
+            count += math.comb(n, size)
+            size += 1
     if count == 0:
         raise UsageError(f"--all-subsets selects no sets; --max-size must be at least {min_size}")
     if count > MAX_ENUMERATED_SETS:
+        # a count of thousands of digits is past the int-to-str limit of
+        # Python 3.11; decimal is imported only here, off the start-up path
+        from decimal import Decimal
+
+        shown = str(count) if count < 10**15 else f"about {Decimal(count):.2e}"
+        bound = "" if size > top else "at least "
         raise UsageError(
-            f"--all-subsets would enumerate {count} sets, over the limit of "
+            f"--all-subsets would enumerate {bound}{shown} sets, over the limit of "
             f"{MAX_ENUMERATED_SETS}; lower --max-size"
         )
     return list(bounded_subsets(universe, min_size, max_size))

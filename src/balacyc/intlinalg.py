@@ -355,23 +355,34 @@ def sparse_invariant_factors(rows) -> tuple[int, ...]:
     """Nonzero invariant factors of a sparse integer matrix; no transforms.
 
     `rows` holds one {column index: entry} mapping per row and is not
-    modified. Entries of absolute value 1 are eliminated first, one pivot
-    at a time, each chosen by least Markowitz cost
-    (row count - 1) * (column count - 1) from a heap, so fill-in stays
-    small. After a row update only the unit entries in the pivot row's
-    columns are queued again, since only those entries changed value; the
-    others keep a cost that may have gone stale, and a queued cost that
-    has since changed is corrected when it surfaces. Every unit entry
-    stays queued, so only the pivot order depends on this; a matrix with
-    a dense row does not requeue that whole row after every pivot.
-    Clearing the pivot column by row operations
-    leaves the pivot alone in its column; the pivot row is then dropped,
-    since column operations would clear it without touching the rest.
-    Each unit pivot contributes the factor 1. What is left, a core without
-    unit entries, is diagonalized densely by the loop of smith_normal_form
-    without its transforms, whose entries would outgrow the diagonal's by
-    far. The result equals smith_normal_form(m).invariant_factors for the
-    dense m, and the rank is its length.
+    modified. Entries of absolute value 1 are eliminated first, in two
+    steps, and each such unit pivot contributes the factor 1.
+
+    The singleton pass does no arithmetic. A row whose only entry is a unit
+    is a pivot whose row operations only clear its column, so the row and
+    its column are dropped and the other rows just lose their entry there.
+    Likewise a column whose only entry is a unit is dropped with its row,
+    since its column operations only clear that row. Rows and columns whose
+    count falls to 1 are queued, so the pass cascades. Dropping a singleton
+    row shortens only rows, and dropping a singleton column only columns,
+    so the row cascade and the column cascade run one after the other. A
+    lone non-unit entry stays.
+
+    The rest goes through a heap of rows keyed by their length. The
+    shortest row is popped, skipped if its length changed since it was
+    queued, and pivots on its unit entry whose column is shortest, so
+    fill-in stays small; clearing that column by row operations leaves the
+    pivot alone in its column, and the pivot row is then dropped, since
+    column operations would clear it without touching the rest. Every
+    updated row is pushed again at its new length. A row without a unit
+    leaves the heap until an update touches it, so every unit entry stays
+    reachable and only the pivot order depends on the heap.
+
+    What is left, a core without unit entries, is diagonalized densely by
+    the loop of smith_normal_form without its transforms, whose entries
+    would outgrow the diagonal's by far. The result equals
+    smith_normal_form(m).invariant_factors for the dense m, and the rank is
+    its length.
 
     >>> sparse_invariant_factors([{0: 2, 1: 4}, {0: 6, 1: 8}])
     (2, 4)
@@ -386,34 +397,70 @@ def sparse_invariant_factors(rows) -> tuple[int, ...]:
             work[r] = row
             for c in row:
                 cols.setdefault(c, set()).add(r)
-
-    def unit_entries(r, row, among):
-        return [((len(row) - 1) * (len(cols[c]) - 1), r, c) for c in among if row.get(c) in (1, -1)]
-
-    heap = [entry for r, row in work.items() for entry in unit_entries(r, row, row)]
-    heapq.heapify(heap)
     units = 0
-    while heap:
-        cost, r, c = heapq.heappop(heap)
-        prow = work.get(r)
-        if prow is None or prow.get(c) not in (1, -1):
+
+    queue = [r for r, row in work.items() if len(row) == 1]
+    while queue:
+        r = queue.pop()
+        row = work.get(r)
+        if row is None or len(row) != 1:
             continue
-        now = (len(prow) - 1) * (len(cols[c]) - 1)
-        if now != cost:
-            # counts moved since this entry was queued: requeue at its cost now
-            heapq.heappush(heap, (now, r, c))
+        ((c, x),) = row.items()
+        if x != 1 and x != -1:
             continue
         units += 1
-        pivot = prow[c]
+        del work[r]
+        for i in cols.pop(c):
+            if i != r:
+                row = work[i]
+                del row[c]
+                if len(row) == 1:
+                    queue.append(i)
+                elif not row:
+                    del work[i]
+    queue = [c for c, members in cols.items() if len(members) == 1]
+    while queue:
+        c = queue.pop()
+        members = cols.get(c)
+        if members is None or len(members) != 1:
+            continue
+        (r,) = members
+        x = work[r][c]
+        if x != 1 and x != -1:
+            continue
+        units += 1
+        del cols[c]
+        for j in work.pop(r):
+            if j != c:
+                members = cols[j]
+                members.discard(r)
+                if len(members) == 1:
+                    queue.append(j)
+                elif not members:
+                    del cols[j]
+
+    heap = [(len(row), r) for r, row in work.items()]
+    heapq.heapify(heap)
+    while heap:
+        length, r = heapq.heappop(heap)
+        prow = work.get(r)
+        if prow is None or len(prow) != length:
+            continue
+        c, shortest = None, None
+        for j, x in prow.items():
+            if (x == 1 or x == -1) and (shortest is None or len(cols[j]) < shortest):
+                c, shortest = j, len(cols[j])
+        if c is None:
+            continue
+        units += 1
         del work[r]
         for j in prow:
             cols[j].discard(r)
+        pivot = prow.pop(c)
         for i in cols.pop(c):
             row = work[i]
             f = row.pop(c) * pivot
             for j, x in prow.items():
-                if j == c:
-                    continue
                 y = row.get(j, 0) - f * x
                 if y:
                     if j not in row:
@@ -423,9 +470,7 @@ def sparse_invariant_factors(rows) -> tuple[int, ...]:
                     del row[j]
                     cols[j].discard(i)
             if row:
-                # only the entries in the pivot row's columns changed value
-                for entry in unit_entries(i, row, prow):
-                    heapq.heappush(heap, entry)
+                heapq.heappush(heap, (len(row), i))
             else:
                 del work[i]
     if not work:

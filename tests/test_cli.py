@@ -305,6 +305,23 @@ def test_exhaustive_enumeration_over_the_cap_is_refused(capsys):
     assert "231526" in err
 
 
+def test_exhaustive_refusal_on_a_large_join_counts_in_closed_form(capsys):
+    # Z2 * ... * Z13 has 30030 points: 2^30030 point sets, a count of 9040
+    # digits, past the int-to-str limit, and a sum of comb over every size
+    # would not end in time
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-coboundaries", "--groups", "[[2],[3],[5],[7],[11],[13]]", "--all-subsets")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert "about 8.53e+9039 sets" in err
+    # with a max the sum stops past the limit: 1 + 30030 + 450885435 already is
+    argv = ("--groups", "[[2],[3],[5],[7],[11],[13]]", "--all-subsets", "--max-size", "3")
+    code, out, err = run(capsys, "verify-coboundaries", *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert "at least 450915466 sets" in err
+
+
 def test_internal_failure_exits_3(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")

@@ -8,6 +8,7 @@ expansion, and brute-force lattice membership on small boxes.
 import itertools
 import random
 from math import gcd, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,96 @@ def test_repeated_rows_leave_the_invariant_factors_unchanged(m, data):
     factors = sparse_invariant_factors(rows)
     assert sparse_invariant_factors(grown) == factors
     assert len(factors) == smith_normal_form(m).rank
+
+
+@st.composite
+def planted_sparse_matrices(draw):
+    """Sparse matrices up to 13 x 13 with the shapes the unit phase special-cases.
+
+    A random block plus up to three gadgets: singleton rows and columns
+    with a unit or a non-unit entry; chains of rows (or columns) that
+    become singletons only once the previous one is dropped; a short row
+    without a unit that gains one from the update of a longer row, after
+    it has left the heap; empty rows and columns. Rows come in a drawn
+    order, as tie-breaks in the heap depend on it.
+    """
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 4, 6))
+    unit = st.sampled_from((1, -1))
+    lone = st.sampled_from((1, -1, 2, -3))
+    base = draw(st.integers(0, 4))
+    width = draw(st.integers(0, 4))
+    rows = [{c: x for c in range(width) if (x := draw(entry))} for _ in range(base)]
+
+    def fresh_column():
+        nonlocal width
+        width += 1
+        return width - 1
+
+    def some_column():
+        return draw(st.integers(0, width - 1)) if width else fresh_column()
+
+    def touch_base(c):
+        # an entry in a base row keeps column c from being a singleton
+        if base:
+            rows[draw(st.integers(0, base - 1))][c] = draw(lone)
+
+    gadgets = ("singleton row", "singleton column", "row chain", "column chain", "late unit", "empty row", "empty column")
+    for gadget in draw(st.lists(st.sampled_from(gadgets), max_size=3)):
+        if gadget == "singleton row":
+            rows.append({some_column(): draw(lone)})
+        elif gadget == "singleton column":
+            if not rows:
+                rows.append({})
+            rows[draw(st.integers(0, len(rows) - 1))][fresh_column()] = draw(lone)
+        elif gadget == "row chain":
+            chain = [fresh_column() for _ in range(draw(st.integers(2, 3)))]
+            for c, d in zip(chain, chain[1:]):
+                rows.append({c: draw(unit), d: draw(lone)})
+                touch_base(c)
+            rows.append({chain[-1]: draw(unit)})
+        elif gadget == "column chain":
+            chain = [len(rows) + k for k in range(draw(st.integers(2, 3)))]
+            rows.extend({some_column(): draw(lone)} for _ in chain[:-1])
+            rows.append({})
+            for r, s in zip(chain, chain[1:]):
+                c = fresh_column()
+                rows[r][c] = draw(unit)
+                rows[s][c] = draw(lone)
+            rows[chain[-1]][fresh_column()] = draw(unit)
+        elif gadget == "late unit":
+            # the shorter row {a: 2, b: 3} leaves the heap first; pivoting on
+            # a or b in the longer row turns its other entry into a unit
+            x, a, b = some_column(), fresh_column(), fresh_column()
+            rows.append({a: 2, b: 3})
+            rows.append({a: draw(unit), b: draw(unit), x: draw(st.sampled_from((2, 5, -3)))})
+        elif gadget == "empty row":
+            rows.append({})
+        else:
+            fresh_column()
+    rows = draw(st.permutations(rows))
+    return IntMatrix(len(rows), width, tuple(row.get(c, 0) for row in rows for c in range(width)))
+
+
+@settings(max_examples=200)
+@given(planted_sparse_matrices())
+def test_unit_phase_on_planted_structure_matches_dense_smith(m):
+    # every unit entry stays reachable, so the core left for the dense loop
+    # holds none; P and its transpose drop singletons on opposite sides
+    cores = []
+    reduce = intlinalg._smith_reduce
+
+    def spy(a, *rest):
+        cores.append([x for row in a for x in row])
+        return reduce(a, *rest)
+
+    for a in (m, m.transpose()):
+        rows = sparse_rows(a)
+        snapshot = [dict(row) for row in rows]
+        with mock.patch.object(intlinalg, "_smith_reduce", spy):
+            factors = sparse_invariant_factors(rows)
+        assert factors == smith_normal_form(a).invariant_factors
+        assert rows == snapshot
+    assert not any(x in (1, -1) for core in cores for x in core)
 
 
 # --- Hermite normal form ------------------------------------------------------
