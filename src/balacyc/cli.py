@@ -308,18 +308,25 @@ def _subset_items_table(items) -> str:
     return "\n".join(lines)
 
 
+def _check_selection(args) -> None:
+    """UsageError unless one selection flag is given, and --max-size only with --all-subsets."""
+    if (args.subset is not None) + args.exhaustive + bool(args.random) != 1:
+        raise UsageError("choose one of --set, --all-subsets, --random N")
+    if args.max_size is not None and not args.exhaustive:
+        raise UsageError("--max-size needs --all-subsets")
+
+
 def _cmd_verify_coboundaries(args):
     colors = _parse_groups(args.groups)
+    _check_selection(args)
     if args.subset is not None:
         points = _parse_point_set(args.subset, colors)
         _checked(normalize_top_cells, colors, points)
         point_sets = [points]
     elif args.exhaustive:
         point_sets = _exhaustive_subsets(nested_elements(colors), 0, args.max_size)
-    elif args.random:
-        point_sets = sorted(random_point_subsets(colors, args.random, random.Random(args.seed)))
     else:
-        raise UsageError("choose one of --set, --all-subsets, --random N")
+        point_sets = sorted(random_point_subsets(colors, args.random, random.Random(args.seed)))
     items = run_coboundary_sweep(colors, point_sets)
     ok = all(item["ok"] for item in items)
     report = {
@@ -334,6 +341,7 @@ def _cmd_verify_coboundaries(args):
 
 
 def _index_subsets_from_args(args, data: CycloComplexData, nonempty: bool):
+    _check_selection(args)
     if args.subset is not None:
         subset = _parse_index_set(args.subset)
         if nonempty and not subset:
@@ -343,10 +351,8 @@ def _index_subsets_from_args(args, data: CycloComplexData, nonempty: bool):
         return [subset]
     if args.exhaustive:
         return _exhaustive_subsets(range(data.totient + 1), int(nonempty), args.max_size)
-    if args.random:
-        drawn = random_index_subsets(data.totient, args.random, random.Random(args.seed), nonempty)
-        return sorted(drawn, key=lambda s: (len(s), s))
-    raise UsageError("choose one of --set, --all-subsets, --random N")
+    drawn = random_index_subsets(data.totient, args.random, random.Random(args.seed), nonempty)
+    return sorted(drawn, key=lambda s: (len(s), s))
 
 
 def _cmd_verify_pullback(args):

@@ -49,8 +49,8 @@ from functools import lru_cache
 from math import gcd, prod
 from operator import getitem
 
-from .cyclotomic import euler_phi, root_power
-from .groups import FiniteAbelianGroup, positive_dual_block, product_group
+from .cyclotomic import _power_columns
+from .groups import FiniteAbelianGroup, _exponent_row, positive_dual_block, product_group
 from .intlinalg import (
     AbelianGroupStructure,
     HermiteForm,
@@ -442,28 +442,26 @@ def fourier_vanishing_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatri
     each orbit chi -> u * chi. One character per orbit is kept, the first
     in the lexicographic order of positive_dual_block, and each
     contributes phi(N) rows, the power-basis coordinates of its transform
-    value in Z[zeta_N], read off the powers of zeta_N through
-    pairing_exponent. On Z3 * Z5 * Z7 the 48 characters form one orbit:
-    48 rows instead of 2304, with the same kernel.
+    value in Z[zeta_N]: coordinate t at the point x is entry e of column t
+    of _power_columns(N), e the exponent of chi(x) in chi's exponent row
+    (groups._exponent_row). On Z3 * Z5 * Z7 the 48 characters form one
+    orbit: 48 rows instead of 2304, with the same kernel.
     """
     colors = tuple(colors)
     g = product_group(colors)
     n = g.exponent
-    phi = euler_phi(n)
     units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
-    points = g.elements()
-    powers = [root_power(n, e).coords for e in range(n)]
+    columns = _power_columns(n)
     seen = set()
     rows = []
     for chi in positive_dual_block(colors):
         if chi in seen:
             continue
         seen.update(tuple(u * a % m for a, m in zip(chi, g.orders)) for u in units)
-        cols = [powers[g.pairing_exponent(chi, x)] for x in points]
-        for t in range(phi):
-            rows.append([col[t] for col in cols])
+        row = _exponent_row(g, chi)
+        rows.extend([col[e] for e in row] for col in columns)
     if not rows:
-        return IntMatrix.zero(0, len(points))
+        return IntMatrix.zero(0, g.order)
     return IntMatrix.from_rows(rows)
 
 

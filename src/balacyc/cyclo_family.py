@@ -64,10 +64,14 @@ def crt_split(primes, x: int) -> tuple[tuple[int, ...], ...]:
     return tuple((x % p,) for p in primes)
 
 
+def _crt_points(primes: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """crt_split(primes, x) for every residue x of Z_n, in residue order."""
+    return [crt_split(primes, x) for x in range(prod(primes))]
+
+
 @lru_cache(maxsize=8)
 def _crt_inverse(primes: tuple[int, ...]) -> dict:
-    n = prod(primes)
-    return {crt_split(primes, x): x for x in range(n)}
+    return {point: x for x, point in enumerate(_crt_points(primes))}
 
 
 def crt_unit(primes) -> int:
@@ -263,11 +267,6 @@ def _coboundary_form(data: CycloComplexData) -> HermiteForm:
     """
     points = [crt_split(data.primes, x) for x in data.pullback_indices]
     return hermite_normal_form(coboundary_restriction(family_colors(data.primes), points))
-
-
-def _crt_points(primes: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """crt_split(primes, x) for every residue x of Z_n, in residue order."""
-    return [crt_split(primes, x) for x in range(prod(primes))]
 
 
 @lru_cache(maxsize=8)

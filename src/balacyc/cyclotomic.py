@@ -38,7 +38,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=8)
 def divisors(n: int) -> tuple[int, ...]:
     """Positive divisors of n in increasing order.
 
@@ -215,8 +214,9 @@ def cyclotomic(n: int) -> IntPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    up = [d for d in divisors(n) if mobius(n // d) == 1]
-    down = [d for d in divisors(n) if mobius(n // d) == -1]
+    ds = divisors(n)
+    up = [d for d in ds if mobius(n // d) == 1]
+    down = [d for d in ds if mobius(n // d) == -1]
     poly = [1]
     for d in up:
         # times (z**d - 1): c_i <- c_(i-d) - c_i
@@ -289,25 +289,20 @@ class CycInt:
         return CycInt(self.conductor, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
+        """Product in Z[zeta_N]: the coordinates are convolved and the
+        2 * phi(N) - 1 sums reduced by eval_at_root, which folds them mod N."""
         if isinstance(other, int):
             return CycInt(self.conductor, tuple(other * a for a in self.coords))
         if not isinstance(other, CycInt):
             return NotImplemented
         self._require_same_ring(other)
-        n = self.conductor
         a, b = self.coords, other.coords
         m = len(a)
         conv = [0] * (2 * m - 1)
         for i, c in enumerate(a):
             if c:
                 conv[i : i + m] = [x + c * y for x, y in zip(conv[i : i + m], b)]
-        table = _power_table(n)
-        res = list(conv[:m]) + [0] * (m - len(conv[:m]))
-        for j in range(m, len(conv)):
-            c = conv[j]
-            if c:
-                res = [x + c * t for x, t in zip(res, table[j % n])]
-        return CycInt(n, tuple(res))
+        return eval_at_root(conv, self.conductor)
 
     __rmul__ = __mul__
 
@@ -338,14 +333,17 @@ def _remainders(n: int):
 
 
 @lru_cache(maxsize=8)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Power-basis coordinates of zeta_n**j for j = 0..n-1: the first n
-    remainders of _remainders(n)."""
-    return tuple(islice(_remainders(n), n))
+def _power_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """The power table of Z[zeta_n], by columns: entry j of column t is
+    coordinate t of zeta_n**j, for j = 0..n-1 and t = 0..phi(n)-1, read off
+    the first n remainders of _remainders(n). It is the only power table;
+    root_power and eval_at_root read it."""
+    return tuple(zip(*islice(_remainders(n), n)))
 
 
 def root_power(n: int, e: int) -> CycInt:
-    """zeta_n**e as a reduced element of Z[zeta_n]; e may be any integer.
+    """zeta_n**e as a reduced element of Z[zeta_n]; e may be any integer:
+    entry e mod n of each column of _power_columns(n).
 
     >>> root_power(3, 2).coords
     (-1, -1)
@@ -356,25 +354,17 @@ def root_power(n: int, e: int) -> CycInt:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return CycInt(n, _power_table(n)[e % n])
-
-
-@lru_cache(maxsize=8)
-def _power_columns(n: int) -> tuple[tuple[int, ...], ...]:
-    """_power_table(n) transposed: column t holds coordinate t of
-    zeta_n**j for j = 0..n-1, the same n * phi(n) entries, read off the
-    first n remainders of _remainders(n)."""
-    return tuple(zip(*islice(_remainders(n), n)))
+    return CycInt(n, tuple(col[e % n] for col in _power_columns(n)))
 
 
 def eval_at_root(values, n: int) -> CycInt:
     """Sum of values[l] * zeta_n**l, exponents taken modulo n.
 
     Accepts an IntPoly or any integer sequence. This is the evaluation
-    map Z[Z_n] -> Z[zeta_n] underlying all vanishing-sum tests here.
-    The values are first folded into n buckets, one per residue mod n;
-    coordinate t of the result is then the sum of the buckets times
-    column t of the power table (_power_columns), phi(n) sums in all.
+    map Z[Z_n] -> Z[zeta_n] behind every vanishing-sum test and CycInt
+    product here. The values are first folded into n buckets, one per
+    residue mod n; coordinate t of the result is then the sum of the
+    buckets times column t of _power_columns(n), phi(n) sums in all.
 
     >>> eval_at_root(cyclotomic(6), 6).is_zero()
     True

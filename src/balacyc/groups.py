@@ -109,7 +109,6 @@ def product_group(colors) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(tuple(m for g in colors for m in g.orders))
 
 
-@lru_cache(maxsize=8)
 def positive_dual_block(colors: tuple[FiniteAbelianGroup, ...]) -> tuple[tuple[int, ...], ...]:
     """Characters of the product that are nontrivial in every factor slot.
 

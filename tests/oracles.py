@@ -18,7 +18,6 @@ from balacyc.cyclo_family import CycloComplexData, _coboundary_form, family_colo
 from balacyc.cyclotomic import (
     CycInt,
     IntPoly,
-    _power_table,
     _remainders,
     cyclotomic,
     divisors,
@@ -309,9 +308,10 @@ def walked_verified_counts(node) -> tuple[int, int]:
 
 def rowsum_eval_at_root(values, n: int) -> CycInt:
     """Sum of values[l] * zeta_n**l, one power-table row added per nonzero
-    value: the row sums that eval_at_root's column sums replaced."""
+    value: the row sums that eval_at_root's column sums replaced. The rows
+    are streamed from _remainders, not read from _power_columns."""
     coeffs = values.coeffs if isinstance(values, IntPoly) else values
-    table = _power_table(n)
+    table = list(itertools.islice(_remainders(n), n))
     acc = [0] * euler_phi(n)
     for exp, c in enumerate(coeffs):
         if c:

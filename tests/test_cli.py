@@ -150,6 +150,38 @@ def test_selection_flag_required(capsys):
     assert "choose one" in err
 
 
+SELECTIONS = {
+    "verify-coboundaries": (("--groups", "[[2],[3]]"), "[[0,1]]"),
+    "verify-pullback": (("--primes", "2,3"), "1"),
+    "verify-homology": (("--primes", "2,3"), "1"),
+}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--set", "--all-subsets"),
+        ("--set", "--random"),
+        ("--all-subsets", "--random"),
+        ("--set", "--max-size"),
+        ("--random", "--max-size"),
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("command", sorted(SELECTIONS))
+def test_conflicting_selection_flags_are_refused(capsys, command, flags):
+    # a second selection flag, or --max-size without --all-subsets, is a
+    # usage error, never silently dropped
+    family, subset = SELECTIONS[command]
+    values = {"--set": (subset,), "--all-subsets": (), "--random": ("3",), "--max-size": ("1",)}
+    argv = [command, *family]
+    for flag in flags:
+        argv += [flag, *values[flag]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_json_output_is_byte_identical(capsys):
     args = ("verify-homology", "--primes", "2,3", "--all-subsets", "--format", "json")
     _, first, _ = run(capsys, *args)

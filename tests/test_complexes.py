@@ -418,6 +418,9 @@ def test_orbit_vanishing_matrix_matches_full_block(colors, full_rows, orbit_rows
     full_block = full_block_vanishing_matrix(colors)
     reduced = fourier_vanishing_matrix(colors)
     assert (full_block.rows, reduced.rows) == (full_rows, orbit_rows)
+    # the orbit rows, read from exponent rows and the power columns, are
+    # rows of the full block, whose entries come through char_value
+    assert set(map(tuple, reduced.to_rows())) <= set(map(tuple, full_block.to_rows()))
     kernel = complexes._fourier_kernel(colors)
     assert hermite_normal_form(kernel) == hermite_normal_form(kernel_basis(full_block))
 
@@ -502,10 +505,11 @@ def clear_fourier_caches():
 @pytest.mark.parametrize("mutation", ["pairing on a base fibre", "pairing off the base fibres", "flip entry", "double"])
 @pytest.mark.parametrize("colors", [(Z2, Z3), (Z22, Z3), (Z2, Z3, Z5)], ids=["2*3", "2x2*3", "2*3*5"])
 def test_fourier_verdict_fails_under_mutation(monkeypatch, clear_fourier_caches, colors, mutation):
-    # a perturbed pairing_exponent (the character value at one point moves
-    # by one power: the point with 1 in the last coordinate and 0
-    # elsewhere, on a base column, or the point with 1 everywhere, on none,
-    # where only a column that is a translate of a base column sees it),
+    # a perturbed exponent row on the product group (the character value
+    # at one point moves by one power: the point with 1 in the last
+    # coordinate and 0 elsewhere, on a base column, or the point with 1
+    # everywhere, on none, where only a column that is a translate of a
+    # base column sees it),
     # one entry of one coboundary column sign-flipped, or every entry
     # doubled (a proper sublattice: no peel step has a unit). The
     # certificate sees (a), (a), (a) and (b) fail; the per-set Hermite
@@ -514,14 +518,18 @@ def test_fourier_verdict_fails_under_mutation(monkeypatch, clear_fourier_caches,
     points = nested_elements(colors)
     assert coboundary_matches_fourier(colors, points)
     if mutation.startswith("pairing"):
-        original = FiniteAbelianGroup.pairing_exponent
+        original = complexes._exponent_row
         width = len(product_group(colors).orders)
         moved = (0,) * (width - 1) + (1,) if mutation == "pairing on a base fibre" else (1,) * width
 
-        def perturbed(self, chi, x):
-            return (original(self, chi, x) + (tuple(x) == moved)) % self.exponent
+        def perturbed(g, chi):
+            row = original(g, chi)
+            if len(g.orders) == width:
+                x = g.elements().index(moved)
+                row[x] = (row[x] + 1) % g.exponent
+            return row
 
-        monkeypatch.setattr(FiniteAbelianGroup, "pairing_exponent", perturbed)
+        monkeypatch.setattr(complexes, "_exponent_row", perturbed)
     else:
         columns = complexes._coboundary_columns(colors, points)
         if mutation == "flip entry":

@@ -50,7 +50,7 @@ from balacyc.cyclo_family import (
     upper_indices,
     verify_homology_tables,
 )
-from balacyc.cyclotomic import CycInt, IntPoly, _power_columns, _power_table, cyclotomic, divisors, euler_phi, root_power
+from balacyc.cyclotomic import CycInt, IntPoly, _power_columns, cyclotomic, euler_phi, root_power
 from balacyc.groups import FiniteAbelianGroup, GroupFunction, fourier_transform
 from balacyc.intlinalg import (
     AbelianGroupStructure,
@@ -740,13 +740,10 @@ CACHE_BOUNDS = {"_tuples": 16}
         complexes.top_coboundary_domain,
         complexes.fourier_vanishing_matrix,
         complexes._fourier_kernel,
-        groups.positive_dual_block,
         groups._tuples,
-        _power_table,
         _power_columns,
         cyclotomic,
         euler_phi,
-        divisors,
     ],
 )
 def test_per_n_caches_are_bounded(cached):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import cofactor_cyclotomic, rowsum_eval_at_root
@@ -283,11 +283,23 @@ def test_root_power_is_multiplicative(n, a, b):
 
 
 @st.composite
-def cyc_int_pairs(draw, bound=1000):
+def cyc_int_pairs(draw, bound=1000, conductors=conductors):
     n = draw(conductors)
     phi = euler_phi(n)
     mk = lambda: tuple(draw(st.lists(st.integers(-bound, bound), min_size=phi, max_size=phi)))
     return CycInt(n, mk()), CycInt(n, mk())
+
+
+@settings(max_examples=80)
+@given(cyc_int_pairs(conductors=st.sampled_from([1, 2, 5, 7, 9, 12, 15])))
+@example((CycInt(9, (9, -8, 7, -6, 5, -4)), CycInt(9, (1, 2, 3, 4, 5, 6))))
+def test_product_is_the_remainder_of_the_polynomial_product(pair):
+    # exact, with no power table: at n = 5, 7, 9 the 2 * phi(n) - 1
+    # product coefficients outnumber n and eval_at_root folds them first
+    a, b = pair
+    n = a.conductor
+    _, rem = divmod(IntPoly(a.coords) * IntPoly(b.coords), cyclotomic(n))
+    assert (a * b).coords == rem.coeffs + (0,) * (euler_phi(n) - len(rem.coeffs))
 
 
 @settings(max_examples=40)
