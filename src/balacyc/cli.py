@@ -70,11 +70,11 @@ def _checked(check, *args):
 
 
 def _check_out(path) -> None:
-    """UsageError unless a report can be written to path: not a directory,
-    in an existing directory, writable."""
+    """UsageError unless a report can be written to path: not empty, not a
+    directory, in an existing directory, writable."""
     parent = os.path.dirname(os.path.abspath(path))
     target = path if os.path.exists(path) else parent
-    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+    if not path or os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
         raise UsageError(f"cannot write the report to {path!r}")
 
 
@@ -161,6 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE", help="write the report to FILE")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized sweeps")
 
+    def selection(p, set_help):
+        p.add_argument("--set", dest="subset", help=set_help)
+        p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
+        p.add_argument("--max-size", type=_int_at_least(0, "nonnegative"), default=None)
+        p.add_argument("--random", type=_int_at_least(1, "positive"), metavar="N")
+
     p = sub.add_parser("cyclo", help="coefficients of the n-th cyclotomic polynomial")
     p.add_argument("n", type=_int_at_least(1, "positive"))
     common(p)
@@ -181,10 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restricted coboundary lattice == transform-vanishing lattice",
     )
     p.add_argument("--groups", required=True)
-    p.add_argument("--set", dest="subset", help="one point set as JSON")
-    p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
-    p.add_argument("--max-size", type=_int_at_least(0, "nonnegative"), default=None)
-    p.add_argument("--random", type=_int_at_least(1, "positive"), metavar="N")
+    selection(p, "one point set as JSON")
     common(p)
 
     p = sub.add_parser(
@@ -192,10 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="CRT pullback of the coboundary lattice == evaluation kernel lattice",
     )
     p.add_argument("--primes", required=True)
-    p.add_argument("--set", dest="subset", help="comma list of residues (may be empty)")
-    p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
-    p.add_argument("--max-size", type=_int_at_least(0, "nonnegative"), default=None)
-    p.add_argument("--random", type=_int_at_least(1, "positive"), metavar="N")
+    selection(p, "comma list of residues (may be empty)")
     common(p)
 
     p = sub.add_parser(
@@ -203,10 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="computed homology/cohomology against the coefficient predictions",
     )
     p.add_argument("--primes", required=True)
-    p.add_argument("--set", dest="subset", help="one nonempty comma list of residues")
-    p.add_argument("--all-subsets", dest="exhaustive", action="store_true")
-    p.add_argument("--max-size", type=_int_at_least(0, "nonnegative"), default=None)
-    p.add_argument("--random", type=_int_at_least(1, "positive"), metavar="N")
+    selection(p, "one nonempty comma list of residues")
     common(p)
 
     p = sub.add_parser(
@@ -493,7 +490,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         report, ok, table = _DISPATCH[args.command](args)
     except UsageError as exc:
@@ -507,7 +504,7 @@ def main(argv=None) -> int:
         text = _report_json(report) + "\n"
     else:
         text = table + "\n"
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

@@ -14,16 +14,18 @@ h_i nonzero (Kunneth for the augmented chain complexes Z^{G_i} -> Z).
 Since X shares every chain group of J below the top, H_i(X) = 0 for
 i < k - 1, H_{k-1}(X) is the cokernel of the restriction P of that basis
 to the free points, those outside the top cells, and H_k(X) is its
-kernel. P is one sparse matrix of entries +-1 per complex, assembled once
-and row by row from the free points (_assemble_cycles): one membership
-test per point of the join, then work per free point and per entry of P;
-homology eliminates it over its rows and cohomology over its columns, two
-separate runs with different pivot orders, so the universal-coefficient
-check (uct_holds) cross-checks them.
+kernel. P is one sparse matrix of entries +-1, assembled row by row from
+the sorted free points (_assemble_cycles), with work per free point and
+per entry of P. _cycle_groups builds it once and eliminates it over its
+rows for homology and over its columns for cohomology, two separate runs
+with different pivot orders, so the universal-coefficient check
+(uct_holds) cross-checks them. It reads only the colors and the free
+points, so the cyclotomic family calls it without building a complex.
 
 A complex therefore stores only its colors and its top cells: the
 skeleton below the top is implied by the colors, and its cells are
-enumerated on demand, for boundary_matrix.
+enumerated on demand, for boundary_matrix. Its (co)homology is computed
+once, on first use, from the complement of its top cells.
 
 The two lattice descriptions are compared once per color tuple, on the
 full join (_fourier_certificate): when the top coboundary image equals
@@ -44,8 +46,8 @@ canonical basis everywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import getitem
 
@@ -68,9 +70,6 @@ class BalancedComplex:
     colors: tuple[FiniteAbelianGroup, ...]
     # canonically sorted points of G_0 x ... x G_k, one per top cell
     top_cells: tuple[tuple[tuple[int, ...], ...], ...]
-    # The cycle matrix and its invariant factors computed for this complex.
-    # Outside equality, hashing and repr; it lives and dies with the complex.
-    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     @property
     def top_dim(self) -> int:
@@ -98,6 +97,11 @@ class BalancedComplex:
             for support in itertools.combinations(range(k + 1), dim + 1)
             for vertices in itertools.product(*(self.colors[i].elements() for i in support))
         )
+
+    @cached_property
+    def _groups(self) -> tuple[dict[int, AbelianGroupStructure], dict[int, AbelianGroupStructure]]:
+        # not a field: outside equality, hashing and repr, and released with the complex
+        return _cycle_groups(self.colors, sorted(_point_set(self.colors).difference(self.top_cells)))
 
 
 def nested_elements(colors) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -200,36 +204,25 @@ def _dense(n_rows: int, columns) -> IntMatrix:
     return IntMatrix(n_rows, width, tuple(entries))
 
 
-def _cycle_matrix(x: BalancedComplex):
-    """The top cycles of the join, restricted to the points outside the top cells.
+def _assemble_cycles(colors, free):
+    """The top cycles of the join, restricted to the free points, as (rows, columns).
 
-    Rows are the m free points, the points of G_0 x ... x G_k that are not
-    top cells, in nested_elements order; columns are the z points h with
-    every h_i nonzero, in lex order, 0 being the first element of each
-    color. Column h is the cycle (e_{h_0} - e_0) x ... x (e_{h_k} - e_0):
-    the entry (-1)**#{i : g_i = 0} at each point g with every g_i in
-    {0, h_i}, at most 2**(k+1) of them. Returned as (rows, columns):
+    Rows are the m free points, the points of G_0 x ... x G_k outside the
+    top cells, in the order given: sorted, which is nested_elements order.
+    Columns are the z points h with every h_i nonzero, in lex order, 0
+    being the first element of each color. Column h is the cycle
+    (e_{h_0} - e_0) x ... x (e_{h_k} - e_0): the entry (-1)**#{i : g_i = 0}
+    at each point g with every g_i in {0, h_i}, at most 2**(k+1) of them.
     rows[r] maps column indices to the entries of row r and columns[c] row
-    indices to those of column c, keys increasing. Assembled from the free
-    points (_assemble_cycles) once per complex and kept on it, so homology
-    and cohomology share it; the result must not be modified.
-    """
-    if "cycles" not in x._memo:
-        x._memo["cycles"] = _assemble_cycles(x)
-    return x._memo["cycles"]
-
-
-def _assemble_cycles(x: BalancedComplex):
-    """(rows, columns) of _cycle_matrix, built row by row from the free points.
+    indices to those of column c, keys increasing.
 
     With S the slots where a free point g is 0, row g holds (-1)**|S| at
     every column h that agrees with g off S and is nonzero on S. A column's
     index is a mixed radix over each color's nonzero elements, so the row's
     columns are g's share of that index off S plus one offset per choice of
     h on S, and the offsets are computed once per S. The columns are filled
-    in the same pass: one step per point and one per entry of P.
+    in the same pass: one step per free point and one per entry of P.
     """
-    colors = x.colors
     strides = [prod(g.order - 1 for g in colors[i + 1 :]) for i in range(len(colors))]
     # per color: each element's share of a column index, and the color's bit
     # in S, which only its zero sets
@@ -241,7 +234,7 @@ def _assemble_cycles(x: BalancedComplex):
     spans = {}
     rows = []
     columns = tuple({} for _ in range(prod(g.order - 1 for g in colors)))
-    for g in itertools.filterfalse(set(x.top_cells).__contains__, nested_elements(colors)):
+    for g in free:
         mask = sum(map(getitem, bit, g))
         if mask not in spans:
             on_s = [range(0, (c.order - 1) * s, s) for i, (c, s) in enumerate(zip(colors, strides)) if mask >> i & 1]
@@ -256,27 +249,39 @@ def _assemble_cycles(x: BalancedComplex):
     return tuple(rows), columns
 
 
-def _cycle_factors(x: BalancedComplex, over_columns: bool) -> tuple[int, ...]:
-    """Invariant factors of _cycle_matrix, eliminated over its rows or its columns.
+def _cycle_groups(colors, free) -> tuple[dict[int, AbelianGroupStructure], dict[int, AbelianGroupStructure]]:
+    """Reduced homology and cohomology, dimension -> group for 0..k, of the
+    complex over these colors whose free points, sorted, are `free`.
 
-    Kept on the complex, like the matrix.
+    P = _assemble_cycles(colors, free), m x z, is assembled once and
+    eliminated twice. Over its rows, with r nonzero invariant factors:
+    H_k = Z^(z - r), the cycles of the join supported on the top cells,
+    and H_(k-1) = coker P, that is Z^(m - r) plus the torsion of the
+    factors. Over its columns, the transpose's own run with its own pivot
+    order, with r' factors: H^k = Z^(z - r') plus the torsion of the
+    factors, and H^(k-1) = Z^(m - r'). Every lower dimension vanishes,
+    because the complex contains the full (k-1)-skeleton of the join,
+    whose reduced homology is concentrated in dimension k.
     """
-    key = ("cycle factors", over_columns)
-    if key not in x._memo:
-        rows, columns = _cycle_matrix(x)
-        x._memo[key] = sparse_invariant_factors(columns if over_columns else rows)
-    return x._memo[key]
+    k = len(colors) - 1
+    zero = AbelianGroupStructure(0)
+    rows, columns = _assemble_cycles(colors, free)
+    groups = []
+    for cohomology in (False, True):
+        factors = sparse_invariant_factors(columns if cohomology else rows)
+        # the torsion sits in the cokernel: H_(k-1) for homology, H^k for cohomology
+        below = AbelianGroupStructure.from_parts(len(rows) - len(factors), () if cohomology else factors)
+        top = AbelianGroupStructure.from_parts(len(columns) - len(factors), factors if cohomology else ())
+        groups.append({i: top if i == k else below if i == k - 1 else zero for i in range(k + 1)})
+    return groups[0], groups[1]
 
 
 def reduced_homology(x: BalancedComplex, i: int) -> AbelianGroupStructure:
     """Reduced integral homology in dimension i, from the join's top cycles.
 
-    With P = _cycle_matrix(x), m x z, and r its number of nonzero
-    invariant factors (P eliminated over its rows): H_k = Z^(z - r), the
-    cycles of the join supported on the top cells; H_(k-1) = coker P, that
-    is Z^(m - r) plus the torsion of the factors; every lower dimension
-    vanishes, because X contains the full (k-1)-skeleton of the join,
-    whose reduced homology is concentrated in dimension k.
+    Read off _cycle_groups: H_k is the kernel and H_(k-1) the cokernel of
+    the top cycles restricted to the points outside the top cells, and
+    every lower dimension vanishes.
 
     >>> z2, z3 = FiniteAbelianGroup((2,)), FiniteAbelianGroup((3,))
     >>> xg = build_complex((z2, z3), nested_elements((z2, z3)))
@@ -285,43 +290,30 @@ def reduced_homology(x: BalancedComplex, i: int) -> AbelianGroupStructure:
     >>> print(reduced_homology(xg, 0))
     0
     """
-    return _from_cycles(x, i, False)
+    if not 0 <= i <= x.top_dim:
+        raise ValueError("dimension out of range")
+    return x._groups[0][i]
 
 
 def reduced_cohomology(x: BalancedComplex, i: int) -> AbelianGroupStructure:
     """Reduced integral cohomology in dimension i, from the transposed top cycles.
 
     Computed from the coboundary side rather than by dualizing homology:
-    the transpose of P = _cycle_matrix(x) is eliminated over its rows, a
-    separate run with its own pivot order, so universal-coefficient
-    consistency with reduced_homology cross-checks two eliminations. With
-    r' its number of nonzero invariant factors: H^k = Z^(z - r') plus the
-    torsion of the factors, H^(k-1) = Z^(m - r'), and every lower
-    dimension vanishes.
+    _cycle_groups eliminates the transpose of the restricted top cycles in
+    a separate run with its own pivot order, so universal-coefficient
+    consistency with reduced_homology cross-checks two eliminations.
     """
-    return _from_cycles(x, i, True)
-
-
-def _from_cycles(x: BalancedComplex, i: int, cohomology: bool) -> AbelianGroupStructure:
-    k = x.top_dim
-    if not 0 <= i <= k:
+    if not 0 <= i <= x.top_dim:
         raise ValueError("dimension out of range")
-    if i < k - 1:
-        return AbelianGroupStructure(0)
-    rows, columns = _cycle_matrix(x)
-    factors = _cycle_factors(x, cohomology)
-    # the torsion sits in the cokernel: H_(k-1) for homology, H^k for cohomology
-    free = (len(columns) if i == k else len(rows)) - len(factors)
-    torsion = factors if (i == k) == cohomology else ()
-    return AbelianGroupStructure.from_parts(free, torsion)
+    return x._groups[1][i]
 
 
 def homology_profile(x: BalancedComplex) -> dict[int, AbelianGroupStructure]:
-    return {i: reduced_homology(x, i) for i in range(x.top_dim + 1)}
+    return dict(x._groups[0])
 
 
 def cohomology_profile(x: BalancedComplex) -> dict[int, AbelianGroupStructure]:
-    return {i: reduced_cohomology(x, i) for i in range(x.top_dim + 1)}
+    return dict(x._groups[1])
 
 
 def uct_holds(homology, cohomology) -> bool:
@@ -631,13 +623,10 @@ def is_coboundary(colors, top_cells, values) -> bool:
 
 def complex_json(x: BalancedComplex) -> dict:
     """Homology report for a complex, JSON-ready."""
+    homology, cohomology = x._groups
     return {
         "colors": [g.to_json() for g in x.colors],
         "A": [[list(v) for v in a] for a in x.top_cells],
-        "homology": {
-            str(i): reduced_homology(x, i).to_json_dict() for i in range(x.top_dim + 1)
-        },
-        "cohomology": {
-            str(i): reduced_cohomology(x, i).to_json_dict() for i in range(x.top_dim + 1)
-        },
+        "homology": {str(i): g.to_json_dict() for i, g in homology.items()},
+        "cohomology": {str(i): g.to_json_dict() for i, g in cohomology.items()},
     }

@@ -21,10 +21,9 @@ from .complexes import (
     BalancedComplex,
     _coboundary_columns,
     _coboundary_of,
+    _cycle_groups,
     _peel,
     coboundary_restriction,
-    cohomology_profile,
-    homology_profile,
     nested_elements,
     uct_holds,
 )
@@ -158,21 +157,19 @@ def build_family_complex(primes, subset):
     >>> build_family_complex((2, 3), ()).f_vector()
     (5, 3)
     """
-    return _family_complex(CycloComplexData.build(primes, subset))
-
-
-def _family_complex(data: CycloComplexData) -> BalancedComplex:
-    """The complex of build_family_complex, from its free residues.
-
-    The residues outside the top indices are {0, ..., phi(n)} minus the
-    subset; only their CRT points are split. Every other point is a top
-    cell, taken in nested_elements order, which is the canonical order,
-    so the top cells need neither build_complex's validation nor a sort.
-    """
+    data = CycloComplexData.build(primes, subset)
     colors = family_colors(data.primes)
-    subset = set(data.subset)
-    free = {crt_split(data.primes, x) for x in range(data.totient + 1) if x not in subset}
+    # every point but the free ones is a top cell, taken in nested_elements
+    # order, which is the canonical order: no validation and no sort
+    free = set(_free_points(data))
     return BalancedComplex(colors, tuple(g for g in nested_elements(colors) if g not in free))
+
+
+def _free_points(data: CycloComplexData) -> list[tuple[tuple[int, ...], ...]]:
+    """The points outside the top cells, sorted: the CRT points of the free
+    residues {0, ..., phi(n)} minus the subset. Only these are split."""
+    subset = set(data.subset)
+    return sorted(crt_split(data.primes, x) for x in range(data.totient + 1) if x not in subset)
 
 
 def predicted_homology(primes, subset, i: int) -> AbelianGroupStructure:
@@ -497,10 +494,10 @@ class HomologyVerification:
 def verify_homology_tables(primes, subset) -> HomologyVerification:
     """Compute all reduced (co)homology of the complex and grade it.
 
-    Every dimension 0..k is computed by homology_profile and
-    cohomology_profile, from the invariant factors of the join's top
-    cycles restricted to the points outside the top cells (see
-    complexes.reduced_homology), and compared with the coefficient
+    Every dimension 0..k is computed by complexes._cycle_groups, from the
+    invariant factors of the join's top cycles restricted to the points
+    outside the top cells (_free_points); no complex is built and the
+    join is not enumerated. The groups are compared with the coefficient
     predictions, including the dimensions where the prediction is zero.
     That matrix uses neither Phi_n nor the Fourier argument, so the
     comparison is a real check. Universal-coefficient consistency of the
@@ -516,9 +513,7 @@ def verify_homology_tables(primes, subset) -> HomologyVerification:
     if not data.subset:
         raise ValueError("verification requires a nonempty subset")
     k = len(data.primes) - 1
-    x = _family_complex(data)
-    computed_h = homology_profile(x)
-    computed_c = cohomology_profile(x)
+    computed_h, computed_c = _cycle_groups(family_colors(data.primes), _free_points(data))
     predicted_h = {i: _predicted_homology(data, i) for i in range(k + 1)}
     predicted_c = {i: _predicted_cohomology(data, i) for i in range(k + 1)}
     match = all(

@@ -9,6 +9,7 @@ results against them.
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import lru_cache
 from math import gcd, prod
 
@@ -356,16 +357,21 @@ def _with_rows(n_rows: int, columns):
     return rows, tuple(columns)
 
 
+def free_points(x: BalancedComplex) -> list:
+    """The points of the join outside the top cells of x, in nested_elements order."""
+    tops = set(x.top_cells)
+    return [g for g in nested_elements(x.colors) if g not in tops]
+
+
 def column_cycle_matrix(x: BalancedComplex):
-    """complexes._cycle_matrix assembled column by column, from its definition.
+    """complexes._assemble_cycles assembled column by column, from its definition.
 
     Column h, every h_i nonzero, looks up each of the 2**(k+1) points g with
     g_i in {0, h_i} among the free points and gives it the sign
     (-1)**#{i : g_i = 0}; the rows come from transposing the columns.
     """
     zeros = tuple(g.elements()[0] for g in x.colors)
-    tops = set(x.top_cells)
-    index = {g: r for r, g in enumerate(g for g in nested_elements(x.colors) if g not in tops)}
+    index = {g: r for r, g in enumerate(free_points(x))}
     columns = []
     for h in itertools.product(*(g.elements()[1:] for g in x.colors)):
         column = {}
@@ -377,20 +383,25 @@ def column_cycle_matrix(x: BalancedComplex):
     return _with_rows(len(index), columns)
 
 
+# (dimension, over_columns) -> invariant factors, per complex; an entry
+# goes when its complex is released
+_BOUNDARY_FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _boundary_factors(x: BalancedComplex, i: int, over_columns: bool) -> tuple[int, ...]:
     """Invariant factors of the boundary map from i-chains.
 
     Eliminated over its rows, or over its columns (the coboundary) when
     over_columns is set. One above the top dimension the map is zero.
-    Kept on the complex; the boundary map itself is not.
+    Kept in _BOUNDARY_FACTORS, off the complex; the boundary map is not kept.
     """
     if i == x.top_dim + 1:
         return ()
-    key = ("factors", i, over_columns)
-    if key not in x._memo:
+    factors = _BOUNDARY_FACTORS.setdefault(x, {})
+    if (i, over_columns) not in factors:
         rows, columns = _with_rows(*_boundary_columns(x, i))
-        x._memo[key] = sparse_invariant_factors(columns if over_columns else rows)
-    return x._memo[key]
+        factors[i, over_columns] = sparse_invariant_factors(columns if over_columns else rows)
+    return factors[i, over_columns]
 
 
 def reduced_homology(x: BalancedComplex, i: int) -> AbelianGroupStructure:

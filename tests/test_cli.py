@@ -1,5 +1,6 @@
 """CLI behaviour: flags, formats, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import time
@@ -241,17 +242,40 @@ def test_sweep_table_counts_a_failing_item(capsys, monkeypatch):
 
 
 def test_unwritable_out_is_a_usage_error_before_the_computation(capsys, monkeypatch, tmp_path):
-    # a missing directory or a directory as the file: exit 2 with one
-    # error line, and the command is never dispatched
+    # a missing directory, a directory as the file or an empty path: exit 2
+    # with one error line and empty stdout, and the command is never dispatched
     def refuse(args):
         raise AssertionError("the computation ran before --out was checked")
 
     monkeypatch.setitem(cli._DISPATCH, "cyclo", refuse)
-    for target in (tmp_path / "missing" / "r.json", tmp_path):
+    for target in (tmp_path / "missing" / "r.json", tmp_path, ""):
         code, out, err = run(capsys, "cyclo", "6", "--out", str(target))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "command, first, set_help",
+    [
+        ("verify-coboundaries", "--groups", "one point set as JSON"),
+        ("verify-pullback", "--primes", "comma list of residues (may be empty)"),
+        ("verify-homology", "--primes", "one nonempty comma list of residues"),
+    ],
+)
+def test_selection_commands_help_is_unchanged(capsys, command, first, set_help):
+    # each command's arguments declared one by one, as before they shared
+    # the selection helper: the help must be the same bytes
+    reference = argparse.ArgumentParser(prog=f"balacyc {command}")
+    reference.add_argument(first, required=True)
+    reference.add_argument("--set", dest="subset", help=set_help)
+    reference.add_argument("--all-subsets", dest="exhaustive", action="store_true")
+    reference.add_argument("--max-size", type=int, default=None)
+    reference.add_argument("--random", type=int, metavar="N")
+    reference.add_argument("--format", choices=("table", "json"), default="table")
+    reference.add_argument("--out", metavar="FILE", help="write the report to FILE")
+    reference.add_argument("--seed", type=int, help="seed for randomized sweeps")
+    assert run(capsys, command, "--help")[:2] == (0, reference.format_help())
 
 
 @pytest.mark.parametrize("seed", [0, 37])

@@ -1,5 +1,6 @@
 """Balanced complexes: boundaries, homology, and the lattice comparison."""
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -16,6 +17,7 @@ from oracles import (
     boundary_homology_profile,
     column_cycle_matrix,
     conductor_injective_off_zero,
+    free_points,
     full_block_vanishing_matrix,
     hermite_fourier_matches,
 )
@@ -325,14 +327,14 @@ def _layouts(matrix):
 @example(build_complex((Z4, Z22, Z3), full((Z4, Z22, Z3))[::5]))
 @example(build_family_complex((2, 3, 5, 11), (0, 5, 17, 80)))
 def test_cycle_matrix_matches_column_assembly(x):
-    assert _layouts(complexes._assemble_cycles(x)) == _layouts(column_cycle_matrix(x))
+    assert _layouts(complexes._assemble_cycles(x.colors, free_points(x))) == _layouts(column_cycle_matrix(x))
 
 
 def test_cycle_matrix_at_15015_matches_column_assembly():
     # the first five-prime case, whose elimination leaves the dense core
     # that no Smith reduction here finishes yet: P must stay this matrix
     x = build_family_complex((3, 5, 7, 11, 13), (0,))
-    rows, columns = complexes._assemble_cycles(x)
+    rows, columns = complexes._assemble_cycles(x.colors, free_points(x))
     assert (len(rows), len(columns)) == (5760, 5760)
     assert _layouts((rows, columns)) == _layouts(column_cycle_matrix(x))
 
@@ -629,26 +631,34 @@ def test_complex_json_shape():
     assert data["homology"]["0"] == {"rank": 2, "torsion": []}
 
 
-# --- per-complex memo --------------------------------------------------------------
+# --- (co)homology computed once per complex ------------------------------------------
 
 
 def test_cycle_matrix_assembled_once_per_complex(monkeypatch):
     cycles = []
     assemble_cycles = complexes._assemble_cycles
-    monkeypatch.setattr(complexes, "_assemble_cycles", lambda x: cycles.append(x) or assemble_cycles(x))
+    monkeypatch.setattr(
+        complexes, "_assemble_cycles", lambda colors, free: cycles.append(free) or assemble_cycles(colors, free)
+    )
     x = build_family_complex((2, 3, 5), (2, 6))
+    y = build_family_complex((2, 3, 5), (2, 6))
+    before = (hash(x), repr(x))
     homology_profile(x)
     cohomology_profile(x)
-    # one cycle matrix, shared by homology and cohomology
-    assert cycles == [x]
-    assert complexes._cycle_matrix(x) is complexes._cycle_matrix(x)
-    # boundary maps keep nothing on the complex
     for i in range(x.top_dim + 1):
+        reduced_homology(x, i)
+        reduced_cohomology(x, i)
         boundary_matrix(x, i)
-    assert set(x._memo) == {"cycles", ("cycle factors", False), ("cycle factors", True)}
-    # the memo stays outside equality, hashing and repr
-    y = build_family_complex((2, 3, 5), (2, 6))
-    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    complex_json(x)
+    # the profiles are copies: clearing one clears nothing kept
+    homology_profile(x).clear()
+    cohomology_profile(x).clear()
+    assert len(homology_profile(x)) == len(cohomology_profile(x)) == x.top_dim + 1
+    # one cycle matrix, on the free points, shared by every reader
+    assert cycles == [free_points(x)]
+    # what is computed stays outside the fields, equality, hashing and repr
+    assert [f.name for f in dataclasses.fields(complexes.BalancedComplex)] == ["colors", "top_cells"]
+    assert x == y and (hash(x), repr(x)) == before == (hash(y), repr(y))
 
 
 def test_homology_assembles_no_boundary_map(monkeypatch):

@@ -268,6 +268,34 @@ def test_cycle_route_matches_boundary_route_at_n2310(subset):
     assert cohomology_profile(x) == boundary_cohomology_profile(y)
 
 
+def test_verification_never_enumerates_the_join(monkeypatch):
+    def refuse(colors):
+        raise AssertionError("the join was enumerated")
+
+    monkeypatch.setattr(complexes, "nested_elements", refuse)
+    monkeypatch.setattr(cyclo_family, "nested_elements", refuse)
+    rng = random.Random(2310)
+    for size in (1, 40, 300):
+        report = verify_homology_tables((2, 3, 5, 7, 11), rng.sample(range(481), size))
+        assert report.match and report.euler_poincare and report.uct
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 3), (2, 3, 5), (2, 3, 7), (3, 5, 7)]), st.data())
+def test_verification_agrees_with_the_family_complex(primes, data):
+    # the verify path reads the free points directly; the complex finds
+    # them again from its top cells, and the oracles eliminate every
+    # boundary map of it
+    top = euler_phi(prod(primes))
+    subset = sorted(data.draw(st.sets(st.integers(0, top), min_size=1, max_size=top + 1)))
+    report = verify_homology_tables(primes, subset)
+    x = build_family_complex(primes, subset)
+    homology = dict(enumerate(report.computed_homology))
+    cohomology = dict(enumerate(report.computed_cohomology))
+    assert homology == homology_profile(x) == boundary_homology_profile(x)
+    assert cohomology == cohomology_profile(x) == boundary_cohomology_profile(x)
+
+
 def test_dense_core_reached_at_n105(monkeypatch):
     # coefficients -2 and -2: the factor 2 cannot come from a unit pivot,
     # so both eliminations of the cycle matrix end in a dense core
@@ -299,7 +327,8 @@ def test_dense_core_reached_at_n105(monkeypatch):
 def test_cycle_matrix_factors_match_dense_smith(primes, subset):
     # unless it is a top cell, the point 0 meets every column: a dense
     # row on one side, a dense column on the other
-    rows, columns = complexes._cycle_matrix(build_family_complex(primes, subset))
+    data = CycloComplexData.build(primes, subset)
+    rows, columns = complexes._assemble_cycles(family_colors(primes), cyclo_family._free_points(data))
     p = IntMatrix(len(rows), len(columns), tuple(row.get(c, 0) for row in rows for c in range(len(columns))))
     assert sparse_invariant_factors(rows) == smith_normal_form(p).invariant_factors
     assert sparse_invariant_factors(columns) == smith_normal_form(p.transpose()).invariant_factors
