@@ -27,6 +27,7 @@ import traceback
 from json.encoder import encode_basestring_ascii
 
 from .complexes import (
+    _cycle_groups,
     build_complex,
     check_colors,
     complex_json,
@@ -35,9 +36,10 @@ from .complexes import (
 )
 from .cyclo_family import (
     CycloComplexData,
-    build_family_complex,
+    _free_points,
     check_primes,
     coefficient_vector_is_coboundary,
+    family_colors,
 )
 from .cyclotomic import cyclotomic
 from .groups import FiniteAbelianGroup
@@ -247,16 +249,16 @@ def _cmd_homology(args):
         primes = _parse_primes(args.primes)
         subset = _parse_index_set(args.subset or "")
         data = _checked(CycloComplexData.build, primes, subset)
-        x = build_family_complex(primes, subset)
-        body = complex_json(x)
+        # the groups of build_family_complex, read off the free points alone
+        homology, cohomology = _cycle_groups(family_colors(data.primes), _free_points(data))
         report = {
             "schema": 1,
             "command": "homology",
             "primes": list(primes),
             "n": data.n,
             "A": list(subset),
-            "homology": body["homology"],
-            "cohomology": body["cohomology"],
+            "homology": {str(i): g.to_json_dict() for i, g in homology.items()},
+            "cohomology": {str(i): g.to_json_dict() for i, g in cohomology.items()},
         }
     lines = [
         f"H~_{i}: {value['rank']} free, torsion {value['torsion']}"

@@ -51,7 +51,7 @@ from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import getitem
 
-from .cyclotomic import _power_columns
+from .cyclotomic import _power_columns, vanishes_at_root
 from .groups import FiniteAbelianGroup, _exponent_row, positive_dual_block, product_group
 from .intlinalg import (
     AbelianGroupStructure,
@@ -422,34 +422,50 @@ def _coboundary_form(colors, cells) -> HermiteForm:
     return hermite_normal_form(coboundary_restriction(colors, cells))
 
 
+def _orbit_representatives(colors) -> list[tuple[int, ...]]:
+    """One character per Galois orbit chi -> u * chi, u a unit mod the
+    exponent N of the product, among the characters nontrivial in every
+    slot: the first of each orbit in the lexicographic order of
+    positive_dual_block. For an integer function f the transform at u * chi
+    is the Galois conjugate sigma_u of the transform at chi, so it vanishes
+    exactly when that one does. On Z3 * Z5 * Z7 the 48 characters form one
+    orbit.
+    """
+    g = product_group(colors)
+    n = g.exponent
+    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+    seen = set()
+    representatives = []
+    for chi in positive_dual_block(colors):
+        if chi not in seen:
+            seen.update(tuple(u * a % m for a, m in zip(chi, g.orders)) for u in units)
+            representatives.append(chi)
+    return representatives
+
+
 @lru_cache(maxsize=8)
 def fourier_vanishing_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     """Integer matrix whose kernel is cut out by transform vanishing.
 
     A function vector lies in the kernel exactly when its transform
-    vanishes on every character nontrivial in every slot. For an integer
-    function f and a unit u mod the exponent N, the transform at u * chi
-    is the Galois conjugate sigma_u of the transform at chi, so it
-    vanishes exactly when that one does: the conditions are constant on
-    each orbit chi -> u * chi. One character per orbit is kept, the first
-    in the lexicographic order of positive_dual_block, and each
-    contributes phi(N) rows, the power-basis coordinates of its transform
-    value in Z[zeta_N]: coordinate t at the point x is entry e of column t
-    of _power_columns(N), e the exponent of chi(x) in chi's exponent row
-    (groups._exponent_row). On Z3 * Z5 * Z7 the 48 characters form one
-    orbit: 48 rows instead of 2304, with the same kernel.
+    vanishes on every character nontrivial in every slot. The conditions
+    are constant on Galois orbits, so each orbit representative
+    (_orbit_representatives) contributes phi(N) rows, the power-basis
+    coordinates of its transform value in Z[zeta_N]: coordinate t at the
+    point x is entry e of column t of _power_columns(N), e the exponent of
+    chi(x) in chi's exponent row (groups._exponent_row). On Z3 * Z5 * Z7
+    that is 48 rows instead of 2304, with the same kernel.
+
+    Check (c) of _fourier_certificate reads it for one color at a time, in
+    that color's own conductor. No verdict reads it for several colors:
+    there only fourier_lattice (through _fourier_kernel) and the tests'
+    oracles do. It is dense, 5760 x 15015 entries on Z3 * Z5 * Z7 * Z11 * Z13.
     """
     colors = tuple(colors)
     g = product_group(colors)
-    n = g.exponent
-    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
-    columns = _power_columns(n)
-    seen = set()
+    columns = _power_columns(g.exponent)
     rows = []
-    for chi in positive_dual_block(colors):
-        if chi in seen:
-            continue
-        seen.update(tuple(u * a % m for a, m in zip(chi, g.orders)) for u in units)
+    for chi in _orbit_representatives(colors):
         row = _exponent_row(g, chi)
         rows.extend([col[e] for e in row] for col in columns)
     if not rows:
@@ -560,40 +576,88 @@ def _coboundary_of(columns, cochain) -> dict[int, int]:
 @lru_cache(maxsize=8)
 def _fourier_certificate(colors: tuple[FiniteAbelianGroup, ...]) -> bool:
     """Whether the full join's top coboundary image im delta_J equals K, the
-    saturated kernel of fourier_vanishing_matrix: then their restrictions
-    to any set of top cells agree too.
+    functions whose transform vanishes at every character nontrivial in
+    every slot (the kernel of fourier_vanishing_matrix): then their
+    restrictions to any set of top cells agree too.
 
     Three exact checks on the sparse columns of delta_J (_coboundary_columns
     over nested_elements), N being the points with no coordinate 0.
-    (a) im delta_J lies in K: the vanishing matrix annihilates every
-    column (not only the base columns and their translates, which would
-    trust its rows to be character values). (b) Z^G = im delta_J + Z^N:
-    each peel step's column has entry +-1 at its point and its other
+    (a) im delta_J lies in K (_fourier_contained). (b) Z^G = im delta_J +
+    Z^N: each peel step's column has entry +-1 at its point and its other
     points at a lower level (_peel_order), so the peel writes any f as
     delta_J c + r with r on N. (c) K meets Z^N only in 0: per color,
     [chi(g)] over chi nontrivial and g nonzero, in g's own conductor, has
-    full column rank (_injective_off_zero), and on N the transform at the characters
-    nontrivial in every slot is the tensor product of these. Then f in K
-    gives r = f - delta_J c in K on N, so r = 0.
+    full column rank (_injective_off_zero), and on N the transform at the
+    characters nontrivial in every slot is the tensor product of these.
+    Then f in K gives r = f - delta_J c in K on N, so r = 0.
     """
     points = nested_elements(colors)
     columns = _coboundary_columns(colors, points)
-    vanishing = fourier_vanishing_matrix(colors)
-    by_point = [vanishing.column(x) for x in range(vanishing.cols)]
-    contained = all(_annihilates(by_point, column) for column in columns)
     level, steps = _peel_order(colors, points)
     peels = all(
         columns[c].get(x) in (1, -1) and all(level[y] < level[x] for y in columns[c] if y != x) for x, c in steps
     )
-    return contained and peels and all(_injective_off_zero(g) for g in colors)
+    return _fourier_contained(colors, columns) and peels and all(_injective_off_zero(g) for g in colors)
 
 
-def _annihilates(by_point, column) -> bool:
-    """Whether the matrix with columns `by_point` kills the sparse column."""
-    total = [0] * len(by_point[0]) if by_point else []
-    for x, e in column.items():
-        total = [t + e * v for t, v in zip(total, by_point[x])]
-    return not any(total)
+def _fourier_contained(colors, columns) -> bool:
+    """Check (a) of _fourier_certificate: every sparse column of the top
+    coboundary, rows in nested_elements order, has a transform vanishing
+    at every orbit representative chi (_orbit_representatives), decided
+    without a power table and without reading every column's sums.
+
+    Per chi, with e its exponent row (_exponent_row) and N the exponent:
+    (a1) e is a homomorphism: e(x + g_j) = e(x) + e(g_j) mod N at every
+    point x, for each generator g_j (_generator_moves); (a2) each base
+    column, through the point 0, vanishes at chi: sum_x c(x) z**e(x) is a
+    multiple of Phi_N (cyclotomic.vanishes_at_root). Then (a3): the
+    columns are closed under translation by each generator, up to sign
+    (_translation_closed). By (a1), translating f by a multiplies its
+    transform at chi by zeta_N**e(a), so the functions vanishing at chi are
+    translation invariant. By (a3), a column through x, translated by -x,
+    is +-a column through 0, which vanishes by (a2); so every column does.
+    """
+    g = product_group(colors)
+    n = g.exponent
+    moves = _generator_moves(g)
+    base = [column for column in columns if 0 in column]
+    for chi in _orbit_representatives(colors):
+        e = _exponent_row(g, chi)
+        if not _homomorphic(e, moves, n):
+            return False
+        if not all(vanishes_at_root([(e[x], v) for x, v in column.items()], n) for column in base):
+            return False
+    return _translation_closed(columns, moves)
+
+
+def _homomorphic(e, moves, n: int) -> bool:
+    """Whether e(x + g_j) = e(x) + e(g_j) mod n at every index x, for each
+    move x -> x + g_j of _generator_moves (move[0] is the index of g_j)."""
+    return all((e[x] + e[move[0]] - e[y]) % n == 0 for move in moves for x, y in enumerate(move))
+
+
+def _generator_moves(g: FiniteAbelianGroup) -> list[list[int]]:
+    """For each generator g_j of g (1 in cyclic factor j, 0 elsewhere), the
+    index of x + g_j for each index x, in g.elements() order: the mixed
+    radix digit of factor j steps by one, and wraps from m_j - 1 to 0."""
+    moves = []
+    stride = g.order
+    for m in g.orders:
+        stride //= m
+        moves.append([x - (m - 1) * stride if x // stride % m == m - 1 else x + stride for x in range(g.order)])
+    return moves
+
+
+def _translation_closed(columns, moves) -> bool:
+    """Whether each sparse column, every row x moved to move[x], is again a
+    column up to sign, for each move: the group analogue of a shift."""
+    shapes = {frozenset(column.items()) for column in columns}
+    return all(
+        frozenset((move[x], e) for x, e in column.items()) in shapes
+        or frozenset((move[x], -e) for x, e in column.items()) in shapes
+        for move in moves
+        for column in columns
+    )
 
 
 def _injective_off_zero(g: FiniteAbelianGroup) -> bool:

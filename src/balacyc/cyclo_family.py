@@ -23,11 +23,12 @@ from .complexes import (
     _coboundary_of,
     _cycle_groups,
     _peel,
+    _translation_closed,
     coboundary_restriction,
     nested_elements,
     uct_holds,
 )
-from .cyclotomic import _remainders, cyclotomic, euler_phi, eval_at_root, is_prime, root_power
+from .cyclotomic import _remainders, cyclotomic, euler_phi, eval_at_root, is_prime, root_power, vanishes_at_root
 from .groups import FiniteAbelianGroup, GroupFunction, fourier_transform
 from .intlinalg import (
     AbelianGroupStructure,
@@ -277,12 +278,15 @@ def _pullback_certificate(primes: tuple[int, ...]) -> tuple[bool, bool, bool, di
     of residue x (_coboundary_columns over _crt_points), computed once
     and read by the peel too:
     - closed: L_cob is closed under multiplication by z: each column,
-      shifted by one residue, is a column up to sign (_shift_closed).
-    - contained: the columns through residue 0, the k+1 base columns of
-      the join, sum to 0 in Z[zeta_n], over the coordinates of z**x mod
-      Phi_n streamed once from cyclotomic._remainders. With closed, a
-      column c through x, shifted n - x times, is +-a column through 0,
-      so z**(n-x) * c, and with it c, vanishes too: L_cob lies in L_ker.
+      shifted by one residue, is a column up to sign
+      (complexes._translation_closed with the single move x -> x + 1).
+    - contained: each column through residue 0, a base column of the
+      join, read as c(z) = sum of its entries times z**x, is a multiple
+      of Phi_n: c(z) times the cofactor (z**n - 1) / Phi_n is 0 mod
+      z**n - 1, one cyclic convolution per base column
+      (cyclotomic.vanishes_at_root). With closed, a column c through x,
+      shifted n - x times, is +-a column through 0, so z**(n-x) * c, and
+      with it c, vanishes too: L_cob lies in L_ker.
     - cochain and remainder: the peel (complexes._peel) of f, the
       coefficients of Phi_n up to degree phi(n) and zero above.
     - solved: the columns applied to the cochain give f exactly, so Phi_n
@@ -296,31 +300,12 @@ def _pullback_certificate(primes: tuple[int, ...]) -> tuple[bool, bool, bool, di
     colors = family_colors(primes)
     points = _crt_points(primes)
     columns = _coboundary_columns(colors, points)
-    base = {c: column for c, column in enumerate(columns) if 0 in column}
-    sums = {c: [0] * phi for c in base}
-    last = max((x for column in base.values() for x in column), default=-1)
-    for x, r in zip(range(last + 1), _remainders(n)):
-        for c, column in base.items():
-            e = column.get(x)
-            if e:
-                sums[c] = [s + e * y for s, y in zip(sums[c], r)]
-    contained = not any(any(s) for s in sums.values())
+    contained = all(vanishes_at_root(column.items(), n) for column in columns if 0 in column)
     coeffs = cyclotomic(n).coeffs
     f = {x: coeffs[x] for x in range(phi + 1) if coeffs[x]}
     cochain, remainder = _peel(colors, points, columns, f)
     solved = _coboundary_of(columns, cochain) == f
-    return contained, _shift_closed(n, columns), solved, cochain, remainder
-
-
-def _shift_closed(n: int, columns) -> bool:
-    """Whether each sparse column on Z_n, every residue x moved to x + 1 mod n,
-    is again a column up to sign."""
-    shapes = {frozenset(column.items()) for column in columns}
-    return all(
-        frozenset(((x + 1) % n, e) for x, e in column.items()) in shapes
-        or frozenset(((x + 1) % n, -e) for x, e in column.items()) in shapes
-        for column in columns
-    )
+    return contained, _translation_closed(columns, [[*range(1, n), 0]]), solved, cochain, remainder
 
 
 def pullback_matches_root_kernel(primes, subset) -> bool:

@@ -198,10 +198,7 @@ def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, monic of degree phi(n).
 
     Computed from Moebius inversion of z**n - 1 = prod_{d | n} Phi_d:
-    Phi_n = prod_{d | n} (z**d - 1)**mu(n/d). The binomials with mu = +1
-    are multiplied in first, then those with mu = -1 are divided out
-    exactly; each step is one shift-and-subtract pass over the
-    coefficients.
+    Phi_n = prod_{d | n} (z**d - 1)**mu(n/d), by _binomial_passes.
 
     >>> cyclotomic(1).coeffs
     (-1, 1)
@@ -217,6 +214,40 @@ def cyclotomic(n: int) -> IntPoly:
     ds = divisors(n)
     up = [d for d in ds if mobius(n // d) == 1]
     down = [d for d in ds if mobius(n // d) == -1]
+    return IntPoly(tuple(_binomial_passes(n, up, down)))
+
+
+@lru_cache(maxsize=8)
+def cofactor(n: int) -> IntPoly:
+    """The cofactor C_n = (z**n - 1) / Phi_n = prod_{d | n, d < n} Phi_d,
+    monic of degree n - phi(n).
+
+    By the same inversion, C_n = prod_{d | n} (z**d - 1)**([d = n] - mu(n/d)),
+    by _binomial_passes. Phi_n divides an integer polynomial c(z) exactly
+    when c(z) * C_n(z) = 0 mod z**n - 1 (vanishes_at_root).
+
+    >>> cofactor(1).coeffs
+    (1,)
+    >>> cofactor(6).coeffs
+    (-1, -1, 0, 1, 1)
+    >>> cofactor(12) * cyclotomic(12) == xn_minus_1(12)
+    True
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    ds = divisors(n)[:-1]
+    up = [d for d in ds if mobius(n // d) == -1]
+    down = [d for d in ds if mobius(n // d) == 1]
+    return IntPoly(tuple(_binomial_passes(n, up, down)))
+
+
+def _binomial_passes(n: int, up, down) -> list[int]:
+    """prod_{d in up} (z**d - 1) / prod_{d in down} (z**d - 1), coefficients.
+
+    The binomials of `up` are multiplied in first, then those of `down`
+    are divided out exactly; each step is one shift-and-subtract pass over
+    the coefficients, and a division that leaves a remainder raises.
+    """
     poly = [1]
     for d in up:
         # times (z**d - 1): c_i <- c_(i-d) - c_i
@@ -233,7 +264,7 @@ def cyclotomic(n: int) -> IntPoly:
         if any(quot[-d:]):
             raise AssertionError(f"non-exact cyclotomic division at n={n}")
         poly = quot[:-d]
-    return IntPoly(tuple(poly))
+    return poly
 
 
 @dataclass(frozen=True)
@@ -317,7 +348,9 @@ def _remainders(n: int):
 
     Each step multiplies by z and, when the degree reaches phi(n), replaces
     z**phi(n) by the tail of the monic relation Phi_n(z) = 0:
-    r_(j+1) = z * r_j - lead(r_j) * Phi_n.
+    r_(j+1) = z * r_j - lead(r_j) * Phi_n. Its readers are
+    cyclo_family._root_relation_kernel and _power_columns; no certificate
+    streams it (they decide vanishing with vanishes_at_root).
     """
     phi = euler_phi(n)
     mod = cyclotomic(n).coeffs[:phi]
@@ -379,3 +412,32 @@ def eval_at_root(values, n: int) -> CycInt:
     if len(coeffs) > n:
         coeffs = [sum(coeffs[r::n]) for r in range(n)]
     return CycInt(n, tuple(sum(map(mul, coeffs, col)) for col in _power_columns(n)))
+
+
+def vanishes_at_root(terms, n: int) -> bool:
+    """Whether the sum of v * zeta_n**e over the pairs (e, v) of terms is 0
+    in Z[zeta_n]; exponents are taken modulo n.
+
+    Phi_n is the minimal polynomial of zeta_n, so the sum vanishes exactly
+    when Phi_n divides c(z) = sum v * z**(e mod n), and, Z[z] being a
+    domain, exactly when c(z) * C_n(z) = 0 mod z**n - 1, C_n = cofactor(n).
+    Each term adds v times the coefficients of C_n, rotated by e, into n
+    cyclic sums: O(n) per term, with neither the power table nor the
+    remainder stream. eval_at_root(...).is_zero() decides the same.
+
+    >>> vanishes_at_root([(0, 1), (2, 1), (4, 1)], 6)
+    True
+    >>> vanishes_at_root([(0, 1), (7, 1)], 6)
+    False
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    c = list(cofactor(n).coeffs)
+    c += [0] * (n - len(c))
+    acc = [0] * n
+    for e, v in terms:
+        if v:
+            s = e % n
+            # z**s * C_n mod z**n - 1: coefficient i is that of z**(i - s mod n)
+            acc = [a + v * x for a, x in zip(acc, c[n - s :] + c[: n - s])]
+    return not any(acc)

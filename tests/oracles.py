@@ -13,7 +13,7 @@ import weakref
 from functools import lru_cache
 from math import gcd, prod
 
-from balacyc import cyclo_family
+from balacyc import complexes, cyclo_family
 from balacyc.complexes import BalancedComplex, _boundary_columns, coboundary_lattice, fourier_lattice, nested_elements
 from balacyc.cyclo_family import CycloComplexData, _coboundary_form, family_colors, root_relation_lattice
 from balacyc.cyclotomic import (
@@ -255,6 +255,30 @@ def hermite_fourier_matches(colors, top_cells) -> bool:
     canonical forms: the per-set Hermite comparison, a dense coboundary
     restriction against the projected kernel of the vanishing matrix."""
     return coboundary_lattice(colors, top_cells) == fourier_lattice(colors, top_cells)
+
+
+def dense_fourier_containment(colors) -> bool:
+    """Check (a) of complexes._fourier_certificate by the dense route it
+    replaced: fourier_vanishing_matrix applied to every column of the top
+    coboundary, one sum of matrix columns kept per coboundary column, no
+    column taken for a translate of another and no exponent row trusted to
+    be a character.
+
+    fourier_vanishing_matrix and _coboundary_columns are looked up in the
+    complexes namespace when called, so a test that patches them, or
+    _exponent_row, is seen here too.
+    """
+    colors = tuple(colors)
+    columns = complexes._coboundary_columns(colors, nested_elements(colors))
+    vanishing = complexes.fourier_vanishing_matrix(colors)
+    by_point = [vanishing.column(x) for x in range(vanishing.cols)]
+    for column in columns:
+        total = [0] * vanishing.rows
+        for x, e in column.items():
+            total = [t + e * v for t, v in zip(total, by_point[x])]
+        if any(total):
+            return False
+    return True
 
 
 def full_block_vanishing_matrix(colors) -> IntMatrix:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balacyc import cli, sweeps
+from balacyc import cli, complexes, cyclo_family, sweeps
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,6 +67,32 @@ def test_homology_primes_subset(capsys):
     assert data["n"] == 30
     assert data["A"] == [2, 6]
     assert data["homology"]["2"] == {"rank": 2, "torsion": []}
+
+
+@pytest.mark.parametrize("primes, subset", [("2,3,5", "2,6"), ("2,3,5,7", "0,3,7,8,48"), ("2,3,5,7,11", "1,5,100,480")])
+def test_homology_primes_reads_only_the_free_points(capsys, monkeypatch, primes, subset):
+    # the report holds the groups of the family complex, but the command
+    # builds the configuration once and never enumerates the join
+    x = cyclo_family.build_family_complex([int(p) for p in primes.split(",")], [int(a) for a in subset.split(",")])
+    expected = {
+        "homology": {str(i): g.to_json_dict() for i, g in complexes.homology_profile(x).items()},
+        "cohomology": {str(i): g.to_json_dict() for i, g in complexes.cohomology_profile(x).items()},
+    }
+
+    def refuse(*args):
+        raise AssertionError("the join was enumerated")
+
+    for module in (complexes, cyclo_family, cli):
+        monkeypatch.setattr(module, "nested_elements", refuse, raising=False)
+    builds = []
+    build = cyclo_family.CycloComplexData.build
+    monkeypatch.setattr(
+        cyclo_family.CycloComplexData, "build", classmethod(lambda cls, *args: builds.append(args) or build(*args))
+    )
+    code, out, _ = run(capsys, "homology", "--primes", primes, "--set", subset, "--format", "json")
+    assert code == 0 and len(builds) == 1
+    data = json.loads(out)
+    assert {key: data[key] for key in expected} == expected
 
 
 def test_homology_needs_exactly_one_source(capsys):

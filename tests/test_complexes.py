@@ -17,6 +17,7 @@ from oracles import (
     boundary_homology_profile,
     column_cycle_matrix,
     conductor_injective_off_zero,
+    dense_fourier_containment,
     free_points,
     full_block_vanishing_matrix,
     hermite_fourier_matches,
@@ -504,21 +505,35 @@ def clear_fourier_caches():
     clear()
 
 
-@pytest.mark.parametrize("mutation", ["pairing on a base fibre", "pairing off the base fibres", "flip entry", "double"])
-@pytest.mark.parametrize("colors", [(Z2, Z3), (Z22, Z3), (Z2, Z3, Z5)], ids=["2*3", "2x2*3", "2*3*5"])
-def test_fourier_verdict_fails_under_mutation(monkeypatch, clear_fourier_caches, colors, mutation):
-    # a perturbed exponent row on the product group (the character value
-    # at one point moves by one power: the point with 1 in the last
-    # coordinate and 0 elsewhere, on a base column, or the point with 1
-    # everywhere, on none, where only a column that is a translate of a
-    # base column sees it),
-    # one entry of one coboundary column sign-flipped, or every entry
-    # doubled (a proper sublattice: no peel step has a unit). The
-    # certificate sees (a), (a), (a) and (b) fail; the per-set Hermite
-    # comparison, computed from the same corrupted routes, rejects the
-    # full point set as well
+# the check of _fourier_certificate that each mutation fails first: (a1)
+# the exponent rows are homomorphisms, (a2) the base columns vanish, (a3)
+# the columns are closed under translation, (b) the peel's unit steps
+FOURIER_MUTATIONS = {
+    "pairing on a base fibre": "a1",
+    "pairing off the base fibres": "a1",
+    "pairing without its wrap": "a1",
+    "flip entry": "a2",
+    "move": "a3",
+    "double": "b",
+}
+MUTATED_TUPLES = pytest.mark.parametrize("colors", [(Z2, Z3), (Z22, Z3), (Z2, Z3, Z5)], ids=["2*3", "2x2*3", "2*3*5"])
+
+
+def mutate_fourier_routes(monkeypatch, colors, mutation):
+    """Corrupt what _fourier_certificate reads, in the complexes namespace.
+
+    The pairing mutations perturb the exponent rows on the product group:
+    the exponent at one point moves by one power (the point with 1 in the
+    last coordinate and 0 elsewhere, on a base column, or the point with 1
+    everywhere, on none, where only a column that is a translate of a base
+    column sees it), or the last coordinate steps by one power more than
+    it should, so the row is a homomorphism along every generator but the
+    last, which fails only where that coordinate wraps. The column
+    mutations sign-flip one entry of a base column, move the entry of a
+    column that misses the point 0 off its fibre, or double every entry
+    (a proper sublattice: no peel step has a unit).
+    """
     points = nested_elements(colors)
-    assert coboundary_matches_fourier(colors, points)
     if mutation.startswith("pairing"):
         original = complexes._exponent_row
         width = len(product_group(colors).orders)
@@ -527,22 +542,101 @@ def test_fourier_verdict_fails_under_mutation(monkeypatch, clear_fourier_caches,
         def perturbed(g, chi):
             row = original(g, chi)
             if len(g.orders) == width:
-                x = g.elements().index(moved)
-                row[x] = (row[x] + 1) % g.exponent
+                if mutation == "pairing without its wrap":
+                    row = [(e + x[-1]) % g.exponent for e, x in zip(row, g.elements())]
+                else:
+                    x = g.elements().index(moved)
+                    row[x] = (row[x] + 1) % g.exponent
             return row
 
         monkeypatch.setattr(complexes, "_exponent_row", perturbed)
+        return
+    columns = complexes._coboundary_columns(colors, points)
+    if mutation == "flip entry":
+        columns = tuple({**col, 0: -col[0]} if c == 0 else col for c, col in enumerate(columns))
+    elif mutation == "move":
+        # the first column that misses the point 0, the fibre of slot i: its
+        # entry at its last point x moves to a point y off the fibre, with
+        # x's coordinate in slot i
+        c, column = next((c, col) for c, col in enumerate(columns) if 0 not in col)
+        i = complexes.top_coboundary_domain(colors)[c][0]
+        x = max(column)
+        y = next(y for y, g in enumerate(points) if y and g[i] == points[x][i] and y not in column)
+        moved = {**{z: e for z, e in column.items() if z != x}, y: column[x]}
+        columns = tuple(moved if d == c else col for d, col in enumerate(columns))
     else:
-        columns = complexes._coboundary_columns(colors, points)
-        if mutation == "flip entry":
-            columns = tuple({**col, 0: -col[0]} if c == 0 else col for c, col in enumerate(columns))
-        else:
-            columns = tuple({x: 2 * e for x, e in col.items()} for col in columns)
-        monkeypatch.setattr(complexes, "_coboundary_columns", lambda colors, points: columns)
+        columns = tuple({x: 2 * e for x, e in col.items()} for col in columns)
+    monkeypatch.setattr(complexes, "_coboundary_columns", lambda colors, points: columns)
+
+
+@pytest.mark.parametrize("mutation", list(FOURIER_MUTATIONS))
+@MUTATED_TUPLES
+def test_fourier_verdict_fails_under_mutation(monkeypatch, clear_fourier_caches, colors, mutation):
+    # each mutation of mutate_fourier_routes turns the verdict false, and
+    # the check named in FOURIER_MUTATIONS is the one that sees it: the
+    # checks before it all pass. The per-set Hermite comparison, computed
+    # from the same corrupted routes, rejects the full point set as well
+    points = nested_elements(colors)
+    assert coboundary_matches_fourier(colors, points)
+    mutate_fourier_routes(monkeypatch, colors, mutation)
+    results = {"a1": [], "a2": [], "a3": []}
+    for check, name in [("a1", "_homomorphic"), ("a2", "vanishes_at_root"), ("a3", "_translation_closed")]:
+        real = getattr(complexes, name)
+
+        def spy(*args, real=real, check=check):
+            results[check].append(real(*args))
+            return results[check][-1]
+
+        monkeypatch.setattr(complexes, name, spy)
     clear_fourier_caches()
     assert coboundary_matches_fourier(colors, points) is False
+    caught = FOURIER_MUTATIONS[mutation]
+    assert [check for check, seen in results.items() if False in seen] == ([] if caught == "b" else [caught])
+    if caught == "b":
+        assert all(results.values())
     assert coboundary_matches_fourier(colors, ()) is False
     assert hermite_fourier_matches(colors, points) is False
+
+
+# the color tuples of the coboundary CI steps small enough for the dense oracle
+CI_TUPLES = [
+    (Z2, Z3, Z5, Z7, FiniteAbelianGroup((11,))),
+    tuple(FiniteAbelianGroup((p, p)) for p in (2, 3, 5)),
+    (Z4, Z9, FiniteAbelianGroup((25,))),
+    (Z22, Z4, Z3),
+]
+
+
+def sparse_fourier_containment(colors) -> bool:
+    colors = tuple(colors)
+    return complexes._fourier_contained(colors, complexes._coboundary_columns(colors, nested_elements(colors)))
+
+
+@pytest.mark.parametrize(
+    "colors", SWEEP_TUPLES + CI_TUPLES, ids=lambda colors: "*".join(str(g.orders) for g in colors)
+)
+def test_sparse_containment_matches_the_dense_annihilation(colors):
+    assert sparse_fourier_containment(colors) is dense_fourier_containment(colors) is True
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([Z2, Z3, Z22, Z4, Z9]), min_size=1, max_size=3))
+@example([Z9, Z9, Z4])
+@example([Z22])
+def test_sparse_containment_matches_the_dense_annihilation_on_drawn_colors(colors):
+    # k = 0..2, cyclic and non-cyclic colors, several Galois orbits
+    assert sparse_fourier_containment(colors) is dense_fourier_containment(colors) is True
+
+
+@pytest.mark.parametrize("mutation", list(FOURIER_MUTATIONS))
+@MUTATED_TUPLES
+def test_sparse_containment_matches_the_dense_annihilation_under_mutation(
+    monkeypatch, clear_fourier_caches, colors, mutation
+):
+    # only "double" keeps every column in the kernel; it fails check (b)
+    mutate_fourier_routes(monkeypatch, colors, mutation)
+    clear_fourier_caches()
+    assert sparse_fourier_containment(colors) is dense_fourier_containment(colors) is (mutation == "double")
 
 
 @settings(max_examples=40, deadline=None)

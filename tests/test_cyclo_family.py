@@ -50,7 +50,7 @@ from balacyc.cyclo_family import (
     upper_indices,
     verify_homology_tables,
 )
-from balacyc.cyclotomic import CycInt, IntPoly, _power_columns, cyclotomic, euler_phi, root_power
+from balacyc.cyclotomic import CycInt, IntPoly, _power_columns, cofactor, cyclotomic, euler_phi, root_power
 from balacyc.groups import FiniteAbelianGroup, GroupFunction, fourier_transform
 from balacyc.intlinalg import (
     AbelianGroupStructure,
@@ -747,6 +747,32 @@ def test_certificates_need_no_dense_lattice_routine(monkeypatch):
     assert complexes.coboundary_matches_fourier((z3, z5, z7), [((0,), (1,), (2,)), ((2,), (4,), (6,))])
 
 
+def test_certificates_read_neither_the_remainder_stream_nor_the_power_table(monkeypatch):
+    # containment is decided by the cofactor on both sides: neither
+    # certificate reads z**x mod Phi_n, streamed or tabled. The only
+    # power-table readers left are check (c)'s per-color matrices, each in
+    # its color's own conductor; they are built before the patch
+    z22, z3, z5, z7 = (FiniteAbelianGroup(orders) for orders in ((2, 2), (3,), (5,), (7,)))
+    joins = [(z3, z5, z7), (z22, z3)]
+    for g in {g for colors in joins for g in colors}:
+        complexes.fourier_vanishing_matrix((g,))
+
+    def refuse(n, *args):
+        raise AssertionError(f"a certificate read z**x mod Phi_{n}")
+
+    for name, module in list(sys.modules.items()):
+        if name == "balacyc" or name.startswith("balacyc."):
+            for attr in ("_remainders", "_power_columns"):
+                if callable(getattr(module, attr, None)):
+                    monkeypatch.setattr(module, attr, refuse)
+    cyclo_family._pullback_certificate.cache_clear()
+    complexes._fourier_certificate.cache_clear()
+    assert cyclo_family._pullback_certificate((5, 7, 11))[:3] == (True, True, True)
+    assert pullback_matches_root_kernel((5, 7, 11), (0, 7, 240))
+    for colors in joins:
+        assert complexes._fourier_certificate(colors) is True
+
+
 def test_coboundary_caches_are_bounded():
     assert cyclo_family._pullback_certificate.cache_info().maxsize == 8
     assert complexes._fourier_certificate.cache_info().maxsize == 8
@@ -772,6 +798,7 @@ CACHE_BOUNDS = {"_tuples": 16}
         groups._tuples,
         _power_columns,
         cyclotomic,
+        cofactor,
         euler_phi,
     ],
 )

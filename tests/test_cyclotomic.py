@@ -21,12 +21,14 @@ from oracles import cofactor_cyclotomic, rowsum_eval_at_root
 from balacyc.cyclotomic import (
     CycInt,
     IntPoly,
+    cofactor,
     cyclotomic,
     divisors,
     eval_at_root,
     euler_phi,
     mobius,
     root_power,
+    vanishes_at_root,
     xn_minus_1,
 )
 
@@ -211,6 +213,60 @@ def test_divisor_product_identity():
 def test_cyclotomic_vanishes_at_root():
     for n in range(1, 121):
         assert eval_at_root(cyclotomic(n), n).is_zero()
+
+
+# --- the cofactor (z**n - 1) / Phi_n -------------------------------------
+
+# 4, 8, 9, 12, 36 and 900 are not squarefree; the Fourier certificate uses
+# the cofactor at the conductors 12, 36 and 900
+COFACTOR_NS = list(range(1, 61)) + [385, 900, 2310]
+
+
+@pytest.mark.parametrize("n", COFACTOR_NS)
+def test_cofactor_times_cyclotomic_is_xn_minus_1(n):
+    c = cofactor(n)
+    assert c * cyclotomic(n) == xn_minus_1(n)
+    assert c.is_monic() and c.degree == n - euler_phi(n)
+
+
+def test_cofactor_is_the_product_of_the_smaller_cyclotomic_polynomials():
+    for n in (1, 4, 8, 9, 12, 30, 36, 105):
+        product = IntPoly((1,))
+        for d in divisors(n)[:-1]:
+            product = product * cyclotomic(d)
+        assert cofactor(n) == product
+
+
+def test_cofactor_inexact_division_raises(monkeypatch):
+    monkeypatch.setattr(cyclotomic_module, "mobius", lambda m: 1)
+    with pytest.raises(AssertionError, match="non-exact"):
+        cofactor.__wrapped__(6)
+
+
+@st.composite
+def sparse_root_sums(draw):
+    """(terms, n): a few (exponent, value) pairs, exponents past n too, and
+    half the time a shifted multiple of Phi_n added, which vanishes."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 6, 9, 12, 30, 36, 105]))
+    terms = draw(st.lists(st.tuples(st.integers(0, 3 * n), st.integers(-4, 4)), max_size=6))
+    if draw(st.booleans()):
+        shift, k = draw(st.integers(0, 2 * n)), draw(st.integers(-3, 3))
+        terms += [(shift + j, k * c) for j, c in enumerate(cyclotomic(n).coeffs)]
+    return terms, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_root_sums())
+@example(([(0, 1), (2, 1), (4, 1)], 6))
+@example(([(0, 1), (6, -1)], 6))
+@example(([(1, 2), (4, 2), (7, 2)], 9))
+def test_vanishing_by_the_cofactor_matches_the_power_table(case):
+    # the cofactor's convolution against the power-table reduction
+    terms, n = case
+    buckets = [0] * n
+    for e, v in terms:
+        buckets[e % n] += v
+    assert vanishes_at_root(terms, n) is eval_at_root(buckets, n).is_zero()
 
 
 # --- cyclotomic integers -------------------------------------------------
