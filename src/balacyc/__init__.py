@@ -10,9 +10,7 @@ from .cyclotomic import CycInt, IntPoly, cyclotomic, eval_at_root, euler_phi, ro
 from .groups import (
     FiniteAbelianGroup,
     GroupFunction,
-    fourier_support,
     fourier_transform,
-    inversion_check,
     positive_dual_block,
     product_group,
 )
@@ -25,8 +23,6 @@ from .intlinalg import (
     determinant,
     hermite_normal_form,
     kernel_basis,
-    lattice_contains,
-    lattice_equal,
     smith_normal_form,
     solve_in_lattice,
 )
@@ -34,11 +30,8 @@ from .complexes import (
     BalancedComplex,
     boundary_matrix,
     build_complex,
-    coboundary_lattice,
     coboundary_matches_fourier,
     coboundary_top_matrix,
-    fourier_lattice,
-    is_coboundary,
     reduced_cohomology,
     reduced_homology,
 )
@@ -71,7 +64,6 @@ __all__ = [
     "boundary_matrix",
     "build_complex",
     "build_family_complex",
-    "coboundary_lattice",
     "coboundary_matches_fourier",
     "coboundary_top_matrix",
     "coefficient_vector_is_coboundary",
@@ -82,15 +74,9 @@ __all__ = [
     "determinant",
     "eval_at_root",
     "euler_phi",
-    "fourier_lattice",
-    "fourier_support",
     "fourier_transform",
     "hermite_normal_form",
-    "inversion_check",
-    "is_coboundary",
     "kernel_basis",
-    "lattice_contains",
-    "lattice_equal",
     "positive_dual_block",
     "predicted_cohomology",
     "predicted_homology",

@@ -158,10 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--out", metavar="FILE", help="write the report to FILE")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized sweeps")
+        if seeded:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized sweeps")
 
     def selection(p, set_help):
         p.add_argument("--set", dest="subset", help=set_help)
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--groups", required=True)
     selection(p, "one point set as JSON")
-    common(p)
+    common(p, seeded=True)
 
     p = sub.add_parser(
         "verify-pullback",
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--primes", required=True)
     selection(p, "comma list of residues (may be empty)")
-    common(p)
+    common(p, seeded=True)
 
     p = sub.add_parser(
         "verify-homology",
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--primes", required=True)
     selection(p, "one nonempty comma list of residues")
-    common(p)
+    common(p, seeded=True)
 
     p = sub.add_parser(
         "verify-coeff-coboundary",
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("sweep", help="run the full default verification battery")
-    common(p)
+    common(p, seeded=True)
 
     return parser
 

@@ -4,8 +4,10 @@ The vertex set is the disjoint union of the groups G_0, ..., G_k (one
 "color" per group); a cell picks at most one vertex per color, written
 with colors increasing. A complex here is the full (k-1)-skeleton of the
 join together with a chosen set of top cells. Boundary and coboundary
-matrices, integral (co)homology, and the two competing descriptions of
-the restricted top-coboundary lattice all live here.
+matrices, integral (co)homology, and the per-tuple certificate that the
+two competing descriptions of the restricted top-coboundary lattice
+agree live here; the two lattices themselves, compared set by set, are
+the test oracles in tests/oracles.py.
 
 (Co)homology does not eliminate any boundary map. The join J has reduced
 homology only in its top dimension k, where the cycles Z_k(J) have the
@@ -53,14 +55,7 @@ from operator import getitem
 
 from .cyclotomic import _power_columns, vanishes_at_root
 from .groups import FiniteAbelianGroup, _exponent_row, positive_dual_block, product_group
-from .intlinalg import (
-    AbelianGroupStructure,
-    HermiteForm,
-    IntMatrix,
-    hermite_normal_form,
-    kernel_basis,
-    sparse_invariant_factors,
-)
+from .intlinalg import AbelianGroupStructure, IntMatrix, sparse_invariant_factors
 
 Cell = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
@@ -332,11 +327,6 @@ def uct_holds(homology, cohomology) -> bool:
     return True
 
 
-def uct_consistent(x: BalancedComplex) -> bool:
-    """Universal-coefficient consistency of the (co)homology of x; see uct_holds."""
-    return uct_holds(homology_profile(x), cohomology_profile(x))
-
-
 @lru_cache(maxsize=8)
 def top_coboundary_domain(colors: tuple[FiniteAbelianGroup, ...]) -> tuple[tuple[int, tuple], ...]:
     """Column labels (i, t) of the top coboundary matrix.
@@ -369,7 +359,6 @@ def _coboundary_columns(colors: tuple[FiniteAbelianGroup, ...], points) -> tuple
     )
 
 
-@lru_cache(maxsize=8)
 def coboundary_top_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     """Matrix of the top coboundary map on the full join.
 
@@ -377,49 +366,30 @@ def coboundary_top_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     columns by top_coboundary_domain. The entry in row (g_0, ..., g_k)
     and column (i, t) is (-1)**i when t equals the row with slot i
     removed, else 0: _coboundary_columns, densified. The matrix is dense
-    (6.7M entries on Z2 * Z3 * Z5 * Z7 * Z11), so the cache holds a few
-    color tuples.
+    (6.7M entries on Z2 * Z3 * Z5 * Z7 * Z11) and no command reads it, so
+    it is built afresh on each call and not cached; the tests read it as
+    the dense reference of coboundary_restriction.
     """
     return _dense(prod(g.order for g in colors), _coboundary_columns(colors, nested_elements(colors)))
 
 
-def apply_top_coboundary(colors, cochain) -> tuple[int, ...]:
-    """Evaluate the top coboundary on a cochain given in domain order."""
-    return coboundary_top_matrix(tuple(colors)).apply(cochain)
-
-
-def cochain_vector(colors, components) -> tuple[int, ...]:
-    """Flatten per-slot cochain components into domain order.
-
-    `components[i]` maps tuples over the other colors (slot i removed) to
-    integers; missing tuples are zero. The result feeds
-    apply_top_coboundary.
-    """
-    components = list(components)
-    if len(components) != len(colors):
-        raise ValueError("one component per color required")
-    return tuple(components[i].get(t, 0) for i, t in top_coboundary_domain(tuple(colors)))
-
-
 def coboundary_restriction(colors, points_in_order) -> IntMatrix:
-    """Rows of the top coboundary matrix for the given points, in order."""
-    colors = tuple(colors)
-    full = coboundary_top_matrix(colors)
-    index = {g: r for r, g in enumerate(nested_elements(colors))}
-    return full.select_rows([index[tuple(tuple(v) for v in g)] for g in points_in_order])
+    """Rows of the top coboundary matrix for the given points, in order.
 
-
-def coboundary_lattice(colors, top_cells) -> HermiteForm:
-    """Canonical form of the restricted image of the top coboundary.
-
-    The image lattice of the top coboundary map, with coordinates
-    restricted to the chosen top cells (sorted canonically).
+    The sparse columns (_coboundary_columns) are built over the given
+    points followed by the rest of the join, and only the rows of the
+    given points are densified: the join's dense matrix is never formed.
+    ValueError unless the points are distinct points of the join.
     """
-    return _coboundary_form(colors, normalize_top_cells(colors, top_cells))
-
-
-def _coboundary_form(colors, cells) -> HermiteForm:
-    return hermite_normal_form(coboundary_restriction(colors, cells))
+    colors = tuple(colors)
+    chosen = [tuple(tuple(v) for v in g) for g in points_in_order]
+    join = _point_set(colors)
+    rest = join.difference(chosen)
+    if len(chosen) + len(rest) != len(join):
+        raise ValueError("the points must be distinct points of the join")
+    m = len(chosen)
+    columns = _coboundary_columns(colors, chosen + list(rest))
+    return _dense(m, [{r: e for r, e in column.items() if r < m} for column in columns])
 
 
 def _orbit_representatives(colors) -> list[tuple[int, ...]]:
@@ -458,8 +428,9 @@ def fourier_vanishing_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatri
 
     Check (c) of _fourier_certificate reads it for one color at a time, in
     that color's own conductor. No verdict reads it for several colors:
-    there only fourier_lattice (through _fourier_kernel) and the tests'
-    oracles do. It is dense, 5760 x 15015 entries on Z3 * Z5 * Z7 * Z11 * Z13.
+    there only the test oracles in tests/oracles.py do: the per-set
+    transform-vanishing lattice and the dense containment check. It is
+    dense, 5760 x 15015 entries on Z3 * Z5 * Z7 * Z11 * Z13.
     """
     colors = tuple(colors)
     g = product_group(colors)
@@ -473,39 +444,18 @@ def fourier_vanishing_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatri
     return IntMatrix.from_rows(rows)
 
 
-@lru_cache(maxsize=8)
-def _fourier_kernel(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
-    return kernel_basis(fourier_vanishing_matrix(colors))
-
-
-def fourier_lattice(colors, top_cells) -> HermiteForm:
-    """Restriction lattice of functions with transform vanishing as above.
-
-    The saturated kernel of the vanishing conditions is projected onto the
-    coordinates of the chosen top cells, then brought to canonical form.
-    """
-    colors = tuple(colors)
-    return _fourier_form(colors, normalize_top_cells(colors, top_cells))
-
-
-def _fourier_form(colors, cells) -> HermiteForm:
-    kernel = _fourier_kernel(colors)
-    index = {g: r for r, g in enumerate(nested_elements(colors))}
-    projected = kernel.select_rows([index[a] for a in cells])
-    return hermite_normal_form(projected)
-
-
 def coboundary_matches_fourier(colors, top_cells) -> bool:
     """Whether the two lattice descriptions agree for this set of top cells.
 
     The restricted coboundary image and the restricted transform-vanishing
     lattice agree for every set of top cells once they agree on the full
-    join, so the cells are only validated, and every set of top cells
-    over these colors shares the verdict of _fourier_certificate. The
-    per-set comparison of coboundary_lattice with fourier_lattice is the
-    test oracle.
+    join, so the colors and the cells are only validated (check_colors and
+    normalize_top_cells, ValueError as in build_complex), and every set of
+    top cells over these colors shares the verdict of _fourier_certificate.
+    The per-set Hermite comparison of the two restricted lattices is the
+    test oracle (tests/oracles.py).
     """
-    colors = tuple(colors)
+    colors = check_colors(colors)
     normalize_top_cells(colors, top_cells)
     return _fourier_certificate(colors)
 
@@ -671,18 +621,6 @@ def _injective_off_zero(g: FiniteAbelianGroup) -> bool:
     """
     rows = [{j: v for j, v in enumerate(row[1:]) if v} for row in fourier_vanishing_matrix((g,)).to_rows()]
     return len(sparse_invariant_factors(rows)) == g.order - 1
-
-
-def is_coboundary(colors, top_cells, values) -> bool:
-    """Whether an integer vector on the top cells extends to a coboundary.
-
-    `values` is indexed by the canonically sorted top cells.
-    """
-    cells = normalize_top_cells(colors, top_cells)
-    values = list(values)
-    if len(values) != len(cells):
-        raise ValueError("value vector length does not match top cell count")
-    return _coboundary_form(colors, cells).contains(values)
 
 
 def complex_json(x: BalancedComplex) -> dict:

@@ -29,7 +29,7 @@ from .complexes import (
     uct_holds,
 )
 from .cyclotomic import _remainders, cyclotomic, euler_phi, eval_at_root, is_prime, root_power, vanishes_at_root
-from .groups import FiniteAbelianGroup, GroupFunction, fourier_transform
+from .groups import FiniteAbelianGroup, GroupFunction, fourier_transform, product_group
 from .intlinalg import (
     AbelianGroupStructure,
     HermiteForm,
@@ -342,7 +342,7 @@ def transform_pullback_check(primes, h: GroupFunction, m: int | None = None) -> 
     """
     data = CycloComplexData.build(primes, ())
     n = data.n
-    if h.group != product_group_of(data.primes):
+    if h.group != product_group(family_colors(data.primes)):
         raise ValueError("function does not live on the expected product group")
     units = {x for x in range(n) if gcd(x, n) == 1}
     if {(data.unit * x) % n for x in units} != units:
@@ -357,10 +357,6 @@ def transform_pullback_check(primes, h: GroupFunction, m: int | None = None) -> 
         if eval_at_root(buckets, n) != hat[tuple(point % p for p in data.primes)]:
             return False
     return True
-
-
-def product_group_of(primes) -> FiniteAbelianGroup:
-    return FiniteAbelianGroup(tuple(check_primes(primes)))
 
 
 def coefficient_vector_is_coboundary(primes) -> bool:

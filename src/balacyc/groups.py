@@ -5,15 +5,16 @@ residue tuples, paired through exp(2*pi*i*x*y/m) on each factor. All
 transform values live in Z[zeta_N] for the single conductor N = exponent
 of the group, so vanishing is an exact coordinate test.
 
-Every character value is a power of zeta_N, and pairing_exponent gives
-that power as an integer. A character sum sum_x f(x) * chi(x) is
-therefore first collected in the group ring Z[Z_N]: f(x) is added into
-bucket e, chi(x) = zeta_N**e, and the N buckets are reduced to Z[zeta_N]
-once, by eval_at_root (phi(N) column sums over the power table). The
-exponents of one character at every element come as one exponent row
-(_exponent_row), built slot by slot from chi_i * N / m_i in O(|G|), not
-by one pairing_exponent call per element. Fourier inversion is summed
-the same way, one exponent row and one reduction per point.
+Every character value is a power of zeta_N: chi(x) = zeta_N**e with
+e = sum_i chi_i * x_i * N / m_i mod N. A character sum
+sum_x f(x) * chi(x) is therefore first collected in the group ring
+Z[Z_N]: f(x) is added into bucket e, and the N buckets are reduced to
+Z[zeta_N] once, by eval_at_root (phi(N) column sums over the power
+table). The exponents of one character at every element come as one
+exponent row (_exponent_row), built slot by slot from chi_i * N / m_i in
+O(|G|), not one element at a time. The per-element pairing and character
+value, Fourier inversion and the transform's support are the test
+oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
-from operator import add
 
-from .cyclotomic import CycInt, eval_at_root, root_power
+from .cyclotomic import CycInt, eval_at_root
 
 
 @lru_cache(maxsize=16)
@@ -74,31 +74,6 @@ class FiniteAbelianGroup:
 
     def neg(self, x) -> tuple[int, ...]:
         return tuple((-a) % m for a, m in zip(x, self.orders))
-
-    def pairing_exponent(self, chi, x) -> int:
-        """The e in 0..N-1 with chi(x) = zeta_N**e, N the group exponent.
-
-        It is the sum over the factors of chi_i * x_i * N / m_i, mod N.
-
-        >>> FiniteAbelianGroup((2, 3)).pairing_exponent((1, 1), (1, 2))
-        1
-        """
-        n = self.exponent
-        e = 0
-        for a, xi, m in zip(chi, x, self.orders):
-            e += a * xi * (n // m)
-        return e % n
-
-    def char_value(self, chi, x) -> CycInt:
-        """chi(x) as an exact element of Z[zeta_N], N the group exponent.
-
-        The pairing is multiplicative: chi(x + y) = chi(x) * chi(y).
-
-        >>> G = FiniteAbelianGroup((2,))
-        >>> G.char_value((1,), (1,)).coords
-        (-1,)
-        """
-        return root_power(self.exponent, self.pairing_exponent(chi, x))
 
     def to_json(self) -> list[int]:
         return list(self.orders)
@@ -170,7 +145,8 @@ class GroupFunction:
 
 
 def _exponent_row(g: FiniteAbelianGroup, chi) -> list[int]:
-    """pairing_exponent(chi, x) for every x in g.elements(), in that order.
+    """The e with chi(x) = zeta_N**e for every x in g.elements(), in that
+    order, N the exponent of g.
 
     The exponent is sum_i chi_i * x_i * N / m_i mod N, so the row is grown
     one slot at a time: each entry of the row so far is followed by its
@@ -211,32 +187,3 @@ def fourier_transform(f: GroupFunction) -> dict[tuple[int, ...], CycInt]:
             buckets[e] += v
         out[chi] = eval_at_root(buckets, n)
     return out
-
-
-def fourier_support(f: GroupFunction) -> set[tuple[int, ...]]:
-    """Characters at which the exact transform is nonzero."""
-    return {chi for chi, val in fourier_transform(f).items() if not val.is_zero()}
-
-
-def inversion_check(f: GroupFunction) -> bool:
-    """Exact Fourier inversion: |G| * f(x) = sum_chi fhat(chi) * chi(-x).
-
-    The pairing is symmetric, so the exponents of chi(-x) over all chi are
-    the exponent row of -x read as a character. Coordinate t of fhat(chi)
-    is the coefficient of zeta_N**t, so the coordinates of fhat(chi) are
-    added into buckets s, ..., s + phi(N) - 1, s that exponent; the
-    N + phi(N) - 1 buckets are folded mod N and reduced by one eval_at_root
-    call per point x.
-    """
-    g = f.group
-    n = g.exponent
-    hat = fourier_transform(f)
-    coords = [hat[chi].coords for chi in g.characters()]
-    width = len(coords[0])
-    for x in g.elements():
-        buckets = [0] * (n + width - 1)
-        for s, c in zip(_exponent_row(g, g.neg(x)), coords):
-            buckets[s : s + width] = map(add, buckets[s : s + width], c)
-        if eval_at_root(buckets, n) != CycInt.from_int(n, g.order * f(x)):
-            return False
-    return True

@@ -1,15 +1,16 @@
 """Arbitrary-precision integer matrix algebra.
 
-Smith and Hermite normal forms, integer kernels, lattice comparison and
-integral linear solving, all over Python's native big integers. Column
-lattices are compared through a single canonical Hermite form, so lattice
-equality is literal matrix equality. Every lattice question goes through
-a Hermite form: membership and solving by forward substitution over its
-echelon columns, kernels from the Hermite form of m stacked on the
-identity, and cokernels from sparse_invariant_factors. No program path
-uses the Smith transforms u and v: smith_normal_form stays as the public
-reference, and sparse_invariant_factors diagonalizes its dense core with
-the same elimination loop but without transforms.
+Smith and Hermite normal forms, integer kernels, lattice membership and
+integral linear solving, all over Python's native big integers. Every
+lattice question goes through a canonical Hermite form, so two column
+lattices are equal exactly when hermite_normal_form gives equal forms,
+and one contains a vector when HermiteForm.contains says so: membership
+and solving by forward substitution over its echelon columns, kernels
+from the Hermite form of m stacked on the identity, and cokernels from
+sparse_invariant_factors. No program path uses the Smith transforms u and
+v: smith_normal_form stays as the public reference, and
+sparse_invariant_factors diagonalizes its dense core with the same
+elimination loop but without transforms.
 """
 
 from __future__ import annotations
@@ -669,21 +670,6 @@ def solve_in_lattice(m: IntMatrix, b) -> tuple[int, ...] | None:
         if q:
             x = [a + q * v for a, v in zip(x, bottom)]
     return tuple(x)
-
-
-def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
-    """Whether every column of `inner` lies in the column lattice of `outer`."""
-    if outer.rows != inner.rows:
-        raise ValueError("lattices live in different ambient spaces")
-    lattice = hermite_normal_form(outer)
-    return all(lattice.contains(inner.column(j)) for j in range(inner.cols))
-
-
-def lattice_equal(m1: IntMatrix, m2: IntMatrix) -> bool:
-    """Whether two generator matrices span the same column lattice."""
-    if m1.rows != m2.rows:
-        raise ValueError("lattices live in different ambient spaces")
-    return hermite_normal_form(m1) == hermite_normal_form(m2)
 
 
 def cokernel_structure(m: IntMatrix) -> AbelianGroupStructure:

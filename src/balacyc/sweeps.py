@@ -16,13 +16,13 @@ from .complexes import coboundary_matches_fourier, nested_elements
 from .cyclo_family import (
     CycloComplexData,
     coefficient_vector_is_coboundary,
-    product_group_of,
+    family_colors,
     pullback_matches_root_kernel,
     quotient_presentation,
     transform_pullback_check,
     verify_homology_tables,
 )
-from .groups import FiniteAbelianGroup, GroupFunction
+from .groups import FiniteAbelianGroup, GroupFunction, product_group
 
 DEFAULT_SEED = 0
 
@@ -141,7 +141,7 @@ def run_presentation_sweep(primes, subsets) -> list[dict]:
 
 def run_transform_pullback_sweep(primes, function_count, bound, seed) -> list[dict]:
     """Seeded random functions, each checked at every residue."""
-    group = product_group_of(primes)
+    group = product_group(family_colors(primes))
     rng = random.Random(seed)
     items = []
     for idx in range(function_count):

@@ -1,9 +1,10 @@
 """Reference routes that the closed forms in balacyc replaced.
 
 Each is the generic computation the library used before it switched to a
-closed form, to a Hermite form or to a faster elimination. They are slow
-but follow the definitions directly, so the tests compare the library's
-results against them.
+closed form, to a Hermite form, to a certificate or to a faster
+elimination. They are slow but follow the definitions directly, so the
+tests compare the library's results against them. No command of the
+library runs them, and the library does not import this module.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import itertools
 import weakref
 from functools import lru_cache
 from math import gcd, prod
+from operator import add
 
-from balacyc import complexes, cyclo_family
-from balacyc.complexes import BalancedComplex, _boundary_columns, coboundary_lattice, fourier_lattice, nested_elements
-from balacyc.cyclo_family import CycloComplexData, _coboundary_form, family_colors, root_relation_lattice
+from balacyc import complexes, cyclo_family, groups
+from balacyc.complexes import BalancedComplex, _boundary_columns, nested_elements, normalize_top_cells
+from balacyc.cyclo_family import CycloComplexData, family_colors, root_relation_lattice
 from balacyc.cyclotomic import (
     CycInt,
     IntPoly,
@@ -23,15 +25,17 @@ from balacyc.cyclotomic import (
     cyclotomic,
     divisors,
     euler_phi,
+    eval_at_root,
     root_power,
     xn_minus_1,
 )
-from balacyc.groups import FiniteAbelianGroup, positive_dual_block, product_group
+from balacyc.groups import FiniteAbelianGroup, GroupFunction, positive_dual_block, product_group
 from balacyc.intlinalg import (
     AbelianGroupStructure,
     HermiteForm,
     IntMatrix,
     hermite_normal_form,
+    kernel_basis,
     smith_normal_form,
     sparse_invariant_factors,
 )
@@ -162,7 +166,7 @@ def hermite_pullback_matches(primes, subset) -> bool:
     rows by root_relation_lattice.
     """
     data = CycloComplexData.build(primes, subset)
-    return _coboundary_form(data) == root_relation_lattice(primes, subset)
+    return cyclo_family._coboundary_form(data) == root_relation_lattice(primes, subset)
 
 
 def direct_pullback_factors(primes, subset) -> tuple[int, ...]:
@@ -249,6 +253,31 @@ def partial_sum_containment(primes) -> bool:
     return not any(any(s) for s in sums.values())
 
 
+def coboundary_lattice(colors, top_cells) -> HermiteForm:
+    """Canonical form of the top coboundary's image, restricted to the
+    chosen top cells (sorted canonically): the Hermite form of the rows of
+    those cells (complexes.coboundary_restriction)."""
+    colors = tuple(colors)
+    return hermite_normal_form(complexes.coboundary_restriction(colors, normalize_top_cells(colors, top_cells)))
+
+
+@lru_cache(maxsize=8)
+def _fourier_kernel(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
+    """Saturated kernel of complexes.fourier_vanishing_matrix, per color tuple."""
+    return kernel_basis(complexes.fourier_vanishing_matrix(colors))
+
+
+def fourier_lattice(colors, top_cells) -> HermiteForm:
+    """Canonical form of the functions whose transform vanishes at every
+    character nontrivial in every slot, restricted to the chosen top cells:
+    the saturated kernel of the vanishing conditions (_fourier_kernel),
+    projected onto the coordinates of those cells."""
+    colors = tuple(colors)
+    index = {g: r for r, g in enumerate(nested_elements(colors))}
+    rows = [index[a] for a in normalize_top_cells(colors, top_cells)]
+    return hermite_normal_form(_fourier_kernel(colors).select_rows(rows))
+
+
 def hermite_fourier_matches(colors, top_cells) -> bool:
     """The restricted coboundary lattice equals the restricted
     transform-vanishing lattice for this set of top cells, compared by
@@ -289,7 +318,7 @@ def full_block_vanishing_matrix(colors) -> IntMatrix:
     points = g.elements()
     rows = []
     for chi in positive_dual_block(colors):
-        cols = [g.char_value(chi, x).coords for x in points]
+        cols = [char_value(g, chi, x).coords for x in points]
         for t in range(phi):
             rows.append([col[t] for col in cols])
     if not rows:
@@ -310,7 +339,7 @@ def conductor_injective_off_zero(g: FiniteAbelianGroup, n: int) -> bool:
         if chi in seen:
             continue
         seen.update(tuple(u * a % m for a, m in zip(chi, g.orders)) for u in units)
-        values = [root_power(n, step * g.pairing_exponent(chi, x)).coords for x in g.elements()[1:]]
+        values = [root_power(n, step * pairing_exponent(g, chi, x)).coords for x in g.elements()[1:]]
         rows.extend({j: v[t] for j, v in enumerate(values) if v[t]} for t in range(euler_phi(n)))
     return len(sparse_invariant_factors(rows)) == g.order - 1
 
@@ -344,6 +373,48 @@ def rowsum_eval_at_root(values, n: int) -> CycInt:
     return CycInt(n, tuple(acc))
 
 
+def pairing_exponent(g: FiniteAbelianGroup, chi, x) -> int:
+    """The e in 0..N-1 with chi(x) = zeta_N**e, N the exponent of g: the sum
+    over the factors of chi_i * x_i * N / m_i, mod N, one element at a time
+    (the oracle of groups._exponent_row)."""
+    n = g.exponent
+    return sum(a * xi * (n // m) for a, xi, m in zip(chi, x, g.orders)) % n
+
+
+def char_value(g: FiniteAbelianGroup, chi, x) -> CycInt:
+    """chi(x) as an exact element of Z[zeta_N], N the exponent of g."""
+    return root_power(g.exponent, pairing_exponent(g, chi, x))
+
+
+def fourier_support(f: GroupFunction) -> set[tuple[int, ...]]:
+    """Characters at which the exact transform (groups.fourier_transform) is nonzero."""
+    return {chi for chi, val in groups.fourier_transform(f).items() if not val.is_zero()}
+
+
+def inversion_check(f: GroupFunction) -> bool:
+    """Exact Fourier inversion: |G| * f(x) = sum_chi fhat(chi) * chi(-x).
+
+    fhat is groups.fourier_transform, looked up when called. The pairing is
+    symmetric, so the exponents of chi(-x) over all chi are the exponent row
+    of -x read as a character. Coordinate t of fhat(chi) is the coefficient
+    of zeta_N**t, so the coordinates of fhat(chi) are added into buckets
+    s, ..., s + phi(N) - 1, s that exponent; the N + phi(N) - 1 buckets are
+    folded mod N and reduced by one eval_at_root call per point x.
+    """
+    g = f.group
+    n = g.exponent
+    hat = groups.fourier_transform(f)
+    coords = [hat[chi].coords for chi in g.characters()]
+    width = len(coords[0])
+    for x in g.elements():
+        buckets = [0] * (n + width - 1)
+        for s, c in zip(groups._exponent_row(g, g.neg(x)), coords):
+            buckets[s : s + width] = map(add, buckets[s : s + width], c)
+        if eval_at_root(buckets, n) != CycInt.from_int(n, g.order * f(x)):
+            return False
+    return True
+
+
 def termwise_fourier_transform(f) -> dict:
     """Each character sum built one CycInt product and sum per term."""
     g = f.group
@@ -352,7 +423,7 @@ def termwise_fourier_transform(f) -> dict:
     for chi in g.characters():
         acc = CycInt.zero(n)
         for x, v in f.values.items():
-            acc = acc + v * g.char_value(chi, x)
+            acc = acc + v * char_value(g, chi, x)
         out[chi] = acc
     return out
 
@@ -366,7 +437,7 @@ def termwise_inversion_check(f) -> bool:
         neg = g.neg(x)
         rhs = CycInt.zero(n)
         for chi, val in hat.items():
-            rhs = rhs + val * g.char_value(chi, neg)
+            rhs = rhs + val * char_value(g, chi, neg)
         if rhs != CycInt.from_int(n, g.order * f(x)):
             return False
     return True

@@ -304,6 +304,24 @@ def test_selection_commands_help_is_unchanged(capsys, command, first, set_help):
     assert run(capsys, command, "--help")[:2] == (0, reference.format_help())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cyclo", "6"],
+        ["homology", "--primes", "2,3"],
+        ["homology", "--groups", "[[2],[3]]"],
+        ["verify-coeff-coboundary", "--primes", "2,3"],
+    ],
+    ids=lambda argv: argv[0] + argv[1][1:],
+)
+def test_seed_is_refused_where_nothing_is_drawn(capsys, argv):
+    # only sweep and the three verify-* selection commands draw anything
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--seed", "5")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --seed" in err
+
+
 @pytest.mark.parametrize("seed", [0, 37])
 def test_sweep_report_bytes_match_recorded_digest(tmp_path, capsys, seed):
     digests = json.loads((ROOT / "perfbench" / "sweep_digests.json").read_text())

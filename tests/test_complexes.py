@@ -12,12 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     boundary_cohomology_profile,
     boundary_homology_profile,
+    coboundary_lattice,
     column_cycle_matrix,
     conductor_injective_off_zero,
     dense_fourier_containment,
+    fourier_lattice,
+    fourier_support,
     free_points,
     full_block_vanishing_matrix,
     hermite_fourier_matches,
@@ -25,33 +29,22 @@ from oracles import (
 
 from balacyc import complexes
 from balacyc.complexes import (
-    apply_top_coboundary,
     boundary_matrix,
     build_complex,
-    coboundary_lattice,
     coboundary_matches_fourier,
+    coboundary_restriction,
     coboundary_top_matrix,
-    cochain_vector,
     cohomology_profile,
     complex_json,
-    fourier_lattice,
     fourier_vanishing_matrix,
     homology_profile,
-    is_coboundary,
     nested_elements,
     reduced_cohomology,
     reduced_homology,
     top_coboundary_domain,
-    uct_consistent,
     uct_holds,
 )
-from balacyc.groups import (
-    FiniteAbelianGroup,
-    GroupFunction,
-    fourier_support,
-    positive_dual_block,
-    product_group,
-)
+from balacyc.groups import FiniteAbelianGroup, GroupFunction, positive_dual_block, product_group
 from balacyc.cyclo_family import build_family_complex, verify_homology_tables
 from balacyc.cyclotomic import euler_phi
 from balacyc.intlinalg import AbelianGroupStructure, hermite_normal_form, kernel_basis, smith_normal_form
@@ -109,6 +102,15 @@ def test_top_cell_validation_words_each_error():
     assert complexes._point_set.cache_info().maxsize == 8
 
 
+@pytest.mark.parametrize("colors", [(), (FiniteAbelianGroup((1,)), Z3)], ids=["no colors", "trivial color"])
+def test_lattice_comparison_refuses_the_colors_build_complex_refuses(colors):
+    # no vacuous verdict: the colors are checked as build_complex checks them
+    with pytest.raises(ValueError):
+        build_complex(colors, [])
+    with pytest.raises(ValueError):
+        coboundary_matches_fourier(colors, [])
+
+
 def test_lattice_comparison_validates_cells_once(monkeypatch):
     calls = []
     original = complexes.normalize_top_cells
@@ -134,7 +136,7 @@ def test_single_color_complex():
     x = build_complex((Z5,), [((0,),), ((2,),), ((4,),)])
     assert x.f_vector() == (3,)
     assert str(reduced_homology(x, 0)) == "Z^2"
-    assert uct_consistent(x)
+    assert uct_holds(homology_profile(x), cohomology_profile(x))
 
 
 # --- boundary maps ------------------------------------------------------------
@@ -178,7 +180,8 @@ def test_coboundary_matrix_formula_two_slots():
     rng = random.Random(3)
     psi0 = {(g,): rng.randint(-5, 5) for g in Z2.elements()}
     psi1 = {(g,): rng.randint(-5, 5) for g in Z2.elements()}
-    image = apply_top_coboundary(colors, cochain_vector(colors, [psi0, psi1]))
+    cochain = [(psi0, psi1)[i].get(t, 0) for i, t in labels]
+    image = coboundary_top_matrix(colors).apply(cochain)
     for row, (g0, g1) in enumerate(nested_elements(colors)):
         expected = psi0[(g1,)] - psi1[(g0,)]
         assert image[row] == expected
@@ -212,7 +215,7 @@ def test_random_coboundaries_avoid_positive_block():
         block = set(positive_dual_block(colors))
         for _ in range(10):
             psi = [rng.randint(-4, 4) for _ in range(width)]
-            image = apply_top_coboundary(colors, psi)
+            image = coboundary_top_matrix(colors).apply(psi)
             f = GroupFunction.from_vector(product_group(colors), image)
             assert fourier_support(f).isdisjoint(block)
 
@@ -261,7 +264,8 @@ def test_uct_consistency_on_samples():
         points = list(nested_elements(colors))
         for _ in range(4):
             tops = rng.sample(points, rng.randint(0, len(points)))
-            assert uct_consistent(build_complex(colors, tops))
+            x = build_complex(colors, tops)
+            assert uct_holds(homology_profile(x), cohomology_profile(x))
 
 
 ORACLE_ORDERS = ((2,), (3,), (4,), (5,), (2, 2))
@@ -424,7 +428,7 @@ def test_orbit_vanishing_matrix_matches_full_block(colors, full_rows, orbit_rows
     # the orbit rows, read from exponent rows and the power columns, are
     # rows of the full block, whose entries come through char_value
     assert set(map(tuple, reduced.to_rows())) <= set(map(tuple, full_block.to_rows()))
-    kernel = complexes._fourier_kernel(colors)
+    kernel = oracles._fourier_kernel(colors)
     assert hermite_normal_form(kernel) == hermite_normal_form(kernel_basis(full_block))
 
 
@@ -463,7 +467,7 @@ def test_peel_writes_f_as_a_coboundary_plus_a_remainder_on_N(case):
     assert all(all(a != z for a, z in zip(points[x], zeros)) for x in rest)
     assert set(cochain) <= {c for _, c in complexes._peel_order(colors, points)[1]}
     # the sparse product agrees with the dense coboundary matrix
-    assert apply_top_coboundary(colors, [cochain.get(c, 0) for c in range(len(columns))]) == tuple(
+    assert coboundary_top_matrix(colors).apply([cochain.get(c, 0) for c in range(len(columns))]) == tuple(
         total.get(x, 0) - rest.get(x, 0) for x in range(len(points))
     )
 
@@ -492,12 +496,7 @@ def test_fourier_verdict_matches_the_hermite_oracle_on_drawn_point_sets(colors, 
 def clear_fourier_caches():
     # a test that corrupts a route must not leave its results cached
     def clear():
-        for cached in (
-            complexes._fourier_certificate,
-            complexes._fourier_kernel,
-            fourier_vanishing_matrix,
-            coboundary_top_matrix,
-        ):
+        for cached in (complexes._fourier_certificate, oracles._fourier_kernel, fourier_vanishing_matrix):
             cached.cache_clear()
 
     clear()
@@ -640,12 +639,20 @@ def test_sparse_containment_matches_the_dense_annihilation_under_mutation(
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.sampled_from([Z2, Z3, Z22, Z24, Z9]), min_size=1, max_size=3), st.randoms(use_true_random=False))
-@example([Z22, Z24, Z9], random.Random(0))
-def test_coboundary_columns_follow_the_point_order(colors, rng):
+@given(
+    st.lists(st.sampled_from([Z2, Z3, Z22, Z24, Z9]), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+    st.floats(0, 1),
+)
+@example([Z22, Z24, Z9], random.Random(0), 0.5)
+@example([Z2, Z3], random.Random(1), 0.0)
+@example([Z3, Z2], random.Random(2), 1.0)
+def test_coboundary_columns_follow_the_point_order(colors, rng, share):
     # k = 0..2, cyclic and non-cyclic colors: the columns over shuffled
     # points are the nested-order columns with their rows renumbered, and
-    # densified they are the rows of the dense coboundary in that order
+    # densified they are the rows of the dense coboundary in that order; the
+    # sparse restriction to a prefix of those points (the empty one and the
+    # whole join included) is those rows of the dense coboundary
     colors = tuple(colors)
     nested = nested_elements(colors)
     points = list(nested)
@@ -657,8 +664,18 @@ def test_coboundary_columns_follow_the_point_order(colors, rng):
     columns = complexes._coboundary_columns(colors, points)
     assert columns == renumbered
     position = {g: x for x, g in enumerate(nested)}
-    dense = coboundary_top_matrix(colors).select_rows([position[g] for g in points])
-    assert complexes._dense(len(points), columns) == dense
+    dense = coboundary_top_matrix(colors)
+    assert complexes._dense(len(points), columns) == dense.select_rows([position[g] for g in points])
+    prefix = points[: round(share * len(points))]
+    assert coboundary_restriction(colors, prefix) == dense.select_rows([position[g] for g in prefix])
+
+
+def test_coboundary_restriction_refuses_repeated_or_foreign_points():
+    colors = (Z2, Z3)
+    with pytest.raises(ValueError):
+        coboundary_restriction(colors, [((0,), (1,)), ((0,), (1,))])
+    with pytest.raises(ValueError):
+        coboundary_restriction(colors, [((0,), (3,))])
 
 
 @settings(max_examples=40, deadline=None)
@@ -696,11 +713,12 @@ def test_fourier_verdict_fails_without_one_orbit_of_a_color(monkeypatch, clear_f
 def test_is_coboundary_cases():
     colors = (Z2, Z3)
     tops = full(colors)
-    assert is_coboundary(colors, tops, [0] * 6)
+    lattice = coboundary_lattice(colors, tops)
+    assert lattice.contains([0] * 6)
     column = coboundary_top_matrix(colors).column(0)
-    assert is_coboundary(colors, tops, list(column))
+    assert lattice.contains(list(column))
     indicator = [1, 0, 0, 0, 0, 0]
-    assert not is_coboundary(colors, tops, indicator)
+    assert not lattice.contains(indicator)
     # cross-check through the transform: the indicator of the identity has
     # full transform support, so it cannot be a coboundary
     f = GroupFunction.from_vector(product_group(colors), indicator)
@@ -709,7 +727,7 @@ def test_is_coboundary_cases():
 
 def test_is_coboundary_validates_length():
     with pytest.raises(ValueError):
-        is_coboundary((Z2, Z3), full((Z2, Z3)), [0] * 5)
+        coboundary_lattice((Z2, Z3), full((Z2, Z3))).contains([0] * 5)
 
 
 # --- serialization ----------------------------------------------------------------

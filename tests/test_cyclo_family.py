@@ -10,12 +10,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     band_root_relation_kernel,
     boundary_cohomology_profile,
     boundary_homology_profile,
+    coboundary_lattice,
     direct_pullback_factors,
     evaluation_kernel,
+    fourier_lattice,
     hermite_pullback_matches,
     index_pullback_matches,
     kernel_rank_and_index,
@@ -28,7 +31,6 @@ from balacyc import complexes, cyclo_family, groups, intlinalg
 from balacyc.complexes import (
     build_complex,
     cohomology_profile,
-    fourier_lattice,
     homology_profile,
     nested_elements,
     reduced_homology,
@@ -42,7 +44,6 @@ from balacyc.cyclo_family import (
     family_colors,
     predicted_cohomology,
     predicted_homology,
-    product_group_of,
     pullback_matches_root_kernel,
     quotient_presentation,
     root_relation_lattice,
@@ -51,13 +52,12 @@ from balacyc.cyclo_family import (
     verify_homology_tables,
 )
 from balacyc.cyclotomic import CycInt, IntPoly, _power_columns, cofactor, cyclotomic, euler_phi, root_power
-from balacyc.groups import FiniteAbelianGroup, GroupFunction, fourier_transform
+from balacyc.groups import FiniteAbelianGroup, GroupFunction, fourier_transform, product_group
 from balacyc.intlinalg import (
     AbelianGroupStructure,
     IntMatrix,
     hermite_normal_form,
     kernel_basis,
-    lattice_contains,
     smith_normal_form,
     solve_in_lattice,
     sparse_invariant_factors,
@@ -494,7 +494,7 @@ def test_coefficient_vector_lies_in_lattice():
         data = CycloComplexData.build(primes, range(euler_phi(n) + 1))
         lattice = root_relation_lattice(primes, data.subset)
         vec = [data.coeffs[x] if x <= data.totient else 0 for x in data.pullback_indices]
-        assert lattice_contains(lattice.h, IntMatrix.from_columns([vec]))
+        assert hermite_normal_form(lattice.h).contains(vec)
 
 
 def test_pullback_matches_exhaustive_n6():
@@ -776,7 +776,8 @@ def test_certificates_read_neither_the_remainder_stream_nor_the_power_table(monk
 def test_coboundary_caches_are_bounded():
     assert cyclo_family._pullback_certificate.cache_info().maxsize == 8
     assert complexes._fourier_certificate.cache_info().maxsize == 8
-    assert complexes.coboundary_top_matrix.cache_info().maxsize == 8
+    # the dense matrix is a test reference only: built on each call, not kept
+    assert not hasattr(complexes.coboundary_top_matrix, "cache_info")
     # the entry holds the certificate, not the columns it was built from
     contained, closed, solved, cochain, remainder = cyclo_family._pullback_certificate((2, 3, 5))
     assert (contained, closed, solved, remainder) == (True, True, True, {})
@@ -794,7 +795,7 @@ CACHE_BOUNDS = {"_tuples": 16}
         cyclo_family._crt_inverse,
         complexes.top_coboundary_domain,
         complexes.fourier_vanishing_matrix,
-        complexes._fourier_kernel,
+        oracles._fourier_kernel,
         groups._tuples,
         _power_columns,
         cyclotomic,
@@ -854,7 +855,7 @@ def test_pullback_check_matches_both_oracles_at_n1155():
 
 
 def test_transform_pullback_zero_and_indicator():
-    g = product_group_of((2, 3))
+    g = product_group(family_colors((2, 3)))
     zero = GroupFunction.zero(g)
     assert transform_pullback_check((2, 3), zero)
     indicator = GroupFunction(g, {(1, 2): 1})
@@ -865,7 +866,7 @@ def test_transform_pullback_zero_and_indicator():
 def test_transform_pullback_random_functions():
     rng = random.Random(23)
     for primes in [(2, 3), (2, 3, 5)]:
-        g = product_group_of(primes)
+        g = product_group(family_colors(primes))
         for _ in range(5):
             h = GroupFunction(g, {x: rng.randint(-3, 3) for x in g.elements()})
             assert transform_pullback_check(primes, h)
@@ -873,7 +874,7 @@ def test_transform_pullback_random_functions():
 
 def test_character_sums_make_no_per_term_root_power_call(monkeypatch):
     rng = random.Random(29)
-    g = product_group_of((2, 3, 5))
+    g = product_group(family_colors((2, 3, 5)))
     h = GroupFunction(g, {x: rng.randint(-3, 3) for x in g.elements()})
     expected = fourier_transform(h)
 
@@ -882,11 +883,12 @@ def test_character_sums_make_no_per_term_root_power_call(monkeypatch):
 
     # the package re-exports the function cyclotomic under the module's name
     cyclotomic_module = importlib.import_module("balacyc.cyclotomic")
-    for module in (cyclotomic_module, groups, cyclo_family):
+    for module in (cyclotomic_module, cyclo_family):
         monkeypatch.setattr(module, "root_power", refuse)
+    assert not hasattr(groups, "root_power")
     assert fourier_transform(h) == expected
     assert transform_pullback_check((2, 3, 5), h)
-    assert transform_pullback_check((2, 3), GroupFunction(product_group_of((2, 3)), {(1, 2): 4}))
+    assert transform_pullback_check((2, 3), GroupFunction(product_group(family_colors((2, 3))), {(1, 2): 4}))
 
 
 def test_lattice_questions_build_no_smith_transforms(monkeypatch):
@@ -906,10 +908,10 @@ def test_lattice_questions_build_no_smith_transforms(monkeypatch):
     assert (kernel.rows, kernel.cols) == (105, 57)
     assert (m @ kernel).is_zero()
     assert m.apply(solve_in_lattice(m, b)) == b
-    assert lattice_contains(m, IntMatrix.from_columns([b]))
-    points = nested_elements((z2, z3))
-    assert complexes.is_coboundary((z2, z3), points, column)
-    assert not complexes.is_coboundary((z2, z3), points, [1, 0, 0, 0, 0, 0])
+    assert hermite_normal_form(m).contains(b)
+    coboundary = coboundary_lattice((z2, z3), nested_elements((z2, z3)))
+    assert coboundary.contains(column)
+    assert not coboundary.contains([1, 0, 0, 0, 0, 0])
     # coefficients 1, -1, 1 at 0, 3, 7: gcd 1, so both cokernels are free
     report = quotient_presentation((3, 5, 7), (0, 3, 7))
     assert report.ok and report.expected == AbelianGroupStructure(2)
@@ -921,7 +923,7 @@ def test_transform_pullback_fails_without_the_crt_twist(vec):
     # crt_unit((2, 3)) is 5. With 1 in its place the Z_6 side at m reads
     # the transform at (m mod 2, -m mod 3) instead of (m mod 2, m mod 3),
     # which differs for every h that is not even in its Z3 coordinate.
-    g = product_group_of((2, 3))
+    g = product_group(family_colors((2, 3)))
     h = GroupFunction.from_vector(g, vec)
     assume(any(h((a, b)) != h((a, -b % 3)) for a, b in g.elements()))
     assert crt_unit((2, 3)) == 5
@@ -933,7 +935,7 @@ def test_transform_pullback_fails_without_the_crt_twist(vec):
 
 def test_transform_pullback_rejects_wrong_group():
     with pytest.raises(ValueError):
-        transform_pullback_check((2, 3), GroupFunction.zero(product_group_of((2, 5))), 0)
+        transform_pullback_check((2, 3), GroupFunction.zero(product_group(family_colors((2, 5)))), 0)
 
 
 # --- coefficient coboundary and presentation ----------------------------------------

@@ -5,9 +5,12 @@ import doctest
 import importlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from balacyc import cli
 
 MODULE_NAMES = [
     "balacyc.cyclotomic",
@@ -38,3 +41,23 @@ def test_readme_library_example():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_readme_cli_block(tmp_path, capsys):
+    # every line of the CLI block runs as written and exits 0, its report
+    # sent to a file under tmp_path
+    blocks = [b for b in re.findall(r"```\n(.*?)```", README.read_text(), re.S) if b.startswith("balacyc ")]
+    (block,) = blocks
+    lines = block.splitlines()
+    assert len(lines) == 10
+    for number, line in enumerate(lines):
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "balacyc"
+        target = str(tmp_path / f"{number}.out")
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = target
+        else:
+            argv += ["--out", target]
+        assert cli.main(argv) == 0, line
+        assert Path(target).read_text()
+    assert capsys.readouterr().out == ""

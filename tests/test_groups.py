@@ -7,19 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import termwise_fourier_transform, termwise_inversion_check
+from oracles import (
+    char_value,
+    fourier_support,
+    inversion_check,
+    pairing_exponent,
+    termwise_fourier_transform,
+    termwise_inversion_check,
+)
 
 from balacyc import groups
 from balacyc.cyclotomic import CycInt, cyclotomic, root_power
-from balacyc.groups import (
-    FiniteAbelianGroup,
-    GroupFunction,
-    fourier_support,
-    fourier_transform,
-    inversion_check,
-    positive_dual_block,
-    product_group,
-)
+from balacyc.groups import FiniteAbelianGroup, GroupFunction, fourier_transform, positive_dual_block, product_group
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -65,9 +64,10 @@ def test_char_value_frozen():
     g = FiniteAbelianGroup((2, 3))
     one = CycInt.one(g.exponent)
     for x in g.elements():
-        assert g.char_value((0, 0), x) == one
-    assert FiniteAbelianGroup((2,)).char_value((1,), (1,)) == CycInt(2, (-1,))
-    assert FiniteAbelianGroup((3,)).char_value((1,), (2,)) == root_power(3, 2)
+        assert char_value(g, (0, 0), x) == one
+    assert pairing_exponent(g, (1, 1), (1, 2)) == 1
+    assert char_value(FiniteAbelianGroup((2,)), (1,), (1,)) == CycInt(2, (-1,))
+    assert char_value(FiniteAbelianGroup((3,)), (1,), (2,)) == root_power(3, 2)
 
 
 @settings(max_examples=50)
@@ -75,7 +75,7 @@ def test_char_value_frozen():
 def test_char_value_multiplicative(g, data):
     pick = lambda: data.draw(st.sampled_from(g.elements()))
     chi, x, y = pick(), pick(), pick()
-    assert g.char_value(chi, g.add(x, y)) == g.char_value(chi, x) * g.char_value(chi, y)
+    assert char_value(g, chi, g.add(x, y)) == char_value(g, chi, x) * char_value(g, chi, y)
 
 
 def test_orthogonality_exact():
@@ -85,7 +85,7 @@ def test_orthogonality_exact():
         for chi in g.characters():
             total = CycInt.zero(n)
             for x in g.elements():
-                total = total + g.char_value(chi, x)
+                total = total + char_value(g, chi, x)
             if any(chi):
                 assert total.is_zero()
             else:
@@ -167,7 +167,7 @@ def test_exponent_row_sums_match_termwise_on_drawn_groups(f):
 def test_exponent_row_is_the_pairing_at_every_element(orders, data):
     g = FiniteAbelianGroup(orders)
     chi = data.draw(st.sampled_from(g.characters()))
-    assert groups._exponent_row(g, chi) == [g.pairing_exponent(chi, x) for x in g.elements()]
+    assert groups._exponent_row(g, chi) == [pairing_exponent(g, chi, x) for x in g.elements()]
 
 
 @pytest.mark.parametrize("g", DIFFERENTIAL_GROUPS)
