@@ -4,7 +4,7 @@ Output is either a human table or schema-versioned JSON; identical
 (command, parameters, seed) invocations produce byte-identical JSON.
 Exit codes: 0 all checks verified, 1 a mathematical mismatch was found,
 2 usage error (including an exhaustive enumeration over MAX_ENUMERATED_SETS
-sets), 3 internal error.
+sets, or a --random count over it), 3 internal error.
 
 Input is validated here, before any computation starts, with the library's
 own checks (check_primes, check_colors, CycloComplexData.build,
@@ -309,11 +309,14 @@ def _subset_items_table(items) -> str:
 
 
 def _check_selection(args) -> None:
-    """UsageError unless one selection flag is given, and --max-size only with --all-subsets."""
+    """UsageError unless one selection flag is given, --max-size only with
+    --all-subsets, and --random N at most MAX_ENUMERATED_SETS."""
     if (args.subset is not None) + args.exhaustive + bool(args.random) != 1:
         raise UsageError("choose one of --set, --all-subsets, --random N")
     if args.max_size is not None and not args.exhaustive:
         raise UsageError("--max-size needs --all-subsets")
+    if args.random and args.random > MAX_ENUMERATED_SETS:
+        raise UsageError(f"--random {args.random} is over the limit of {MAX_ENUMERATED_SETS} sets")
 
 
 def _cmd_verify_coboundaries(args):

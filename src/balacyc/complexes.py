@@ -34,9 +34,9 @@ full join (_fourier_certificate): when the top coboundary image equals
 the transform-vanishing lattice there, every restriction to a set of top
 cells agrees too. The peel (_peel) writes any function on the join as a
 top coboundary plus a remainder on the points with no coordinate 0; the
-CRT pullback in cyclo_family uses it as well, and both certificates read
-the top coboundary's sparse columns from one builder, _coboundary_columns,
-with rows in the order of the points each passes.
+CRT pullback in cyclo_family uses it as well. Both certificates and the
+two coboundary matrices read the top coboundary's sparse columns from one
+builder, _coboundary_columns, over any distinct points of the join.
 
 Cells are plain pairs (support, vertices): `support` is the increasing
 tuple of color indices, `vertices[j]` the element of the support[j]-th
@@ -346,17 +346,19 @@ def top_coboundary_domain(colors: tuple[FiniteAbelianGroup, ...]) -> tuple[tuple
 def _coboundary_columns(colors: tuple[FiniteAbelianGroup, ...], points) -> tuple[dict[int, int], ...]:
     """The sparse columns of the top coboundary, in top_coboundary_domain order.
 
-    Row r is the point points[r]; points lists every point of
-    G_0 x ... x G_k once, in any order (nested_elements for
-    coboundary_top_matrix, the CRT points of Z_n for the pullback).
-    Column (i, t) maps the row of each point t[:i] + (g_i,) + t[i:],
-    g_i in G_i, to (-1)**i: the fibre of slot i through t.
+    Row r is points[r]; the points are any distinct points of the join, in
+    any order. Point g gets (-1)**i in column (i, g without slot i) for
+    each slot i, so column (i, t) is the fibre of slot i through t, cut to
+    the given points.
     """
-    index = {g: r for r, g in enumerate(points)}
-    return tuple(
-        {index[t[:i] + (gi,) + t[i:]]: -1 if i % 2 else 1 for gi in colors[i].elements()}
-        for i, t in top_coboundary_domain(colors)
-    )
+    column = {label: c for c, label in enumerate(top_coboundary_domain(colors))}
+    columns = tuple({} for _ in column)
+    rows = list(range(len(points)))  # one int object per row, shared by its k + 1 columns
+    for i in range(len(colors)):
+        sign = -1 if i % 2 else 1
+        for r, g in zip(rows, points):
+            columns[column[i, g[:i] + g[i + 1 :]]][r] = sign
+    return columns
 
 
 def coboundary_top_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
@@ -365,31 +367,26 @@ def coboundary_top_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     Rows are indexed by the points of G_0 x ... x G_k in lex order,
     columns by top_coboundary_domain. The entry in row (g_0, ..., g_k)
     and column (i, t) is (-1)**i when t equals the row with slot i
-    removed, else 0: _coboundary_columns, densified. The matrix is dense
-    (6.7M entries on Z2 * Z3 * Z5 * Z7 * Z11) and no command reads it, so
-    it is built afresh on each call and not cached; the tests read it as
-    the dense reference of coboundary_restriction.
+    removed, else 0: _coboundary_columns, densified. No command reads it;
+    it is the dense reference of coboundary_restriction in the tests.
     """
+    colors = check_colors(colors)
     return _dense(prod(g.order for g in colors), _coboundary_columns(colors, nested_elements(colors)))
 
 
 def coboundary_restriction(colors, points_in_order) -> IntMatrix:
     """Rows of the top coboundary matrix for the given points, in order.
 
-    The sparse columns (_coboundary_columns) are built over the given
-    points followed by the rest of the join, and only the rows of the
-    given points are densified: the join's dense matrix is never formed.
-    ValueError unless the points are distinct points of the join.
+    The sparse columns of _coboundary_columns over the given points alone,
+    densified. ValueError unless the colors pass check_colors and the
+    points are distinct points of the join.
     """
-    colors = tuple(colors)
+    colors = check_colors(colors)
     chosen = [tuple(tuple(v) for v in g) for g in points_in_order]
     join = _point_set(colors)
-    rest = join.difference(chosen)
-    if len(chosen) + len(rest) != len(join):
+    if len(set(chosen)) != len(chosen) or not join.issuperset(chosen):
         raise ValueError("the points must be distinct points of the join")
-    m = len(chosen)
-    columns = _coboundary_columns(colors, chosen + list(rest))
-    return _dense(m, [{r: e for r, e in column.items() if r < m} for column in columns])
+    return _dense(len(chosen), _coboundary_columns(colors, chosen))
 
 
 def _orbit_representatives(colors) -> list[tuple[int, ...]]:
@@ -424,7 +421,7 @@ def fourier_vanishing_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatri
     coordinates of its transform value in Z[zeta_N]: coordinate t at the
     point x is entry e of column t of _power_columns(N), e the exponent of
     chi(x) in chi's exponent row (groups._exponent_row). On Z3 * Z5 * Z7
-    that is 48 rows instead of 2304, with the same kernel.
+    its 48 characters form one orbit, so it has 48 rows.
 
     Check (c) of _fourier_certificate reads it for one color at a time, in
     that color's own conductor. No verdict reads it for several colors:

@@ -28,7 +28,7 @@ from .complexes import (
     nested_elements,
     uct_holds,
 )
-from .cyclotomic import _remainders, cyclotomic, euler_phi, eval_at_root, is_prime, root_power, vanishes_at_root
+from .cyclotomic import _remainders, cyclotomic, euler_phi, eval_at_root, is_prime, vanishes_at_root
 from .groups import FiniteAbelianGroup, GroupFunction, fourier_transform, product_group
 from .intlinalg import (
     AbelianGroupStructure,
@@ -145,8 +145,8 @@ class CycloComplexData:
 
     @property
     def pullback_indices(self) -> tuple[int, ...]:
-        """The top indices in descending order: the row order of
-        root_relation_lattice and of the pulled-back coboundary form."""
+        """The top indices in descending order: the row order of the
+        kernel's selection and of the pulled-back coboundary form."""
         return self.top_indices[::-1]
 
 
@@ -179,40 +179,36 @@ def predicted_homology(primes, subset, i: int) -> AbelianGroupStructure:
     With d the gcd of the subset's cyclotomic coefficients (0 when they
     all vanish): dimension k-1 carries Z/d (so Z when d = 0), dimension k
     is free of rank |A| when d = 0 and |A|-1 otherwise, and every other
-    dimension vanishes. The subset must be nonempty.
+    dimension vanishes. The subset must be nonempty and 0 <= i <= k.
     """
-    return _predicted_homology(CycloComplexData.build(primes, subset), i)
-
-
-def _predicted_homology(data: CycloComplexData, i: int) -> AbelianGroupStructure:
-    if not data.subset:
-        raise ValueError("empty subsets are not covered by the closed form")
-    k = len(data.primes) - 1
-    if i == k - 1:
-        return AbelianGroupStructure.from_parts(0, (data.coeff_gcd,))
-    if i == k:
-        size = len(data.subset)
-        return AbelianGroupStructure.from_parts(size if data.coeff_gcd == 0 else size - 1)
-    return AbelianGroupStructure.from_parts(0)
+    return _predicted_at(primes, subset, i)[0]
 
 
 def predicted_cohomology(primes, subset, i: int) -> AbelianGroupStructure:
     """Expected reduced cohomology: Z^(|A|-1) + Z/d at the top, Z below it
-    exactly when d = 0, zero elsewhere."""
-    return _predicted_cohomology(CycloComplexData.build(primes, subset), i)
+    exactly when d = 0, zero elsewhere; as predicted_homology otherwise."""
+    return _predicted_at(primes, subset, i)[1]
 
 
-def _predicted_cohomology(data: CycloComplexData, i: int) -> AbelianGroupStructure:
+def _predicted_at(primes, subset, i: int) -> tuple[AbelianGroupStructure, AbelianGroupStructure]:
+    homology, cohomology = _predicted_groups(CycloComplexData.build(primes, subset))
+    if i not in homology:
+        raise ValueError("dimension out of range")
+    return homology[i], cohomology[i]
+
+
+def _predicted_groups(data: CycloComplexData) -> tuple[dict, dict]:
+    """Predicted reduced homology and cohomology, dimension -> group for
+    0..k, in the shape of complexes._cycle_groups."""
     if not data.subset:
         raise ValueError("empty subsets are not covered by the closed form")
     k = len(data.primes) - 1
-    if i == k - 1:
-        return AbelianGroupStructure.from_parts(1 if data.coeff_gcd == 0 else 0)
-    if i == k:
-        return AbelianGroupStructure.from_parts(
-            len(data.subset) - 1, (data.coeff_gcd,)
-        )
-    return AbelianGroupStructure.from_parts(0)
+    d, size = data.coeff_gcd, len(data.subset)
+    groups = AbelianGroupStructure.from_parts
+    below = {i: groups(0) for i in range(k - 1)}
+    homology = {**below, k - 1: groups(0, (d,)), k: groups(size if d == 0 else size - 1)}
+    cohomology = {**below, k - 1: groups(1 if d == 0 else 0), k: groups(size - 1, (d,))}
+    return homology, cohomology
 
 
 @lru_cache(maxsize=8)
@@ -228,8 +224,8 @@ def _root_relation_kernel(n: int) -> HermiteForm:
     and they span it, because a kernel vector minus its upper coordinates
     times them is a multiple of Phi_n of degree < phi(n), hence zero. The
     remainders come from the recurrence of cyclotomic._remainders, read
-    once here and not kept. The cache holds a few n; at n = 1155 one form
-    is 1155 x 675.
+    once here and not kept. Column n-1-t is the relation of residue t. The
+    cache holds a few n; at n = 1155 one form is 1155 x 675.
     """
     phi = euler_phi(n)
     width = n - phi
@@ -245,7 +241,8 @@ def root_relation_lattice(primes, subset) -> HermiteForm:
     descending residue order (CycloComplexData.pullback_indices). When
     phi(n) is in the subset they keep every unit row n-1, ..., phi(n) in
     order, so they are already the canonical form; otherwise the selection
-    is brought to Hermite form once.
+    is brought to Hermite form once. No command reads it: it is the
+    reference of the per-subset pullback comparison in the tests.
     """
     data = CycloComplexData.build(primes, subset)
     # row r of the kernel's form holds residue n-1-r
@@ -394,43 +391,32 @@ class PresentationReport:
 def quotient_presentation(primes, subset) -> PresentationReport:
     """Present the quotient by the vanishing lattice two independent ways.
 
-    (a) directly, as the cokernel of the restricted kernel lattice
-    (root_relation_lattice) inside the full top index set; (b) as the
+    (a) Directly, as the cokernel of the evaluation kernel's form
+    (_root_relation_kernel) at the top indices, its rows selected once in
+    descending residue order (CycloComplexData.pullback_indices); (b) as the
     cokernel of the single column of subset coefficients. Both must give
     free rank |A|-1 plus one cyclic factor of order gcd. Additionally each
-    upper index t is checked constructively: the vector that places 1 at t
-    and the negated power-basis coordinates of zeta_n**t at the subset
-    indices lies in the pulled-back coboundary lattice (_coboundary_form),
-    which rewrites the class of t in subset classes inside the lattice the
-    theorem is about. The kernel's form is read off the same remainders as
-    those coordinates, so checking them against it would test the table
-    against itself. The vectors are indexed like the rows of both forms,
-    in descending residue order (CycloComplexData.pullback_indices); the
-    cokernels do not depend on the order. pullback_matches_root_kernel
-    does not compare these forms: it decides the same equality once per
-    n, on the full join (_pullback_certificate).
+    upper index t is checked constructively: the selection's column for
+    residue t, 1 at t and the negated power-basis coordinates of zeta_n**t
+    at the subset indices, lies in the pulled-back coboundary lattice
+    (_coboundary_form), which rewrites the class of t in subset classes
+    inside the lattice the theorem is about. That form is eliminated from
+    the coboundary alone, so the check does not test the kernel against
+    itself. pullback_matches_root_kernel does not compare these lattices:
+    it decides the same equality once per n, on the full join
+    (_pullback_certificate).
     """
     data = CycloComplexData.build(primes, subset)
     if not data.subset:
         raise ValueError("presentation requires a nonempty subset")
-    ambient = cokernel_structure(root_relation_lattice(primes, subset).h)
-    column = IntMatrix.from_columns([data.subset_coeffs], rows=len(data.subset))
-    small = cokernel_structure(column)
+    # row r of the kernel's form holds residue n-1-r, and so does column r
+    selected = _root_relation_kernel(data.n).h.select_rows([data.n - 1 - x for x in data.pullback_indices])
+    ambient = cokernel_structure(selected)
+    small = cokernel_structure(IntMatrix.from_columns([data.subset_coeffs], rows=len(data.subset)))
     expected = AbelianGroupStructure.from_parts(len(data.subset) - 1, (data.coeff_gcd,))
-
     coboundary = _coboundary_form(data)
-    indices = data.pullback_indices
-    position = {x: r for r, x in enumerate(indices)}
-    checks = []
-    for t in data.upper:
-        coords = root_power(data.n, t).coords
-        vec = [0] * len(indices)
-        for j in data.subset:
-            if j < len(coords):
-                vec[position[j]] = -coords[j]
-        vec[position[t]] += 1
-        checks.append((t, coboundary.contains(vec)))
-    return PresentationReport(expected, ambient, small, tuple(checks))
+    checks = tuple((t, coboundary.contains(selected.column(data.n - 1 - t))) for t in data.upper)
+    return PresentationReport(expected, ambient, small, checks)
 
 
 @dataclass(frozen=True)
@@ -495,12 +481,8 @@ def verify_homology_tables(primes, subset) -> HomologyVerification:
         raise ValueError("verification requires a nonempty subset")
     k = len(data.primes) - 1
     computed_h, computed_c = _cycle_groups(family_colors(data.primes), _free_points(data))
-    predicted_h = {i: _predicted_homology(data, i) for i in range(k + 1)}
-    predicted_c = {i: _predicted_cohomology(data, i) for i in range(k + 1)}
-    match = all(
-        computed_h[i] == predicted_h[i] and computed_c[i] == predicted_c[i]
-        for i in range(k + 1)
-    )
+    predicted_h, predicted_c = _predicted_groups(data)
+    match = computed_h == predicted_h and computed_c == predicted_c
     euler = computed_h[k].free_rank - computed_h[k - 1].free_rank == len(data.subset) - 1
     return HomologyVerification(
         primes=data.primes,

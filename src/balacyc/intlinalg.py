@@ -7,10 +7,10 @@ lattices are equal exactly when hermite_normal_form gives equal forms,
 and one contains a vector when HermiteForm.contains says so: membership
 and solving by forward substitution over its echelon columns, kernels
 from the Hermite form of m stacked on the identity, and cokernels from
-sparse_invariant_factors. No program path uses the Smith transforms u and
-v: smith_normal_form stays as the public reference, and
-sparse_invariant_factors diagonalizes its dense core with the same
-elimination loop but without transforms.
+sparse_invariant_factors. One Smith loop, _smith_reduce, reduces both
+the dense core of sparse_invariant_factors and, with identity blocks
+that end as u and v, the public reference smith_normal_form. No program
+path reads u or v.
 """
 
 from __future__ import annotations
@@ -240,47 +240,16 @@ def _find_pivot(a: list[list[int]], t: int, rows: int, cols: int):
     return best
 
 
-def _smith_reduce(a: list[list[int]], u: list[list[int]] | None = None, v: list[list[int]] | None = None) -> int:
-    """Diagonalize the row lists a in place to Smith form; return the rank.
+def _smith_reduce(a: list[list[int]], rows: int, cols: int) -> int:
+    """Diagonalize the leading rows x cols block of the row lists a in place
+    to Smith form; return the rank.
 
     Row and column reductions use smallest-magnitude pivoting to limit
     entry growth; a final divisibility pass at each pivot guarantees the
-    chain d1 | d2 | ... . When u and v are given, every row operation is
-    repeated on the rows of u and every column operation on the columns of
-    v; when they are not, no transform is kept.
+    chain d1 | d2 | ... . Pivot search and divisibility read only the
+    block; row operations act on whole rows and column operations on every
+    row of a, which carries the transforms of smith_normal_form along.
     """
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        if v is not None:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    def add_row(dst, src, q):
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        if u is not None:
-            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for r in a:
-            r[dst] -= q * r[src]
-        if v is not None:
-            for r in v:
-                r[dst] -= q * r[src]
-
     t = 0
     limit = min(rows, cols)
     while t < limit:
@@ -288,21 +257,22 @@ def _smith_reduce(a: list[list[int]], u: list[list[int]] | None = None, v: list[
         if pos is None:
             break
         if pos[0] != t:
-            swap_rows(pos[0], t)
+            a[pos[0]], a[t] = a[t], a[pos[0]]
         if pos[1] != t:
-            swap_cols(pos[1], t)
+            for r in a:
+                r[pos[1]], r[t] = r[t], r[pos[1]]
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         while True:
             dirty = False
             i = t + 1
             while i < rows:
                 if a[i][t]:
                     q = a[i][t] // a[t][t]
-                    add_row(i, t, q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if a[i][t]:
                         # remainder in (0, pivot): promote it and restart
-                        swap_rows(i, t)
+                        a[i], a[t] = a[t], a[i]
                         dirty = True
                         continue
                 i += 1
@@ -310,9 +280,11 @@ def _smith_reduce(a: list[list[int]], u: list[list[int]] | None = None, v: list[
             while j < cols:
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    add_col(j, t, q)
+                    for r in a:
+                        r[j] -= q * r[t]
                     if a[t][j]:
-                        swap_cols(j, t)
+                        for r in a:
+                            r[j], r[t] = r[t], r[j]
                         dirty = True
                         continue
                 j += 1
@@ -329,7 +301,7 @@ def _smith_reduce(a: list[list[int]], u: list[list[int]] | None = None, v: list[
             if offender is not None:
                 break
         if offender is not None:
-            add_row(t, offender, -1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue
         t += 1
     return t
@@ -338,18 +310,19 @@ def _smith_reduce(a: list[list[int]], u: list[list[int]] | None = None, v: list[
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Smith normal form with accumulated unimodular transforms.
 
-    The public reference form: _smith_reduce diagonalizes m while repeating
-    its row and column operations on identities, so u @ m @ v = d exactly.
-    No program path reads u or v; sparse_invariant_factors reduces its core
-    with the same loop and keeps no transforms.
+    The public reference form. _smith_reduce diagonalizes the m block of
+    [m | I] stacked on [I | 0]; row operations turn the top identity into
+    u and column operations the bottom one into v, so u @ m @ v = d
+    exactly. No program path reads u or v.
     """
     rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
-    rank = _smith_reduce(a, u, v)
-    d = IntMatrix(rows, cols, tuple(x for r in a for x in r))
-    return SmithForm(d, IntMatrix(rows, rows, tuple(x for r in u for x in r)), IntMatrix(cols, cols, tuple(x for r in v for x in r)), rank)
+    a = [list(m.row(i)) + [int(i == j) for j in range(rows)] for i in range(rows)]
+    a += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
+    rank = _smith_reduce(a, rows, cols)
+    d = IntMatrix(rows, cols, tuple(x for r in a[:rows] for x in r[:cols]))
+    u = IntMatrix(rows, rows, tuple(x for r in a[:rows] for x in r[cols:]))
+    v = IntMatrix(cols, cols, tuple(x for r in a[rows:] for x in r[:cols]))
+    return SmithForm(d, u, v, rank)
 
 
 def sparse_invariant_factors(rows) -> tuple[int, ...]:
@@ -380,8 +353,8 @@ def sparse_invariant_factors(rows) -> tuple[int, ...]:
     reachable and only the pivot order depends on the heap.
 
     What is left, a core without unit entries, is diagonalized densely by
-    the loop of smith_normal_form without its transforms, whose entries
-    would outgrow the diagonal's by far. The result equals
+    _smith_reduce on the core alone: no transforms, whose entries would
+    outgrow the diagonal's by far. The result equals
     smith_normal_form(m).invariant_factors for the dense m, and the rank is
     its length.
 
@@ -483,7 +456,7 @@ def sparse_invariant_factors(rows) -> tuple[int, ...]:
         for c, x in work[r].items():
             dense[core_cols[c]] = x
         core.append(dense)
-    rank = _smith_reduce(core)
+    rank = _smith_reduce(core, len(core), len(core_cols))
     return (1,) * units + tuple(core[i][i] for i in range(rank))
 
 

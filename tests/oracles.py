@@ -217,6 +217,24 @@ def kernel_rank_and_index(data: CycloComplexData) -> tuple[int, int]:
     return (units + 1, d) if d else (units, 1)
 
 
+def root_power_generators(data: CycloComplexData) -> list[tuple[int, list[int]]]:
+    """(t, vector) for each upper residue t, the vector built from the power
+    basis: 1 at t and minus the coordinates of root_power(n, t) at the
+    subset indices below phi(n), in the rows of data.pullback_indices.
+    quotient_presentation reads the same vectors off the kernel's form."""
+    position = {x: r for r, x in enumerate(data.pullback_indices)}
+    generators = []
+    for t in data.upper:
+        coords = root_power(data.n, t).coords
+        vec = [0] * len(position)
+        for j in data.subset:
+            if j < len(coords):
+                vec[position[j]] = -coords[j]
+        vec[position[t]] += 1
+        generators.append((t, vec))
+    return generators
+
+
 def index_pullback_matches(primes, subset) -> bool:
     """The pullback verdict by containment plus index, per subset.
 

@@ -377,6 +377,23 @@ def test_nonpositive_random_is_a_usage_error(capsys, argv, count):
     assert "choose one" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-pullback", "--primes", "2,3,5"),
+        ("verify-homology", "--primes", "2,3,5"),
+        ("verify-coboundaries", "--groups", "[[2],[3],[5]]"),
+    ],
+)
+def test_random_over_the_enumeration_limit_is_a_usage_error(capsys, argv):
+    # --random draws no more sets than --all-subsets may enumerate
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--random", str(cli.MAX_ENUMERATED_SETS + 1))
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert "--random" in err and str(cli.MAX_ENUMERATED_SETS) in err
+
+
 def test_empty_selection_is_a_usage_error(capsys):
     # verify-homology needs nonempty sets, so --max-size 0 selects none
     argv = ("verify-homology", "--primes", "2,3", "--all-subsets", "--max-size", "0")

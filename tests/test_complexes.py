@@ -102,13 +102,20 @@ def test_top_cell_validation_words_each_error():
     assert complexes._point_set.cache_info().maxsize == 8
 
 
-@pytest.mark.parametrize("colors", [(), (FiniteAbelianGroup((1,)), Z3)], ids=["no colors", "trivial color"])
-def test_lattice_comparison_refuses_the_colors_build_complex_refuses(colors):
-    # no vacuous verdict: the colors are checked as build_complex checks them
+@pytest.mark.parametrize(
+    "colors, point", [((), ()), ((FiniteAbelianGroup((1,)), Z3), ((0,), (1,)))], ids=["no colors", "trivial color"]
+)
+def test_lattice_comparison_refuses_the_colors_build_complex_refuses(colors, point):
+    # no vacuous verdict and no matrix: the colors are checked as
+    # build_complex checks them, even where the point lies in the join
     with pytest.raises(ValueError):
         build_complex(colors, [])
     with pytest.raises(ValueError):
         coboundary_matches_fourier(colors, [])
+    with pytest.raises(ValueError):
+        coboundary_restriction(colors, [point])
+    with pytest.raises(ValueError):
+        coboundary_top_matrix(colors)
 
 
 def test_lattice_comparison_validates_cells_once(monkeypatch):
@@ -667,7 +674,25 @@ def test_coboundary_columns_follow_the_point_order(colors, rng, share):
     dense = coboundary_top_matrix(colors)
     assert complexes._dense(len(points), columns) == dense.select_rows([position[g] for g in points])
     prefix = points[: round(share * len(points))]
+    cut = tuple({r: e for r, e in column.items() if r < len(prefix)} for column in renumbered)
+    assert complexes._coboundary_columns(colors, prefix) == cut
     assert coboundary_restriction(colors, prefix) == dense.select_rows([position[g] for g in prefix])
+
+
+def test_coboundary_restriction_builds_columns_over_the_given_points_only(monkeypatch):
+    colors = (Z2, Z3, Z5)
+    points = [((1,), (2,), (4,)), ((0,), (0,), (0,)), ((1,), (0,), (3,))]
+    seen = []
+    build = complexes._coboundary_columns
+
+    def spy(colors, points):
+        seen.append(list(points))
+        return build(colors, points)
+
+    monkeypatch.setattr(complexes, "_coboundary_columns", spy)
+    m = coboundary_restriction(colors, points)
+    assert seen == [points]
+    assert (m.rows, m.cols) == (3, len(complexes.top_coboundary_domain(colors)))
 
 
 def test_coboundary_restriction_refuses_repeated_or_foreign_points():

@@ -51,10 +51,11 @@ from balacyc.cyclo_family import (
     upper_indices,
     verify_homology_tables,
 )
-from balacyc.cyclotomic import CycInt, IntPoly, _power_columns, cofactor, cyclotomic, euler_phi, root_power
+from balacyc.cyclotomic import IntPoly, _power_columns, cofactor, cyclotomic, euler_phi, root_power
 from balacyc.groups import FiniteAbelianGroup, GroupFunction, fourier_transform, product_group
 from balacyc.intlinalg import (
     AbelianGroupStructure,
+    HermiteForm,
     IntMatrix,
     hermite_normal_form,
     kernel_basis,
@@ -190,6 +191,15 @@ def test_predicted_tables_frozen():
     assert str(predicted_homology((2, 3, 5), (2, 6), 1)) == "Z"
     assert str(predicted_cohomology((2, 3, 5), (2, 6), 2)) == "Z^2"
     assert str(predicted_cohomology((2, 3, 5), (2, 6), 1)) == "Z"
+    # dimensions outside 0..k are refused, as reduced_homology refuses them
+    for predicted, primes, subset, i in [
+        (predicted_homology, (2, 3), (0,), -1),
+        (predicted_homology, (2, 3), (0,), 7),
+        (predicted_cohomology, (2, 3, 5), (1,), -3),
+        (predicted_cohomology, (2, 3, 5), (1,), 3),
+    ]:
+        with pytest.raises(ValueError, match="dimension out of range"):
+            predicted(primes, subset, i)
 
 
 def test_predictions_reject_empty_subset():
@@ -883,9 +893,9 @@ def test_character_sums_make_no_per_term_root_power_call(monkeypatch):
 
     # the package re-exports the function cyclotomic under the module's name
     cyclotomic_module = importlib.import_module("balacyc.cyclotomic")
-    for module in (cyclotomic_module, cyclo_family):
-        monkeypatch.setattr(module, "root_power", refuse)
+    monkeypatch.setattr(cyclotomic_module, "root_power", refuse)
     assert not hasattr(groups, "root_power")
+    assert not hasattr(cyclo_family, "root_power")
     assert fourier_transform(h) == expected
     assert transform_pullback_check((2, 3, 5), h)
     assert transform_pullback_check((2, 3), GroupFunction(product_group(family_colors((2, 3))), {(1, 2): 4}))
@@ -968,22 +978,61 @@ def test_presentation_frozen_cases():
 
 def test_presentation_rejects_a_corrupted_generator(monkeypatch):
     # the membership check must catch a wrong rewriting of an upper class:
-    # shift the constant coordinate of zeta_30**9 by one
+    # shift the constant coordinate of the kernel's column for zeta_30**9 by
+    # one; the cokernel never reads the lower rows of an upper column, each
+    # having a unit in its own row, so only generator 9 fails
     primes, subset = (2, 3, 5), tuple(range(9))
     assert quotient_presentation(primes, subset).ok
+    kernel = cyclo_family._root_relation_kernel
 
-    def corrupted(n, e):
-        value = root_power(n, e)
-        if e != 9:
-            return value
-        return CycInt(n, (value.coords[0] + 1,) + value.coords[1:])
+    def corrupted(n):
+        h = kernel(n).h
+        entries = list(h.entries)
+        entries[(n - 1) * h.cols + (n - 1 - 9)] += 1  # row of residue 0, column of residue 9
+        return HermiteForm(IntMatrix(h.rows, h.cols, tuple(entries)))
 
-    monkeypatch.setattr(cyclo_family, "root_power", corrupted)
+    monkeypatch.setattr(cyclo_family, "_root_relation_kernel", corrupted)
     report = quotient_presentation(primes, subset)
     assert report.quotient_ok
     assert dict(report.generator_membership)[9] is False
     assert all(ok for t, ok in report.generator_membership if t != 9)
     assert not report.ok
+
+
+@pytest.mark.parametrize(
+    "primes, subset",
+    [
+        ((2, 3), (0,)),
+        ((2, 3), (0, 1, 2)),
+        ((2, 3, 5), (1, 4, 7)),
+        ((2, 3, 5), (0, 8)),
+        ((2, 3, 7), (5, 9, 11)),
+        ((2, 3, 7), (3, 12)),
+        ((3, 5, 7), (7, 41)),
+        ((3, 5, 7), (0, 20, 48)),
+    ],
+)
+def test_presentation_generators_equal_the_root_power_construction(monkeypatch, primes, subset):
+    # the generators read off the selected kernel are the vectors built from
+    # root_power (oracles.root_power_generators), with phi(n) in A and not
+    data = CycloComplexData.build(primes, subset)
+    checked = []
+    form = cyclo_family._coboundary_form
+
+    class Recording:
+        def __init__(self, data):
+            self.form = form(data)
+
+        def contains(self, vec):
+            checked.append(list(vec))
+            return self.form.contains(vec)
+
+    monkeypatch.setattr(cyclo_family, "_coboundary_form", Recording)
+    report = quotient_presentation(primes, subset)
+    assert report.ok
+    expected = oracles.root_power_generators(data)
+    assert [t for t, _ in report.generator_membership] == [t for t, _ in expected]
+    assert checked == [vec for _, vec in expected]
 
 
 def test_presentation_generators_are_checked_against_the_coboundary(monkeypatch):
