@@ -36,7 +36,9 @@ cells agrees too. The peel (_peel) writes any function on the join as a
 top coboundary plus a remainder on the points with no coordinate 0; the
 CRT pullback in cyclo_family uses it as well. Both certificates and the
 two coboundary matrices read the top coboundary's sparse columns from one
-builder, _coboundary_columns, over any distinct points of the join.
+function, _coboundary_columns, over any distinct points of the join. It
+and the peel's order place each point by its mixed-radix index in the
+join (_slot_radix), with no lookup of column labels.
 
 Cells are plain pairs (support, vertices): `support` is the increasing
 tuple of color indices, `vertices[j]` the element of the support[j]-th
@@ -51,7 +53,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, prod
-from operator import getitem
+from operator import add, getitem, itemgetter
 
 from .cyclotomic import _power_columns, vanishes_at_root
 from .groups import FiniteAbelianGroup, _exponent_row, positive_dual_block, product_group
@@ -327,37 +329,55 @@ def uct_holds(homology, cohomology) -> bool:
     return True
 
 
-@lru_cache(maxsize=8)
-def top_coboundary_domain(colors: tuple[FiniteAbelianGroup, ...]) -> tuple[tuple[int, tuple], ...]:
-    """Column labels (i, t) of the top coboundary matrix.
+def _slot_radix(colors, points) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Each point's index f in nested_elements order, and per slot i the
+    triple (start_i, low_i, block_i) that gives its column in the top
+    coboundary.
 
-    Slot i ranges over colors; t over the product of the other colors'
-    elements in lex order. These label the (k-1)-cochain components.
+    The columns of the top coboundary, the (k-1)-cochain components, are
+    labelled (i, t): slot i in order, and within it t over the points of
+    the other colors in lex order. With m_i the order of color i and
+    low_i the product of the orders after it, f is the mixed-radix number
+    whose digit i, weight low_i, is the position of g_i in
+    colors[i].elements(). Column (i, t) sits at start_i, the number of
+    columns of the slots before i, plus the index of t among the points
+    of the other colors, so the column through g along slot i is
+    start_i + f // block_i * low_i + f % low_i, block_i = low_i * m_i: the
+    digits above slot i shift down one place, and digit i is
+    f % block_i // low_i. The indices are summed slot by slot in C-level
+    passes; no label tuple is built or hashed.
     """
-    k = len(colors) - 1
-    labels = []
-    for i in range(k + 1):
-        others = [colors[j].elements() for j in range(k + 1) if j != i]
-        for t in itertools.product(*others):
-            labels.append((i, t))
-    return tuple(labels)
+    total = prod(g.order for g in colors)
+    index = [0] * len(points)
+    radix = []
+    start, low = 0, total
+    for i, g in enumerate(colors):
+        low //= g.order
+        share = {v: j * low for j, v in enumerate(g.elements())}
+        index = list(map(add, index, map(share.__getitem__, map(itemgetter(i), points))))
+        radix.append((start, low, low * g.order))
+        start += total // g.order
+    return index, radix
 
 
 def _coboundary_columns(colors: tuple[FiniteAbelianGroup, ...], points) -> tuple[dict[int, int], ...]:
-    """The sparse columns of the top coboundary, in top_coboundary_domain order.
+    """The sparse columns of the top coboundary, labelled (i, t) in the
+    order of _slot_radix.
 
     Row r is points[r]; the points are any distinct points of the join, in
     any order. Point g gets (-1)**i in column (i, g without slot i) for
     each slot i, so column (i, t) is the fibre of slot i through t, cut to
-    the given points.
+    the given points. That column's index is computed from g's index in
+    nested_elements order (_slot_radix), slot by slot.
     """
-    column = {label: c for c, label in enumerate(top_coboundary_domain(colors))}
-    columns = tuple({} for _ in column)
+    index, radix = _slot_radix(colors, points)
+    total = prod(g.order for g in colors)
+    columns = tuple({} for _ in range(sum(total // g.order for g in colors)))
     rows = list(range(len(points)))  # one int object per row, shared by its k + 1 columns
-    for i in range(len(colors)):
+    for i, (start, low, block) in enumerate(radix):
         sign = -1 if i % 2 else 1
-        for r, g in zip(rows, points):
-            columns[column[i, g[:i] + g[i + 1 :]]][r] = sign
+        for r, f in zip(rows, index):
+            columns[start + f // block * low + f % low][r] = sign
     return columns
 
 
@@ -365,7 +385,8 @@ def coboundary_top_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     """Matrix of the top coboundary map on the full join.
 
     Rows are indexed by the points of G_0 x ... x G_k in lex order,
-    columns by top_coboundary_domain. The entry in row (g_0, ..., g_k)
+    columns by the labels (i, t) of _slot_radix: slot i in order, t a
+    point of the other colors in lex order. The entry in row (g_0, ..., g_k)
     and column (i, t) is (-1)**i when t equals the row with slot i
     removed, else 0: _coboundary_columns, densified. No command reads it;
     it is the dense reference of coboundary_restriction in the tests.
@@ -463,27 +484,27 @@ def _peel_order(colors, points) -> tuple[list[int], list[tuple[int, int]]]:
     The level of a point g is the last slot i with g_i = 0 (0 being the
     first element of each color), or -1 when no coordinate is 0: on N.
     The steps are (row, column) for every point off N by decreasing
-    level: the row of g in `points` and the column (i, g without slot i)
-    of top_coboundary_domain, i the level of g.
+    level, rows increasing within a level: the row of g in `points` and
+    the index of column (i, g without slot i), i the level of g. Both are
+    read off g's index in nested_elements order (_slot_radix): digit i is
+    0 exactly when f % block_i < low_i.
     """
-    zeros = tuple(g.elements()[0] for g in colors)
-    column = {label: c for c, label in enumerate(top_coboundary_domain(colors))}
-    level = []
-    for g in points:
-        i = len(g) - 1
-        while i >= 0 and g[i] != zeros[i]:
-            i -= 1
-        level.append(i)
-    steps = [(x, column[(i, g[:i] + g[i + 1 :])]) for x, (g, i) in enumerate(zip(points, level)) if i >= 0]
-    steps.sort(key=lambda step: -level[step[0]])
+    index, radix = _slot_radix(colors, points)
+    level = [-1] * len(points)
+    for i, (_, low, block) in enumerate(radix):
+        level = [i if f % block < low else v for f, v in zip(index, level)]
+    steps = []
+    for i in reversed(range(len(radix))):
+        start, low, block = radix[i]
+        steps += [(x, start + f // block * low + f % low) for x, (f, v) in enumerate(zip(index, level)) if v == i]
     return level, steps
 
 
 def _peel(colors, points, columns, f) -> tuple[dict[int, int], dict[int, int]]:
     """A cochain c and a remainder r with f = columns @ c + r, r on N.
 
-    `columns` are sparse top coboundary columns in top_coboundary_domain
-    order, `points[x]` is the point of row x, and `f` maps rows to
+    `columns` are sparse top coboundary columns in the order of
+    _coboundary_columns, `points[x]` is the point of row x, and `f` maps rows to
     integers. For i = k, ..., 0 (_peel_order), each point g with g_i = 0
     and every later coordinate nonzero is cleared by the column
     (i, g without slot i): its value there is divided exactly by the

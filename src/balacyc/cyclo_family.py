@@ -12,9 +12,9 @@ data, and verifies every step exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, compress, cycle, islice
 from math import gcd, prod
 
 from .complexes import (
@@ -46,6 +46,9 @@ def check_primes(primes) -> tuple[int, ...]:
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     for p in primes:
+        # type, not isinstance, as for subset entries: 2.0 and True are not primes
+        if type(p) is not int:
+            raise ValueError(f"primes must be integers, not {p!r}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     return primes
@@ -64,9 +67,22 @@ def crt_split(primes, x: int) -> tuple[tuple[int, ...], ...]:
     return tuple((x % p,) for p in primes)
 
 
+def _crt_rows(primes: tuple[int, ...], stop: int):
+    """crt_split(primes, x) for x = 0, ..., stop - 1, lazily.
+
+    Residue x mod p steps through 0, ..., p - 1 and wraps, so the points
+    are a zip of one cycle per prime over that color's elements: each
+    point is one new tuple of shared 1-tuples, built at C speed, with no
+    call and no division per residue.
+    """
+    return islice(zip(*(cycle(g.elements()) for g in family_colors(primes))), stop)
+
+
 def _crt_points(primes: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """crt_split(primes, x) for every residue x of Z_n, in residue order."""
-    return [crt_split(primes, x) for x in range(prod(primes))]
+    """The CRT table: crt_split(primes, x) for every residue x of Z_n, in
+    residue order (_crt_rows). Each reader builds it afresh; the
+    certificates do not keep it, and only _crt_inverse keeps it, inverted."""
+    return list(_crt_rows(primes, prod(primes)))
 
 
 @lru_cache(maxsize=8)
@@ -98,6 +114,42 @@ def upper_indices(n: int) -> tuple[int, ...]:
     return tuple(range(euler_phi(n) + 1, n))
 
 
+def _family(primes) -> CycloComplexData:
+    """The cached data of the empty subset: everything that depends on the
+    primes alone, validated as check_primes does.
+
+    The entries' types are checked before the cached lookup: (2.0, 3)
+    equals (2, 3) as a key, so it would otherwise be answered by the
+    record of (2, 3). That check is one C-level pass.
+    """
+    primes = tuple(primes)
+    if set(map(type, primes)) - {int}:
+        check_primes(primes)  # raises, naming the entry
+    return _family_record(primes)
+
+
+@lru_cache(maxsize=8)
+def _family_record(primes: tuple[int, ...]) -> CycloComplexData:
+    """The cache behind _family: a few tuples of primes, each with Phi_n's
+    coefficients (shared with cyclotomic's cache) and n - phi(n) upper
+    residues; no CRT table."""
+    primes = check_primes(primes)
+    n = prod(primes)
+    coeffs, unit = cyclotomic(n).coeffs, crt_unit(primes)
+    return CycloComplexData(primes, (), n, euler_phi(n), upper_indices(n), coeffs, (), 0, unit)
+
+
+def _check_subset(subset: tuple, totient: int) -> None:
+    """ValueError unless every entry is an int in 0..totient, in C-level
+    passes: the entries' types, then min and max."""
+    # type, not isinstance: True is an int too, and nothing is truncated
+    if set(map(type, subset)) - {int}:
+        bad = next(j for j in subset if type(j) is not int)
+        raise ValueError(f"subset entries must be integers, not {bad!r}")
+    if subset and not (0 <= min(subset) and max(subset) <= totient):
+        raise ValueError(f"subset must lie in 0..{totient}")
+
+
 @dataclass(frozen=True)
 class CycloComplexData:
     """Derived data for one (primes, subset) configuration."""
@@ -114,30 +166,21 @@ class CycloComplexData:
 
     @classmethod
     def build(cls, primes, subset) -> CycloComplexData:
-        primes = check_primes(primes)
-        n = prod(primes)
-        totient = euler_phi(n)
+        """Validate the primes and the subset and derive the data.
+
+        Everything that depends on the primes alone (n, phi(n), the upper
+        residues, Phi_n's coefficients and the CRT unit) is read off the
+        cached data of the empty subset (_family); only the subset's
+        fields are computed here, in O(|A| log |A|). ValueError names a
+        non-int prime or subset entry (True included), and a subset
+        outside 0..phi(n).
+        """
+        family = _family(primes)
         subset = tuple(subset)
-        # type, not isinstance: True is an int too, and nothing is truncated
-        for j in subset:
-            if type(j) is not int:
-                raise ValueError(f"subset entries must be integers, not {j!r}")
+        _check_subset(subset, family.totient)
         subset = tuple(sorted(set(subset)))
-        if subset and not (0 <= subset[0] and subset[-1] <= totient):
-            raise ValueError(f"subset must lie in 0..{totient}")
-        coeffs = cyclotomic(n).coeffs
-        sub = tuple(coeffs[j] for j in subset)
-        return cls(
-            primes=primes,
-            subset=subset,
-            n=n,
-            totient=totient,
-            upper=upper_indices(n),
-            coeffs=coeffs,
-            subset_coeffs=sub,
-            coeff_gcd=gcd(*sub) if sub else 0,
-            unit=crt_unit(primes),
-        )
+        sub = tuple(family.coeffs[j] for j in subset)
+        return replace(family, subset=subset, subset_coeffs=sub, coeff_gcd=gcd(*sub))
 
     @property
     def top_indices(self) -> tuple[int, ...]:
@@ -168,9 +211,12 @@ def build_family_complex(primes, subset):
 
 def _free_points(data: CycloComplexData) -> list[tuple[tuple[int, ...], ...]]:
     """The points outside the top cells, sorted: the CRT points of the free
-    residues {0, ..., phi(n)} minus the subset. Only these are split."""
-    subset = set(data.subset)
-    return sorted(crt_split(data.primes, x) for x in range(data.totient + 1) if x not in subset)
+    residues {0, ..., phi(n)} minus the subset. Only the residues up to
+    phi(n) are split (_crt_rows)."""
+    keep = bytearray(b"\x01") * (data.totient + 1)
+    for j in data.subset:
+        keep[j] = 0
+    return sorted(compress(_crt_rows(data.primes, data.totient + 1), keep))
 
 
 def predicted_homology(primes, subset, i: int) -> AbelianGroupStructure:
@@ -260,7 +306,8 @@ def _coboundary_form(data: CycloComplexData) -> HermiteForm:
     points to residues; the form is eliminated from the restricted
     coboundary matrix itself and uses neither Phi_n nor its remainders.
     """
-    points = [crt_split(data.primes, x) for x in data.pullback_indices]
+    table = _crt_points(data.primes)
+    points = [table[x] for x in data.pullback_indices]
     return hermite_normal_form(coboundary_restriction(family_colors(data.primes), points))
 
 
@@ -280,10 +327,10 @@ def _pullback_certificate(primes: tuple[int, ...]) -> tuple[bool, bool, bool, di
     - contained: each column through residue 0, a base column of the
       join, read as c(z) = sum of its entries times z**x, is a multiple
       of Phi_n: c(z) times the cofactor (z**n - 1) / Phi_n is 0 mod
-      z**n - 1, one cyclic convolution per base column
-      (cyclotomic.vanishes_at_root). With closed, a column c through x,
-      shifted n - x times, is +-a column through 0, so z**(n-x) * c, and
-      with it c, vanishes too: L_cob lies in L_ker.
+      z**n - 1, one sum of packed rotations of the cofactor per base
+      column (cyclotomic.vanishes_at_root). With closed, a column c
+      through x, shifted n - x times, is +-a column through 0, so
+      z**(n-x) * c, and with it c, vanishes too: L_cob lies in L_ker.
     - cochain and remainder: the peel (complexes._peel) of f, the
       coefficients of Phi_n up to degree phi(n) and zero above.
     - solved: the columns applied to the cochain give f exactly, so Phi_n
@@ -314,9 +361,15 @@ def pullback_matches_root_kernel(primes, subset) -> bool:
     equal too. The subset is validated and the verdict read off
     _pullback_certificate, which uses neither a dense matrix nor the
     kernel's form. The per-subset Hermite comparison is the test oracle.
+
+    An item costs O(|A|) once its n has been seen: the primes are looked
+    up in the cached data of _family, and the subset gets the checks of
+    CycloComplexData.build, with the same messages, in C-level passes
+    (_check_subset); no CycloComplexData is built.
     """
-    data = CycloComplexData.build(primes, subset)
-    contained, closed, solved, *_ = _pullback_certificate(data.primes)
+    family = _family(primes)
+    _check_subset(tuple(subset), family.totient)
+    contained, closed, solved, *_ = _pullback_certificate(family.primes)
     return contained and closed and solved
 
 

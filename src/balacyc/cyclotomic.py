@@ -224,7 +224,10 @@ def cofactor(n: int) -> IntPoly:
 
     By the same inversion, C_n = prod_{d | n} (z**d - 1)**([d = n] - mu(n/d)),
     by _binomial_passes. Phi_n divides an integer polynomial c(z) exactly
-    when c(z) * C_n(z) = 0 mod z**n - 1 (vanishes_at_root).
+    when c(z) * C_n(z) = 0 mod z**n - 1 (vanishes_at_root). That test
+    reads C_n packed into two non-negative integers, its positive and its
+    negative coefficients as fixed-width digits (_packed_cofactor), so
+    that a product by z**s mod z**n - 1 is a rotation of those digits.
 
     >>> cofactor(1).coeffs
     (1,)
@@ -421,9 +424,21 @@ def vanishes_at_root(terms, n: int) -> bool:
     Phi_n is the minimal polynomial of zeta_n, so the sum vanishes exactly
     when Phi_n divides c(z) = sum v * z**(e mod n), and, Z[z] being a
     domain, exactly when c(z) * C_n(z) = 0 mod z**n - 1, C_n = cofactor(n).
-    Each term adds v times the coefficients of C_n, rotated by e, into n
-    cyclic sums: O(n) per term, with neither the power table nor the
-    remainder stream. eval_at_root(...).is_zero() decides the same.
+
+    That product is summed as one integer, its n coefficients a_i as
+    W-bit digits: the sum of a_i * X**i with X = 2**W. C_n is packed into
+    two non-negative integers C+ and C- (_packed_cofactor), its positive
+    and its negated negative coefficients, so that multiplying by z**s
+    mod z**n - 1 is a digit rotation: a shift, an or and a mask. Each
+    term adds v * (rot(C+, s) - rot(C-, s)). Every |a_i| is at most
+    H * sum |v|, H the height of C_n (its largest |coefficient|), and W is
+    chosen with 2**(W-2) > H * sum |v|, so |a_i| < X. Then the sum is 0
+    exactly when every a_i is: if a_j is the lowest nonzero digit, the sum
+    is a_j * X**j plus a multiple of X**(j+1), and X does not divide a_j.
+    The width comes from the real height, which grows with n (385 at
+    n = 373065), never from a guess. O(n * W) bit operations per term,
+    with neither the power table nor the remainder stream.
+    eval_at_root(...).is_zero() decides the same.
 
     >>> vanishes_at_root([(0, 1), (2, 1), (4, 1)], 6)
     True
@@ -432,12 +447,27 @@ def vanishes_at_root(terms, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    c = list(cofactor(n).coeffs)
-    c += [0] * (n - len(c))
-    acc = [0] * n
-    for e, v in terms:
-        if v:
-            s = e % n
-            # z**s * C_n mod z**n - 1: coefficient i is that of z**(i - s mod n)
-            acc = [a + v * x for a, x in zip(acc, c[n - s :] + c[: n - s])]
-    return not any(acc)
+    terms = [(e % n, v) for e, v in terms if v]
+    bound = max(map(abs, cofactor(n).coeffs)) * sum(abs(v) for _, v in terms)
+    width = -(-(bound.bit_length() + 2) // 8) * 8  # whole bytes, for the packing
+    plus, minus = _packed_cofactor(n, width)
+    mask = (1 << width * n) - 1
+    acc = 0
+    for s, v in terms:
+        # z**s * C mod z**n - 1: the top s digits wrap around to the bottom
+        up, down = width * s, width * (n - s)
+        acc += v * ((((plus << up) | (plus >> down)) & mask) - (((minus << up) | (minus >> down)) & mask))
+    return acc == 0
+
+
+@lru_cache(maxsize=8)
+def _packed_cofactor(n: int, width: int) -> tuple[int, int]:
+    """C+ and C-: the positive coefficients of cofactor(n), and the negated
+    negative ones, as digits of `width` bits (a multiple of 8), lowest
+    degree lowest; read by vanishes_at_root as n digits, the ones above
+    degree n - phi(n) zero."""
+    size = width // 8
+    coeffs = cofactor(n).coeffs
+    plus = b"".join((c if c > 0 else 0).to_bytes(size, "little") for c in coeffs)
+    minus = b"".join((-c if c < 0 else 0).to_bytes(size, "little") for c in coeffs)
+    return int.from_bytes(plus, "little"), int.from_bytes(minus, "little")

@@ -22,6 +22,7 @@ from balacyc.cyclotomic import (
     CycInt,
     IntPoly,
     _remainders,
+    cofactor,
     cyclotomic,
     divisors,
     euler_phi,
@@ -174,7 +175,7 @@ def direct_pullback_factors(primes, subset) -> tuple[int, ...]:
     every row eliminated afresh.
 
     The rows are those of pullback_rows, so a test that patches
-    _coboundary_columns, or crt_split, is seen here too.
+    _coboundary_columns, or _crt_points, is seen here too.
     """
     data = CycloComplexData.build(primes, subset)
     rows = pullback_rows(data.primes)
@@ -360,6 +361,71 @@ def conductor_injective_off_zero(g: FiniteAbelianGroup, n: int) -> bool:
         values = [root_power(n, step * pairing_exponent(g, chi, x)).coords for x in g.elements()[1:]]
         rows.extend({j: v[t] for j, v in enumerate(values) if v[t]} for t in range(euler_phi(n)))
     return len(sparse_invariant_factors(rows)) == g.order - 1
+
+
+@lru_cache(maxsize=8)
+def top_coboundary_domain(colors: tuple[FiniteAbelianGroup, ...]) -> tuple[tuple[int, tuple], ...]:
+    """Column labels (i, t) of the top coboundary matrix.
+
+    Slot i ranges over colors; t over the product of the other colors'
+    elements in lex order. These label the (k-1)-cochain components; the
+    library computes a column's index from a point's mixed-radix index
+    (complexes._slot_radix) and never builds the labels.
+    """
+    k = len(colors) - 1
+    labels = []
+    for i in range(k + 1):
+        others = [colors[j].elements() for j in range(k + 1) if j != i]
+        for t in itertools.product(*others):
+            labels.append((i, t))
+    return tuple(labels)
+
+
+def rotating_vanishes_at_root(terms, n: int) -> bool:
+    """cyclotomic.vanishes_at_root by the list loop it replaced: each term
+    adds v times the coefficients of C_n = cofactor(n), rotated by e, into
+    n cyclic sums kept as a list of Python ints, with no packing and no
+    width to choose."""
+    c = list(cofactor(n).coeffs)
+    c += [0] * (n - len(c))
+    acc = [0] * n
+    for e, v in terms:
+        if v:
+            s = e % n
+            # z**s * C_n mod z**n - 1: coefficient i is that of z**(i - s mod n)
+            acc = [a + v * x for a, x in zip(acc, c[n - s :] + c[: n - s])]
+    return not any(acc)
+
+
+def labelled_coboundary_columns(colors, points) -> tuple[dict[int, int], ...]:
+    """complexes._coboundary_columns by the label map it replaced: the
+    column of point g along slot i is looked up by its label
+    (i, g without slot i) in top_coboundary_domain."""
+    column = {label: c for c, label in enumerate(top_coboundary_domain(colors))}
+    columns = tuple({} for _ in column)
+    for i in range(len(colors)):
+        sign = -1 if i % 2 else 1
+        for r, g in enumerate(points):
+            columns[column[i, g[:i] + g[i + 1 :]]][r] = sign
+    return columns
+
+
+def labelled_peel_order(colors, points) -> tuple[list[int], list[tuple[int, int]]]:
+    """complexes._peel_order by the label map it replaced: each point's
+    level read coordinate by coordinate, its step's column looked up by
+    label, and the steps sorted by decreasing level (stably, so rows
+    increase within a level)."""
+    zeros = tuple(g.elements()[0] for g in colors)
+    column = {label: c for c, label in enumerate(top_coboundary_domain(colors))}
+    level = []
+    for g in points:
+        i = len(g) - 1
+        while i >= 0 and g[i] != zeros[i]:
+            i -= 1
+        level.append(i)
+    steps = [(x, column[(i, g[:i] + g[i + 1 :])]) for x, (g, i) in enumerate(zip(points, level)) if i >= 0]
+    steps.sort(key=lambda step: -level[step[0]])
+    return level, steps
 
 
 def walked_verified_counts(node) -> tuple[int, int]:

@@ -25,6 +25,9 @@ from oracles import (
     free_points,
     full_block_vanishing_matrix,
     hermite_fourier_matches,
+    labelled_coboundary_columns,
+    labelled_peel_order,
+    top_coboundary_domain,
 )
 
 from balacyc import complexes
@@ -41,7 +44,6 @@ from balacyc.complexes import (
     nested_elements,
     reduced_cohomology,
     reduced_homology,
-    top_coboundary_domain,
     uct_holds,
 )
 from balacyc.groups import FiniteAbelianGroup, GroupFunction, positive_dual_block, product_group
@@ -565,7 +567,7 @@ def mutate_fourier_routes(monkeypatch, colors, mutation):
         # entry at its last point x moves to a point y off the fibre, with
         # x's coordinate in slot i
         c, column = next((c, col) for c, col in enumerate(columns) if 0 not in col)
-        i = complexes.top_coboundary_domain(colors)[c][0]
+        i = top_coboundary_domain(colors)[c][0]
         x = max(column)
         y = next(y for y, g in enumerate(points) if y and g[i] == points[x][i] and y not in column)
         moved = {**{z: e for z, e in column.items() if z != x}, y: column[x]}
@@ -679,6 +681,30 @@ def test_coboundary_columns_follow_the_point_order(colors, rng, share):
     assert coboundary_restriction(colors, prefix) == dense.select_rows([position[g] for g in prefix])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([Z2, Z3, Z4, Z22, Z24, Z9]), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+    st.floats(0, 1),
+)
+@example([Z22, Z24, Z9], random.Random(0), 1.0)
+@example([Z2], random.Random(1), 0.5)
+@example([Z3, Z5, Z7], random.Random(2), 0.0)
+def test_indexed_columns_and_peel_order_match_the_label_maps(colors, rng, share):
+    # k = 0..3, cyclic and non-cyclic colors, shuffled and partial point
+    # sets (the empty one and the whole join included): the mixed-radix
+    # columns and peel steps are those of the label-map references, in
+    # the same order, down to the order of each column's rows
+    colors = tuple(colors)
+    points = list(nested_elements(colors))
+    rng.shuffle(points)
+    points = points[: round(share * len(points))]
+    columns = complexes._coboundary_columns(colors, points)
+    reference = labelled_coboundary_columns(colors, points)
+    assert [list(c.items()) for c in columns] == [list(c.items()) for c in reference]
+    assert complexes._peel_order(colors, points) == labelled_peel_order(colors, points)
+
+
 def test_coboundary_restriction_builds_columns_over_the_given_points_only(monkeypatch):
     colors = (Z2, Z3, Z5)
     points = [((1,), (2,), (4,)), ((0,), (0,), (0,)), ((1,), (0,), (3,))]
@@ -692,7 +718,7 @@ def test_coboundary_restriction_builds_columns_over_the_given_points_only(monkey
     monkeypatch.setattr(complexes, "_coboundary_columns", spy)
     m = coboundary_restriction(colors, points)
     assert seen == [points]
-    assert (m.rows, m.cols) == (3, len(complexes.top_coboundary_domain(colors)))
+    assert (m.rows, m.cols) == (3, len(top_coboundary_domain(colors)))
 
 
 def test_coboundary_restriction_refuses_repeated_or_foreign_points():

@@ -38,6 +38,7 @@ from balacyc.complexes import (
 from balacyc.cyclo_family import (
     CycloComplexData,
     build_family_complex,
+    check_primes,
     coefficient_vector_is_coboundary,
     crt_split,
     crt_unit,
@@ -113,6 +114,61 @@ def test_prime_validation():
         crt_unit((2, 2, 3))
     with pytest.raises(ValueError):
         crt_unit((2, 9))
+
+
+@pytest.mark.parametrize("primes", [(2.0, 3), (2, 3.0), (True, 3)])
+def test_primes_must_be_ints_even_once_their_values_are_cached(primes):
+    # (2.0, 3) == (2, 3) as a key of the family record's cache: the entries'
+    # types are checked before it is read, whether or not (2, 3) is cached
+    for cached in (False, True):
+        if cached:
+            assert CycloComplexData.build((2, 3), (0,)).n == 6
+        for call in (
+            lambda: CycloComplexData.build(primes, (0,)),
+            lambda: pullback_matches_root_kernel(primes, (0,)),
+            lambda: verify_homology_tables(primes, (0,)),
+            lambda: check_primes(primes),
+        ):
+            with pytest.raises(ValueError, match="primes must be integers"):
+                call()
+
+
+def test_crt_table_is_the_split_of_each_residue():
+    # the zip of per-prime cycles is crt_split residue by residue, and the
+    # free points are the sorted splits of the free residues
+    for primes in [(2, 3), (3, 2), (2, 3, 5), (5, 3, 2), (3, 5, 7), (2, 3, 5, 7), (5, 7, 11)]:
+        n = prod(primes)
+        assert cyclo_family._crt_points(primes) == [crt_split(primes, x) for x in range(n)]
+        top = euler_phi(n)
+        rng = random.Random(n)
+        for subset in [(), (top,), tuple(range(top + 1)), tuple(sorted(rng.sample(range(top + 1), top // 2)))]:
+            data = CycloComplexData.build(primes, subset)
+            free = [x for x in range(top + 1) if x not in subset]
+            assert cyclo_family._free_points(data) == sorted(crt_split(primes, x) for x in free)
+
+
+@pytest.mark.parametrize("entry", [1.5, True, -1, 9])
+def test_per_item_checks_keep_their_messages(entry):
+    # the pullback item checks its subset without building the data, in
+    # C-level passes; every per-item route words each error as build does
+    # (phi(30) = 8)
+    primes = (2, 3, 5)
+    with pytest.raises(ValueError) as built:
+        CycloComplexData.build(primes, (0, entry, 3))
+    message = "subset must lie in 0..8" if type(entry) is int else f"subset entries must be integers, not {entry!r}"
+    assert str(built.value) == message
+    for call in (pullback_matches_root_kernel, verify_homology_tables):
+        with pytest.raises(ValueError) as raised:
+            call(primes, (0, entry, 3))
+        assert str(raised.value) == message
+
+
+def test_family_record_is_shared_by_every_subset():
+    # the fields that depend on the primes alone are the record's own
+    # objects, built once per tuple of primes
+    a, b = CycloComplexData.build((3, 5, 7), (0, 7)), CycloComplexData.build([3, 5, 7], range(48, -1, -1))
+    assert a.upper is b.upper and a.coeffs is b.coeffs
+    assert b.subset == tuple(range(49))
 
 
 def test_family_data_fields():
@@ -529,12 +585,24 @@ def test_pullback_matches_random_n42():
 
 @pytest.fixture
 def fresh_certificate():
-    # a test that corrupts the pulled-back coboundary must not leave its
-    # certificate cached
-    cached = cyclo_family._pullback_certificate
-    cached.cache_clear()
+    # a test that corrupts the pulled-back coboundary, or Phi_n, must not
+    # leave its certificate or its family record cached
+    caches = (cyclo_family._pullback_certificate, cyclo_family._family_record)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    cached.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
+
+
+CRT_POINTS = cyclo_family._crt_points
+
+
+def swapped_crt_points(primes):
+    """The CRT table with the points of residues 1 and 2 exchanged."""
+    table = CRT_POINTS(primes)
+    table[1], table[2] = table[2], table[1]
+    return table
 
 
 def columns_of(rows, width):
@@ -600,10 +668,7 @@ def test_pullback_check_fails_when_a_column_leaves_the_kernel(monkeypatch, fresh
     primes, subset = (2, 3, 5), tuple(range(9))
     assert pullback_matches_root_kernel(primes, subset)
 
-    def swapped(primes, x):
-        return crt_split(primes, {1: 2, 2: 1}.get(x, x))
-
-    monkeypatch.setattr(cyclo_family, "crt_split", swapped)
+    monkeypatch.setattr(cyclo_family, "_crt_points", swapped_crt_points)
     cyclo_family._pullback_certificate.cache_clear()
     contained, closed, *_ = cyclo_family._pullback_certificate(primes)
     assert not (contained and closed)
@@ -620,14 +685,14 @@ def test_pullback_check_fails_when_a_column_leaves_the_kernel(monkeypatch, fresh
 def test_containment_matches_the_partial_sum_oracle(monkeypatch, fresh_certificate, primes, mutation):
     # containment (the base columns, through residue 0, summed) with
     # closure under the shift equals the sum over every column, on the true
-    # rows and on rows with residues 1 and 2 swapped in crt_split, a
+    # rows and on rows with residues 1 and 2 swapped in the CRT table, a
     # column's sign flipped (still in the kernel, and closed up to sign), a
     # base column's entry at residue 0 doubled, or a column moved off its
     # fibre at one residue. The moved column misses residue 0, so from
     # n = 30 on containment holds and only closure sees it
     n = prod(primes)
     if mutation == "swap":
-        monkeypatch.setattr(cyclo_family, "crt_split", lambda primes, x: crt_split(primes, {1: 2, 2: 1}.get(x, x)))
+        monkeypatch.setattr(cyclo_family, "_crt_points", swapped_crt_points)
     rows = pullback_rows(primes)
     # a column through residue 1; never a base column, as 1 is a multiple of no n/p
     c = min(rows[1])
@@ -640,7 +705,7 @@ def test_containment_matches_the_partial_sum_oracle(monkeypatch, fresh_certifica
         # residue 2 lies outside the fibre of c: 2 and 1 differ mod every prime
         rows[2] = {**rows[2], c: rows[1][c]}
         rows[1] = {j: x for j, x in rows[1].items() if j != c}
-    columns = columns_of(rows, len(complexes.top_coboundary_domain(family_colors(primes))))
+    columns = columns_of(rows, len(oracles.top_coboundary_domain(family_colors(primes))))
     monkeypatch.setattr(cyclo_family, "_coboundary_columns", lambda colors, points: columns)
     contained, closed, *_ = cyclo_family._pullback_certificate(primes)
     assert (contained and closed) == partial_sum_containment(primes) == (mutation in (None, "flip"))
@@ -669,7 +734,7 @@ def test_pullback_check_fails_on_a_proper_sublattice(monkeypatch, fresh_certific
     # dense matrix doubled, rejects the sublattice too
     primes = (2, 3, 5)
     rows = [{c: 2 * x for c, x in row.items()} for row in pullback_rows(primes)]
-    columns = columns_of(rows, len(complexes.top_coboundary_domain(family_colors(primes))))
+    columns = columns_of(rows, len(oracles.top_coboundary_domain(family_colors(primes))))
 
     def doubled_dense(colors, points):
         m = complexes.coboundary_restriction(colors, points)
@@ -705,13 +770,13 @@ def test_pullback_check_fails_under_mutation(monkeypatch, fresh_certificate, pri
     elif mutation == "drop":
         # the column of color 0 through the point 0 in every other slot
         # but the last: it holds a zero after slot 0, so no peel step uses it
-        dropped = complexes.top_coboundary_domain(family_colors(primes)).index((0, ((0,),) * (len(primes) - 2) + ((1,),)))
+        dropped = oracles.top_coboundary_domain(family_colors(primes)).index((0, ((0,),) * (len(primes) - 2) + ((1,),)))
         rows = [{j: x for j, x in row.items() if j != dropped} for row in rows]
     elif mutation == "phi":
         poly = cyclotomic(prod(primes))
         perturbed = IntPoly(tuple(x + (j == 1) for j, x in enumerate(poly.coeffs)))
         monkeypatch.setattr(cyclo_family, "cyclotomic", lambda n: perturbed)
-    columns = columns_of(rows, len(complexes.top_coboundary_domain(family_colors(primes))))
+    columns = columns_of(rows, len(oracles.top_coboundary_domain(family_colors(primes))))
     monkeypatch.setattr(cyclo_family, "_coboundary_columns", lambda colors, points: columns)
     contained, closed, solved, _, remainder = cyclo_family._pullback_certificate(primes)
     assert not (contained and closed and solved)
@@ -791,7 +856,7 @@ def test_coboundary_caches_are_bounded():
     # the entry holds the certificate, not the columns it was built from
     contained, closed, solved, cochain, remainder = cyclo_family._pullback_certificate((2, 3, 5))
     assert (contained, closed, solved, remainder) == (True, True, True, {})
-    assert len(cochain) < len(complexes.top_coboundary_domain(family_colors((2, 3, 5))))
+    assert len(cochain) < len(oracles.top_coboundary_domain(family_colors((2, 3, 5))))
 
 
 # maxsize of each bounded cache, where it is not 8: the bound keeps one
@@ -803,7 +868,9 @@ CACHE_BOUNDS = {"_tuples": 16}
     "cached",
     [
         cyclo_family._crt_inverse,
-        complexes.top_coboundary_domain,
+        cyclo_family._family_record,
+        importlib.import_module("balacyc.cyclotomic")._packed_cofactor,
+        oracles.top_coboundary_domain,
         complexes.fourier_vanishing_matrix,
         oracles._fourier_kernel,
         groups._tuples,
@@ -938,9 +1005,12 @@ def test_transform_pullback_fails_without_the_crt_twist(vec):
     assume(any(h((a, b)) != h((a, -b % 3)) for a, b in g.elements()))
     assert crt_unit((2, 3)) == 5
     assert transform_pullback_check((2, 3), h)
+    # the unit is read once per tuple of primes, into the family record
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cyclo_family, "crt_unit", lambda primes: 1)
+        cyclo_family._family_record.cache_clear()
         assert not transform_pullback_check((2, 3), h)
+    cyclo_family._family_record.cache_clear()
 
 
 def test_transform_pullback_rejects_wrong_group():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cofactor_cyclotomic, rowsum_eval_at_root
+from oracles import cofactor_cyclotomic, rotating_vanishes_at_root, rowsum_eval_at_root
 
 from balacyc.cyclotomic import (
     CycInt,
@@ -267,6 +267,58 @@ def test_vanishing_by_the_cofactor_matches_the_power_table(case):
     for e, v in terms:
         buckets[e % n] += v
     assert vanishes_at_root(terms, n) is eval_at_root(buckets, n).is_zero()
+
+
+@st.composite
+def packed_root_sums(draw):
+    """(terms, n) for n up to 400: exponents drawn from a few values, so
+    they repeat, negative ones and ones past n included; values up to
+    2**40 in size; and half the time a multiple of Phi_n, shifted and
+    scaled by up to 2**40, planted among them, so the sum vanishes
+    exactly when the other terms cancel."""
+    n = draw(st.integers(1, 400))
+    exponents = draw(st.lists(st.integers(-3 * n, 3 * n), min_size=1, max_size=4))
+    big = st.integers(-(2**40), 2**40)
+    terms = draw(st.lists(st.tuples(st.sampled_from(exponents), st.one_of(st.integers(-3, 3), big)), max_size=8))
+    if draw(st.booleans()):
+        shift, k = draw(st.integers(-n, 2 * n)), draw(st.one_of(st.integers(-3, 3), big))
+        planted = [(shift + j, k * c) for j, c in enumerate(cyclotomic(n).coeffs)]
+        terms = draw(st.permutations(terms + planted))
+    return terms, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_root_sums())
+@example(([(0, 2**40), (-6, -(2**40))], 6))
+@example(([(0, 1), (1, -1), (1, 1), (-1, 0)], 1))
+@example(([(j - 400, 2**40 * c) for j, c in enumerate(cyclotomic(400).coeffs)], 400))
+@example(([(j, (2**40 - 1) * c) for j, c in enumerate(cyclotomic(399).coeffs)] + [(7, 1)], 399))
+@example(([(1, 1), (0, -(2**8))], 6))
+@example(([(1, 1), (0, -(2**16))], 6))
+@example(([(1, 1), (0, -(2**40))], 6))
+def test_packed_vanishing_matches_the_rotating_list(case):
+    # the packed digit rotation against the list loop it replaced. With
+    # c(z) = z - X, X = 2**W, the product c(z) * C_6(z) has degree 5, so it
+    # is its own fold, and its digits in base X sum to c(X) * C_6(X) = 0:
+    # a width that ignores the size of the values would call it vanishing
+    terms, n = case
+    assert vanishes_at_root(terms, n) is rotating_vanishes_at_root(terms, n)
+
+
+def test_packed_vanishing_at_the_height_of_n373065():
+    # C_n at n = 373065 = 3*5*7*11*17*19 has height 385, more than one
+    # byte holds: a width probed at 8 bits would corrupt the packed digits.
+    # The base columns of the CRT pullback (the fibres {a * n/p}) vanish,
+    # and each with one more term does not; the list loop, at about 50 ms a
+    # term here, reads the shortest column
+    n, primes = 373065, (3, 5, 7, 11, 17, 19)
+    assert max(map(abs, cofactor(n).coeffs)) == 385
+    for i, p in enumerate(primes):
+        column = [(a * (n // p), -1 if i % 2 else 1) for a in range(p)]
+        for terms, vanishes in ((column, True), (column + [(i + 1, 1)], False)):
+            assert vanishes_at_root(terms, n) is vanishes
+            if i == 0:
+                assert rotating_vanishes_at_root(terms, n) is vanishes
 
 
 # --- cyclotomic integers -------------------------------------------------
