@@ -36,7 +36,7 @@ from .complexes import (
 )
 from .cyclo_family import (
     CycloComplexData,
-    _free_points,
+    _free_indices,
     check_primes,
     coefficient_vector_is_coboundary,
     family_colors,
@@ -250,8 +250,8 @@ def _cmd_homology(args):
         primes = _parse_primes(args.primes)
         subset = _parse_index_set(args.subset or "")
         data = _checked(CycloComplexData.build, primes, subset)
-        # the groups of build_family_complex, read off the free points alone
-        homology, cohomology = _cycle_groups(family_colors(data.primes), _free_points(data))
+        # the groups of build_family_complex, read off the free indices alone
+        homology, cohomology = _cycle_groups(family_colors(data.primes), _free_indices(data))
         report = {
             "schema": 1,
             "command": "homology",

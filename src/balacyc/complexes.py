@@ -36,9 +36,11 @@ cells agrees too. The peel (_peel) writes any function on the join as a
 top coboundary plus a remainder on the points with no coordinate 0; the
 CRT pullback in cyclo_family uses it as well. Both certificates and the
 two coboundary matrices read the top coboundary's sparse columns from one
-function, _coboundary_columns, over any distinct points of the join. It
-and the peel's order place each point by its mixed-radix index in the
-join (_slot_radix), with no lookup of column labels.
+function, _coboundary_columns, over any distinct points of the join.
+Inside these routes a point is its index in nested_elements order, a
+mixed-radix number (_radix), and no point tuple is built; tuples become
+indices (_point_indices) only where they come in: coboundary_restriction
+and a complex's (co)homology.
 
 Cells are plain pairs (support, vertices): `support` is the increasing
 tuple of color indices, `vertices[j]` the element of the support[j]-th
@@ -53,7 +55,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, prod
-from operator import add, getitem, itemgetter
+from operator import add, itemgetter
 
 from .cyclotomic import _power_columns, vanishes_at_root
 from .groups import FiniteAbelianGroup, _exponent_row, positive_dual_block, product_group
@@ -98,7 +100,8 @@ class BalancedComplex:
     @cached_property
     def _groups(self) -> tuple[dict[int, AbelianGroupStructure], dict[int, AbelianGroupStructure]]:
         # not a field: outside equality, hashing and repr, and released with the complex
-        return _cycle_groups(self.colors, sorted(_point_set(self.colors).difference(self.top_cells)))
+        taken = set(_point_indices(self.colors, self.top_cells))
+        return _cycle_groups(self.colors, [f for f in range(prod(g.order for g in self.colors)) if f not in taken])
 
 
 def nested_elements(colors) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -205,39 +208,40 @@ def _assemble_cycles(colors, free):
     """The top cycles of the join, restricted to the free points, as (rows, columns).
 
     Rows are the m free points, the points of G_0 x ... x G_k outside the
-    top cells, in the order given: sorted, which is nested_elements order.
-    Columns are the z points h with every h_i nonzero, in lex order, 0
-    being the first element of each color. Column h is the cycle
+    top cells, given by their sorted indices (_radix). Columns are the z
+    points h with every h_i nonzero, in lex order, 0 being the first
+    element of each color. Column h is the cycle
     (e_{h_0} - e_0) x ... x (e_{h_k} - e_0): the entry (-1)**#{i : g_i = 0}
     at each point g with every g_i in {0, h_i}, at most 2**(k+1) of them.
     rows[r] maps column indices to the entries of row r and columns[c] row
     indices to those of column c, keys increasing.
 
     With S the slots where a free point g is 0, row g holds (-1)**|S| at
-    every column h that agrees with g off S and is nonzero on S. A column's
-    index is a mixed radix over each color's nonzero elements, so the row's
-    columns are g's share of that index off S plus one offset per choice of
-    h on S, and the offsets are computed once per S. The columns are filled
-    in the same pass: one step per free point and one per entry of P.
+    every column h that agrees with g off S, where digit i of g's index is
+    0. A column's index is a mixed radix over each color's nonzero
+    elements, so the row's columns are g's share of that index off S, a
+    digit d adding d - 1 times the slot's stride, plus one offset per
+    choice of h on S, and the offsets are computed once per S. The columns
+    are filled in the same pass: one step per free point and one per
+    entry of P.
     """
     strides = [prod(g.order - 1 for g in colors[i + 1 :]) for i in range(len(colors))]
-    # per color: each element's share of a column index, and the color's bit
-    # in S, which only its zero sets
-    share, bit = [], []
-    for i, (g, s) in enumerate(zip(colors, strides)):
-        zero, *rest = g.elements()
-        share.append({zero: 0, **{v: j * s for j, v in enumerate(rest)}})
-        bit.append({zero: 1 << i, **dict.fromkeys(rest, 0)})
+    slots = [(low, block, s) for (_, low, block), s in zip(_radix(colors), strides)]
     spans = {}
     rows = []
     columns = tuple({} for _ in range(prod(g.order - 1 for g in colors)))
-    for g in free:
-        mask = sum(map(getitem, bit, g))
+    for f in free:
+        mask = base = 0
+        for i, (low, block, s) in enumerate(slots):
+            d = f % block // low
+            if d:
+                base += (d - 1) * s
+            else:
+                mask |= 1 << i
         if mask not in spans:
             on_s = [range(0, (c.order - 1) * s, s) for i, (c, s) in enumerate(zip(colors, strides)) if mask >> i & 1]
             spans[mask] = -1 if len(on_s) % 2 else 1, [sum(t) for t in itertools.product(*on_s)]
         sign, offsets = spans[mask]
-        base = sum(map(getitem, share, g))
         r = len(rows)
         row = {base + o: sign for o in offsets}
         for c in row:
@@ -248,7 +252,7 @@ def _assemble_cycles(colors, free):
 
 def _cycle_groups(colors, free) -> tuple[dict[int, AbelianGroupStructure], dict[int, AbelianGroupStructure]]:
     """Reduced homology and cohomology, dimension -> group for 0..k, of the
-    complex over these colors whose free points, sorted, are `free`.
+    complex over these colors whose free points have sorted indices `free`.
 
     P = _assemble_cycles(colors, free), m x z, is assembled once and
     eliminated twice. Over its rows, with r nonzero invariant factors:
@@ -329,52 +333,53 @@ def uct_holds(homology, cohomology) -> bool:
     return True
 
 
-def _slot_radix(colors, points) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Each point's index f in nested_elements order, and per slot i the
-    triple (start_i, low_i, block_i) that gives its column in the top
-    coboundary.
+def _radix(colors) -> list[tuple[int, int, int]]:
+    """Per slot i, (start_i, low_i, block_i): how a point's index places
+    the point, and its columns in the top coboundary.
 
-    The columns of the top coboundary, the (k-1)-cochain components, are
-    labelled (i, t): slot i in order, and within it t over the points of
-    the other colors in lex order. With m_i the order of color i and
-    low_i the product of the orders after it, f is the mixed-radix number
-    whose digit i, weight low_i, is the position of g_i in
-    colors[i].elements(). Column (i, t) sits at start_i, the number of
-    columns of the slots before i, plus the index of t among the points
-    of the other colors, so the column through g along slot i is
-    start_i + f // block_i * low_i + f % low_i, block_i = low_i * m_i: the
-    digits above slot i shift down one place, and digit i is
-    f % block_i // low_i. The indices are summed slot by slot in C-level
-    passes; no label tuple is built or hashed.
+    A point's index f is its position in nested_elements order, the
+    mixed-radix number whose digit i, f % block_i // low_i, is the
+    position of g_i in colors[i].elements(); low_i is the product of the
+    orders after color i, and block_i = low_i * |G_i|. Column (i, t), t a
+    point of the other colors in lex order, sits at start_i, the number of
+    columns of the slots before i, plus t's index, so the column through f
+    along slot i is start_i + f // block_i * low_i + f % low_i: the digits
+    above slot i shift down one place. No label tuple is built or hashed.
     """
     total = prod(g.order for g in colors)
-    index = [0] * len(points)
     radix = []
     start, low = 0, total
-    for i, g in enumerate(colors):
+    for g in colors:
         low //= g.order
-        share = {v: j * low for j, v in enumerate(g.elements())}
-        index = list(map(add, index, map(share.__getitem__, map(itemgetter(i), points))))
         radix.append((start, low, low * g.order))
         start += total // g.order
-    return index, radix
+    return radix
 
 
-def _coboundary_columns(colors: tuple[FiniteAbelianGroup, ...], points) -> tuple[dict[int, int], ...]:
+def _point_indices(colors, points) -> list[int]:
+    """Each point's index (_radix), from its per-color tuple, summed slot
+    by slot in C-level passes; only where points come in as tuples."""
+    index = [0] * len(points)
+    for i, (g, (_, low, _)) in enumerate(zip(colors, _radix(colors))):
+        share = {v: j * low for j, v in enumerate(g.elements())}
+        index = list(map(add, index, map(share.__getitem__, map(itemgetter(i), points))))
+    return index
+
+
+def _coboundary_columns(colors: tuple[FiniteAbelianGroup, ...], index) -> tuple[dict[int, int], ...]:
     """The sparse columns of the top coboundary, labelled (i, t) in the
-    order of _slot_radix.
+    order of _radix.
 
-    Row r is points[r]; the points are any distinct points of the join, in
-    any order. Point g gets (-1)**i in column (i, g without slot i) for
-    each slot i, so column (i, t) is the fibre of slot i through t, cut to
-    the given points. That column's index is computed from g's index in
-    nested_elements order (_slot_radix), slot by slot.
+    Row r is the point of index index[r] (nested_elements order); the
+    indices are any distinct points of the join, in any order. Point g
+    gets (-1)**i in column (i, g without slot i) for each slot i, so
+    column (i, t) is the fibre of slot i through t, cut to the given
+    points. That column's index is read off g's index, slot by slot.
     """
-    index, radix = _slot_radix(colors, points)
     total = prod(g.order for g in colors)
     columns = tuple({} for _ in range(sum(total // g.order for g in colors)))
-    rows = list(range(len(points)))  # one int object per row, shared by its k + 1 columns
-    for i, (start, low, block) in enumerate(radix):
+    rows = list(range(len(index)))  # one int object per row, shared by its k + 1 columns
+    for i, (start, low, block) in enumerate(_radix(colors)):
         sign = -1 if i % 2 else 1
         for r, f in zip(rows, index):
             columns[start + f // block * low + f % low][r] = sign
@@ -385,29 +390,30 @@ def coboundary_top_matrix(colors: tuple[FiniteAbelianGroup, ...]) -> IntMatrix:
     """Matrix of the top coboundary map on the full join.
 
     Rows are indexed by the points of G_0 x ... x G_k in lex order,
-    columns by the labels (i, t) of _slot_radix: slot i in order, t a
-    point of the other colors in lex order. The entry in row (g_0, ..., g_k)
-    and column (i, t) is (-1)**i when t equals the row with slot i
-    removed, else 0: _coboundary_columns, densified. No command reads it;
-    it is the dense reference of coboundary_restriction in the tests.
+    columns by the labels (i, t) of _radix: slot i in order, t a point of
+    the other colors in lex order. The entry in row (g_0, ..., g_k) and
+    column (i, t) is (-1)**i when t equals the row with slot i removed,
+    else 0: _coboundary_columns, densified. No command reads it; it is
+    the dense reference of coboundary_restriction in the tests.
     """
     colors = check_colors(colors)
-    return _dense(prod(g.order for g in colors), _coboundary_columns(colors, nested_elements(colors)))
+    total = prod(g.order for g in colors)
+    return _dense(total, _coboundary_columns(colors, range(total)))
 
 
 def coboundary_restriction(colors, points_in_order) -> IntMatrix:
     """Rows of the top coboundary matrix for the given points, in order.
 
-    The sparse columns of _coboundary_columns over the given points alone,
-    densified. ValueError unless the colors pass check_colors and the
-    points are distinct points of the join.
+    The sparse columns of _coboundary_columns over the given points'
+    indices alone, densified. ValueError unless the colors pass
+    check_colors and the points are distinct points of the join.
     """
     colors = check_colors(colors)
     chosen = [tuple(tuple(v) for v in g) for g in points_in_order]
     join = _point_set(colors)
     if len(set(chosen)) != len(chosen) or not join.issuperset(chosen):
         raise ValueError("the points must be distinct points of the join")
-    return _dense(len(chosen), _coboundary_columns(colors, chosen))
+    return _dense(len(chosen), _coboundary_columns(colors, _point_indices(colors, chosen)))
 
 
 def _orbit_representatives(colors) -> list[tuple[int, ...]]:
@@ -478,19 +484,19 @@ def coboundary_matches_fourier(colors, top_cells) -> bool:
     return _fourier_certificate(colors)
 
 
-def _peel_order(colors, points) -> tuple[list[int], list[tuple[int, int]]]:
+def _peel_order(colors, index) -> tuple[list[int], list[tuple[int, int]]]:
     """Each point's level, and the peel's steps.
 
-    The level of a point g is the last slot i with g_i = 0 (0 being the
-    first element of each color), or -1 when no coordinate is 0: on N.
-    The steps are (row, column) for every point off N by decreasing
-    level, rows increasing within a level: the row of g in `points` and
-    the index of column (i, g without slot i), i the level of g. Both are
-    read off g's index in nested_elements order (_slot_radix): digit i is
-    0 exactly when f % block_i < low_i.
+    Row x is the point of index index[x] (_radix). The level of a point g
+    is the last slot i with g_i = 0 (0 being the first element of each
+    color), or -1 when no coordinate is 0: on N. The steps are (row,
+    column) for every point off N by decreasing level, rows increasing
+    within a level: the row of g and the index of column
+    (i, g without slot i), i the level of g. Both are read off g's index:
+    digit i is 0 exactly when f % block_i < low_i.
     """
-    index, radix = _slot_radix(colors, points)
-    level = [-1] * len(points)
+    radix = _radix(colors)
+    level = [-1] * len(index)
     for i, (_, low, block) in enumerate(radix):
         level = [i if f % block < low else v for f, v in zip(index, level)]
     steps = []
@@ -500,15 +506,15 @@ def _peel_order(colors, points) -> tuple[list[int], list[tuple[int, int]]]:
     return level, steps
 
 
-def _peel(colors, points, columns, f) -> tuple[dict[int, int], dict[int, int]]:
+def _peel(colors, index, columns, f) -> tuple[dict[int, int], dict[int, int]]:
     """A cochain c and a remainder r with f = columns @ c + r, r on N.
 
     `columns` are sparse top coboundary columns in the order of
-    _coboundary_columns, `points[x]` is the point of row x, and `f` maps rows to
-    integers. For i = k, ..., 0 (_peel_order), each point g with g_i = 0
-    and every later coordinate nonzero is cleared by the column
-    (i, g without slot i): its value there is divided exactly by the
-    column's entry at g, or, if it does not divide, left in the
+    _coboundary_columns, `index[x]` is the index of the point of row x,
+    and `f` maps rows to integers. For i = k, ..., 0 (_peel_order), each
+    point g with g_i = 0 and every later coordinate nonzero is cleared by
+    the column (i, g without slot i): its value there is divided exactly
+    by the column's entry at g, or, if it does not divide, left in the
     remainder. In the top coboundary that column is the fibre of slot i
     through g, whose other points have g_i nonzero and the same later
     coordinates: they are cleared later or lie in N. Returns c and r as
@@ -517,7 +523,7 @@ def _peel(colors, points, columns, f) -> tuple[dict[int, int], dict[int, int]]:
     """
     rest = {x: v for x, v in f.items() if v}
     cochain = {}
-    for x, c in _peel_order(colors, points)[1]:
+    for x, c in _peel_order(colors, index)[1]:
         v = rest.get(x)
         e = columns[c].get(x)
         if not v or not e or v % e:
@@ -549,7 +555,7 @@ def _fourier_certificate(colors: tuple[FiniteAbelianGroup, ...]) -> bool:
     restrictions to any set of top cells agree too.
 
     Three exact checks on the sparse columns of delta_J (_coboundary_columns
-    over nested_elements), N being the points with no coordinate 0.
+    over every index), N being the points with no coordinate 0.
     (a) im delta_J lies in K (_fourier_contained). (b) Z^G = im delta_J +
     Z^N: each peel step's column has entry +-1 at its point and its other
     points at a lower level (_peel_order), so the peel writes any f as
@@ -559,9 +565,9 @@ def _fourier_certificate(colors: tuple[FiniteAbelianGroup, ...]) -> bool:
     characters nontrivial in every slot is the tensor product of these.
     Then f in K gives r = f - delta_J c in K on N, so r = 0.
     """
-    points = nested_elements(colors)
-    columns = _coboundary_columns(colors, points)
-    level, steps = _peel_order(colors, points)
+    index = range(prod(g.order for g in colors))
+    columns = _coboundary_columns(colors, index)
+    level, steps = _peel_order(colors, index)
     peels = all(
         columns[c].get(x) in (1, -1) and all(level[y] < level[x] for y in columns[c] if y != x) for x, c in steps
     )

@@ -16,15 +16,17 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, compress, cycle, islice
 from math import gcd, prod
+from operator import mul
 
 from .complexes import (
     BalancedComplex,
     _coboundary_columns,
     _coboundary_of,
     _cycle_groups,
+    _dense,
     _peel,
+    _radix,
     _translation_closed,
-    coboundary_restriction,
     nested_elements,
     uct_holds,
 )
@@ -67,27 +69,15 @@ def crt_split(primes, x: int) -> tuple[tuple[int, ...], ...]:
     return tuple((x % p,) for p in primes)
 
 
-def _crt_rows(primes: tuple[int, ...], stop: int):
-    """crt_split(primes, x) for x = 0, ..., stop - 1, lazily.
-
-    Residue x mod p steps through 0, ..., p - 1 and wraps, so the points
-    are a zip of one cycle per prime over that color's elements: each
-    point is one new tuple of shared 1-tuples, built at C speed, with no
-    call and no division per residue.
+def _crt_index(primes: tuple[int, ...], stop: int) -> list[int]:
+    """The index (complexes._radix) of crt_split(primes, x) for x = 0, ...,
+    stop - 1: the sum over i of (x mod p_i) * low_i, low_i the product of
+    the primes after p_i. Each term steps through 0, low_i, ...,
+    (p_i - 1) * low_i and wraps, so the indices are summed from one cycle
+    per prime at C speed, with no point tuple and no division per residue.
     """
-    return islice(zip(*(cycle(g.elements()) for g in family_colors(primes))), stop)
-
-
-def _crt_points(primes: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """The CRT table: crt_split(primes, x) for every residue x of Z_n, in
-    residue order (_crt_rows). Each reader builds it afresh; the
-    certificates do not keep it, and only _crt_inverse keeps it, inverted."""
-    return list(_crt_rows(primes, prod(primes)))
-
-
-@lru_cache(maxsize=8)
-def _crt_inverse(primes: tuple[int, ...]) -> dict:
-    return {point: x for x, point in enumerate(_crt_points(primes))}
+    terms = (cycle(range(0, block, low)) for _, low, block in _radix(family_colors(primes)))
+    return list(islice(map(sum, zip(*terms)), stop))
 
 
 def crt_unit(primes) -> int:
@@ -123,7 +113,7 @@ def _family(primes) -> CycloComplexData:
     record of (2, 3). That check is one C-level pass.
     """
     primes = tuple(primes)
-    if set(map(type, primes)) - {int}:
+    if list(map(type, primes)).count(int) != len(primes):
         check_primes(primes)  # raises, naming the entry
     return _family_record(primes)
 
@@ -143,7 +133,7 @@ def _check_subset(subset: tuple, totient: int) -> None:
     """ValueError unless every entry is an int in 0..totient, in C-level
     passes: the entries' types, then min and max."""
     # type, not isinstance: True is an int too, and nothing is truncated
-    if set(map(type, subset)) - {int}:
+    if list(map(type, subset)).count(int) != len(subset):
         bad = next(j for j in subset if type(j) is not int)
         raise ValueError(f"subset entries must be integers, not {bad!r}")
     if subset and not (0 <= min(subset) and max(subset) <= totient):
@@ -205,18 +195,17 @@ def build_family_complex(primes, subset):
     colors = family_colors(data.primes)
     # every point but the free ones is a top cell, taken in nested_elements
     # order, which is the canonical order: no validation and no sort
-    free = set(_free_points(data))
-    return BalancedComplex(colors, tuple(g for g in nested_elements(colors) if g not in free))
+    free = set(_free_indices(data))
+    return BalancedComplex(colors, tuple(g for f, g in enumerate(nested_elements(colors)) if f not in free))
 
 
-def _free_points(data: CycloComplexData) -> list[tuple[tuple[int, ...], ...]]:
-    """The points outside the top cells, sorted: the CRT points of the free
-    residues {0, ..., phi(n)} minus the subset. Only the residues up to
-    phi(n) are split (_crt_rows)."""
+def _free_indices(data: CycloComplexData) -> list[int]:
+    """The sorted indices of the free points: those of the CRT points of
+    the free residues {0, ..., phi(n)} minus the subset (_crt_index)."""
     keep = bytearray(b"\x01") * (data.totient + 1)
     for j in data.subset:
         keep[j] = 0
-    return sorted(compress(_crt_rows(data.primes, data.totient + 1), keep))
+    return sorted(compress(_crt_index(data.primes, data.totient + 1), keep))
 
 
 def predicted_homology(primes, subset, i: int) -> AbelianGroupStructure:
@@ -303,12 +292,12 @@ def _coboundary_form(data: CycloComplexData) -> HermiteForm:
     back along the CRT bijection to the residues of data.pullback_indices.
 
     The pullback is a pure reindexing of coordinates from product-group
-    points to residues; the form is eliminated from the restricted
-    coboundary matrix itself and uses neither Phi_n nor its remainders.
+    points to residues (_crt_index); the form is eliminated from the
+    sparse columns over those points alone and uses neither Phi_n nor its
+    remainders.
     """
-    table = _crt_points(data.primes)
-    points = [table[x] for x in data.pullback_indices]
-    return hermite_normal_form(coboundary_restriction(family_colors(data.primes), points))
+    index = list(map(_crt_index(data.primes, data.n).__getitem__, data.pullback_indices))
+    return hermite_normal_form(_dense(len(index), _coboundary_columns(family_colors(data.primes), index)))
 
 
 @lru_cache(maxsize=8)
@@ -319,8 +308,8 @@ def _pullback_certificate(primes: tuple[int, ...]) -> tuple[bool, bool, bool, di
 
     Returns (contained, closed, solved, cochain, remainder), read off the
     sparse columns of the join's top coboundary with row x the CRT point
-    of residue x (_coboundary_columns over _crt_points), computed once
-    and read by the peel too:
+    of residue x (_coboundary_columns over _crt_index). That index is
+    computed once, and the peel reads it too:
     - closed: L_cob is closed under multiplication by z: each column,
       shifted by one residue, is a column up to sign
       (complexes._translation_closed with the single move x -> x + 1).
@@ -342,12 +331,12 @@ def _pullback_certificate(primes: tuple[int, ...]) -> tuple[bool, bool, bool, di
     n = prod(primes)
     phi = euler_phi(n)
     colors = family_colors(primes)
-    points = _crt_points(primes)
-    columns = _coboundary_columns(colors, points)
+    index = _crt_index(primes, n)
+    columns = _coboundary_columns(colors, index)
     contained = all(vanishes_at_root(column.items(), n) for column in columns if 0 in column)
     coeffs = cyclotomic(n).coeffs
     f = {x: coeffs[x] for x in range(phi + 1) if coeffs[x]}
-    cochain, remainder = _peel(colors, points, columns, f)
+    cochain, remainder = _peel(colors, index, columns, f)
     solved = _coboundary_of(columns, cochain) == f
     return contained, _translation_closed(columns, [[*range(1, n), 0]]), solved, cochain, remainder
 
@@ -388,7 +377,9 @@ def transform_pullback_check(primes, h: GroupFunction, m: int | None = None) -> 
     once per support point, before the loop over m. The Z_n side's
     exponents come from the CRT residues, the product-group side's from
     the pairing (fourier_transform's exponent rows); the two meet only as
-    reduced values in Z[zeta_n].
+    reduced values in Z[zeta_n]. A support point x has the index
+    sum x_i * low_i (complexes._radix); _crt_index, inverted once per
+    call, gives its residue.
     """
     data = CycloComplexData.build(primes, ())
     n = data.n
@@ -397,8 +388,9 @@ def transform_pullback_check(primes, h: GroupFunction, m: int | None = None) -> 
     units = {x for x in range(n) if gcd(x, n) == 1}
     if {(data.unit * x) % n for x in units} != units:
         return False
-    inverse = _crt_inverse(data.primes)
-    twisted = [(inverse[tuple((xi,) for xi in x)] * data.unit % n, v) for x, v in h.values.items()]
+    residue = sorted(range(n), key=_crt_index(data.primes, n).__getitem__)
+    weights = [low for _, low, _ in _radix(family_colors(data.primes))]
+    twisted = [(residue[sum(map(mul, x, weights))] * data.unit % n, v) for x, v in h.values.items()]
     hat = fourier_transform(h)
     for point in range(n) if m is None else (m,):
         buckets = [0] * n
@@ -516,7 +508,7 @@ def verify_homology_tables(primes, subset) -> HomologyVerification:
 
     Every dimension 0..k is computed by complexes._cycle_groups, from the
     invariant factors of the join's top cycles restricted to the points
-    outside the top cells (_free_points); no complex is built and the
+    outside the top cells (_free_indices); no complex is built and the
     join is not enumerated. The groups are compared with the coefficient
     predictions, including the dimensions where the prediction is zero.
     That matrix uses neither Phi_n nor the Fourier argument, so the
@@ -533,7 +525,7 @@ def verify_homology_tables(primes, subset) -> HomologyVerification:
     if not data.subset:
         raise ValueError("verification requires a nonempty subset")
     k = len(data.primes) - 1
-    computed_h, computed_c = _cycle_groups(family_colors(data.primes), _free_points(data))
+    computed_h, computed_c = _cycle_groups(family_colors(data.primes), _free_indices(data))
     predicted_h, predicted_c = _predicted_groups(data)
     match = computed_h == predicted_h and computed_c == predicted_c
     euler = computed_h[k].free_rank - computed_h[k - 1].free_rank == len(data.subset) - 1

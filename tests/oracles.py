@@ -175,7 +175,7 @@ def direct_pullback_factors(primes, subset) -> tuple[int, ...]:
     every row eliminated afresh.
 
     The rows are those of pullback_rows, so a test that patches
-    _coboundary_columns, or _crt_points, is seen here too.
+    _coboundary_columns, or _crt_index, is seen here too.
     """
     data = CycloComplexData.build(primes, subset)
     rows = pullback_rows(data.primes)
@@ -185,12 +185,12 @@ def direct_pullback_factors(primes, subset) -> tuple[int, ...]:
 def pullback_rows(primes) -> list[dict[int, int]]:
     """The join's top coboundary on the residues of Z_n, as sparse rows.
 
-    cyclo_family._coboundary_columns over the CRT points, looked up when
-    called and transposed here: rows[x] maps each column through residue
-    x to its entry.
+    cyclo_family._coboundary_columns over the CRT indices, both looked up
+    when called, and transposed here: rows[x] maps each column through
+    residue x to its entry.
     """
     primes = tuple(primes)
-    columns = cyclo_family._coboundary_columns(family_colors(primes), cyclo_family._crt_points(primes))
+    columns = cyclo_family._coboundary_columns(family_colors(primes), cyclo_family._crt_index(primes, prod(primes)))
     rows: list[dict[int, int]] = [{} for _ in range(prod(primes))]
     for c, column in enumerate(columns):
         for x, e in column.items():
@@ -317,7 +317,7 @@ def dense_fourier_containment(colors) -> bool:
     _exponent_row, is seen here too.
     """
     colors = tuple(colors)
-    columns = complexes._coboundary_columns(colors, nested_elements(colors))
+    columns = complexes._coboundary_columns(colors, range(prod(g.order for g in colors)))
     vanishing = complexes.fourier_vanishing_matrix(colors)
     by_point = [vanishing.column(x) for x in range(vanishing.cols)]
     for column in columns:
@@ -370,7 +370,7 @@ def top_coboundary_domain(colors: tuple[FiniteAbelianGroup, ...]) -> tuple[tuple
     Slot i ranges over colors; t over the product of the other colors'
     elements in lex order. These label the (k-1)-cochain components; the
     library computes a column's index from a point's mixed-radix index
-    (complexes._slot_radix) and never builds the labels.
+    (complexes._radix) and never builds the labels.
     """
     k = len(colors) - 1
     labels = []
@@ -540,6 +540,13 @@ def free_points(x: BalancedComplex) -> list:
     """The points of the join outside the top cells of x, in nested_elements order."""
     tops = set(x.top_cells)
     return [g for g in nested_elements(x.colors) if g not in tops]
+
+
+def free_indices(x: BalancedComplex) -> list[int]:
+    """The positions of free_points(x) in nested_elements order, looked up
+    point by point: the rows complexes._assemble_cycles takes."""
+    tops = set(x.top_cells)
+    return [f for f, g in enumerate(nested_elements(x.colors)) if g not in tops]
 
 
 def column_cycle_matrix(x: BalancedComplex):

@@ -22,7 +22,7 @@ from oracles import (
     dense_fourier_containment,
     fourier_lattice,
     fourier_support,
-    free_points,
+    free_indices,
     full_block_vanishing_matrix,
     hermite_fourier_matches,
     labelled_coboundary_columns,
@@ -341,14 +341,14 @@ def _layouts(matrix):
 @example(build_complex((Z4, Z22, Z3), full((Z4, Z22, Z3))[::5]))
 @example(build_family_complex((2, 3, 5, 11), (0, 5, 17, 80)))
 def test_cycle_matrix_matches_column_assembly(x):
-    assert _layouts(complexes._assemble_cycles(x.colors, free_points(x))) == _layouts(column_cycle_matrix(x))
+    assert _layouts(complexes._assemble_cycles(x.colors, free_indices(x))) == _layouts(column_cycle_matrix(x))
 
 
 def test_cycle_matrix_at_15015_matches_column_assembly():
     # the first five-prime case, whose elimination leaves the dense core
     # that no Smith reduction here finishes yet: P must stay this matrix
     x = build_family_complex((3, 5, 7, 11, 13), (0,))
-    rows, columns = complexes._assemble_cycles(x.colors, free_points(x))
+    rows, columns = complexes._assemble_cycles(x.colors, free_indices(x))
     assert (len(rows), len(columns)) == (5760, 5760)
     assert _layouts((rows, columns)) == _layouts(column_cycle_matrix(x))
 
@@ -466,15 +466,16 @@ def test_peel_writes_f_as_a_coboundary_plus_a_remainder_on_N(case):
     # cyclic and non-cyclic colors, colors of order 2, and k = 0
     colors, f = case
     points = nested_elements(colors)
-    columns = complexes._coboundary_columns(colors, points)
-    cochain, rest = complexes._peel(colors, points, columns, f)
+    index = range(len(points))
+    columns = complexes._coboundary_columns(colors, index)
+    cochain, rest = complexes._peel(colors, index, columns, f)
     total = complexes._coboundary_of(columns, cochain)
     for x, v in rest.items():
         total[x] = total.get(x, 0) + v
     assert {x: v for x, v in total.items() if v} == {x: v for x, v in f.items() if v}
     zeros = tuple(g.elements()[0] for g in colors)
     assert all(all(a != z for a, z in zip(points[x], zeros)) for x in rest)
-    assert set(cochain) <= {c for _, c in complexes._peel_order(colors, points)[1]}
+    assert set(cochain) <= {c for _, c in complexes._peel_order(colors, index)[1]}
     # the sparse product agrees with the dense coboundary matrix
     assert coboundary_top_matrix(colors).apply([cochain.get(c, 0) for c in range(len(columns))]) == tuple(
         total.get(x, 0) - rest.get(x, 0) for x in range(len(points))
@@ -559,7 +560,7 @@ def mutate_fourier_routes(monkeypatch, colors, mutation):
 
         monkeypatch.setattr(complexes, "_exponent_row", perturbed)
         return
-    columns = complexes._coboundary_columns(colors, points)
+    columns = complexes._coboundary_columns(colors, range(len(points)))
     if mutation == "flip entry":
         columns = tuple({**col, 0: -col[0]} if c == 0 else col for c, col in enumerate(columns))
     elif mutation == "move":
@@ -617,7 +618,7 @@ CI_TUPLES = [
 
 def sparse_fourier_containment(colors) -> bool:
     colors = tuple(colors)
-    return complexes._fourier_contained(colors, complexes._coboundary_columns(colors, nested_elements(colors)))
+    return complexes._fourier_contained(colors, complexes._coboundary_columns(colors, range(len(nested_elements(colors)))))
 
 
 @pytest.mark.parametrize(
@@ -658,7 +659,7 @@ def test_sparse_containment_matches_the_dense_annihilation_under_mutation(
 @example([Z3, Z2], random.Random(2), 1.0)
 def test_coboundary_columns_follow_the_point_order(colors, rng, share):
     # k = 0..2, cyclic and non-cyclic colors: the columns over shuffled
-    # points are the nested-order columns with their rows renumbered, and
+    # indices are the nested-order columns with their rows renumbered, and
     # densified they are the rows of the dense coboundary in that order; the
     # sparse restriction to a prefix of those points (the empty one and the
     # whole join included) is those rows of the dense coboundary
@@ -666,19 +667,20 @@ def test_coboundary_columns_follow_the_point_order(colors, rng, share):
     nested = nested_elements(colors)
     points = list(nested)
     rng.shuffle(points)
-    row_of = {g: r for r, g in enumerate(points)}
-    renumbered = tuple(
-        {row_of[nested[x]]: e for x, e in column.items()} for column in complexes._coboundary_columns(colors, nested)
-    )
-    columns = complexes._coboundary_columns(colors, points)
-    assert columns == renumbered
     position = {g: x for x, g in enumerate(nested)}
+    index = [position[g] for g in points]
+    row_of = {f: r for r, f in enumerate(index)}
+    renumbered = tuple(
+        {row_of[x]: e for x, e in column.items()} for column in complexes._coboundary_columns(colors, range(len(nested)))
+    )
+    columns = complexes._coboundary_columns(colors, index)
+    assert columns == renumbered
     dense = coboundary_top_matrix(colors)
-    assert complexes._dense(len(points), columns) == dense.select_rows([position[g] for g in points])
+    assert complexes._dense(len(points), columns) == dense.select_rows(index)
     prefix = points[: round(share * len(points))]
     cut = tuple({r: e for r, e in column.items() if r < len(prefix)} for column in renumbered)
-    assert complexes._coboundary_columns(colors, prefix) == cut
-    assert coboundary_restriction(colors, prefix) == dense.select_rows([position[g] for g in prefix])
+    assert complexes._coboundary_columns(colors, index[: len(prefix)]) == cut
+    assert coboundary_restriction(colors, prefix) == dense.select_rows(index[: len(prefix)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -696,13 +698,40 @@ def test_indexed_columns_and_peel_order_match_the_label_maps(colors, rng, share)
     # columns and peel steps are those of the label-map references, in
     # the same order, down to the order of each column's rows
     colors = tuple(colors)
-    points = list(nested_elements(colors))
+    nested = nested_elements(colors)
+    points = list(nested)
     rng.shuffle(points)
     points = points[: round(share * len(points))]
-    columns = complexes._coboundary_columns(colors, points)
+    index = [nested.index(g) for g in points]
+    columns = complexes._coboundary_columns(colors, index)
     reference = labelled_coboundary_columns(colors, points)
     assert [list(c.items()) for c in columns] == [list(c.items()) for c in reference]
-    assert complexes._peel_order(colors, points) == labelled_peel_order(colors, points)
+    assert complexes._peel_order(colors, index) == labelled_peel_order(colors, points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([Z2, Z3, Z4, Z22, Z24, Z9]), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+    st.floats(0, 1),
+)
+@example([Z22, Z24, Z9], random.Random(0), 1.0)
+@example([Z24], random.Random(1), 0.5)
+@example([Z3, Z22], random.Random(2), 0.0)
+def test_point_indices_are_positions_in_nested_order(colors, rng, share):
+    # k = 0..3, cyclic and non-cyclic colors, shuffled and partial point
+    # sets: the tuple -> index conversion is each point's position in
+    # nested_elements, and the radix's digits read each coordinate back
+    colors = tuple(colors)
+    nested = nested_elements(colors)
+    points = list(nested)
+    rng.shuffle(points)
+    points = points[: round(share * len(points))]
+    index = complexes._point_indices(colors, points)
+    assert index == [nested.index(g) for g in points]
+    radix = complexes._radix(colors)
+    for f, g in zip(index, points):
+        assert tuple(c.elements()[f % block // low] for c, (_, low, block) in zip(colors, radix)) == g
 
 
 def test_coboundary_restriction_builds_columns_over_the_given_points_only(monkeypatch):
@@ -711,13 +740,13 @@ def test_coboundary_restriction_builds_columns_over_the_given_points_only(monkey
     seen = []
     build = complexes._coboundary_columns
 
-    def spy(colors, points):
-        seen.append(list(points))
-        return build(colors, points)
+    def spy(colors, index):
+        seen.append(list(index))
+        return build(colors, index)
 
     monkeypatch.setattr(complexes, "_coboundary_columns", spy)
     m = coboundary_restriction(colors, points)
-    assert seen == [points]
+    assert seen == [[nested_elements(colors).index(g) for g in points]] == [[29, 0, 18]]
     assert (m.rows, m.cols) == (3, len(top_coboundary_domain(colors)))
 
 
@@ -818,7 +847,7 @@ def test_cycle_matrix_assembled_once_per_complex(monkeypatch):
     cohomology_profile(x).clear()
     assert len(homology_profile(x)) == len(cohomology_profile(x)) == x.top_dim + 1
     # one cycle matrix, on the free points, shared by every reader
-    assert cycles == [free_points(x)]
+    assert cycles == [free_indices(x)]
     # what is computed stays outside the fields, equality, hashing and repr
     assert [f.name for f in dataclasses.fields(complexes.BalancedComplex)] == ["colors", "top_cells"]
     assert x == y and (hash(x), repr(x)) == before == (hash(y), repr(y))

@@ -134,17 +134,21 @@ def test_primes_must_be_ints_even_once_their_values_are_cached(primes):
 
 
 def test_crt_table_is_the_split_of_each_residue():
-    # the zip of per-prime cycles is crt_split residue by residue, and the
-    # free points are the sorted splits of the free residues
-    for primes in [(2, 3), (3, 2), (2, 3, 5), (5, 3, 2), (3, 5, 7), (2, 3, 5, 7), (5, 7, 11)]:
+    # the sum of per-prime cycles is, residue by residue, the position of
+    # crt_split in nested_elements order, the primes in either order and
+    # cut at any stop; the free indices are the sorted positions of the
+    # splits of the free residues
+    for primes in [(2, 3), (3, 2), (2, 3, 5), (5, 3, 2), (3, 5, 7), (7, 5, 3), (2, 3, 5, 7), (5, 7, 11), (11, 7, 5)]:
         n = prod(primes)
-        assert cyclo_family._crt_points(primes) == [crt_split(primes, x) for x in range(n)]
+        position = {g: f for f, g in enumerate(nested_elements(family_colors(primes)))}
+        assert cyclo_family._crt_index(primes, n) == [position[crt_split(primes, x)] for x in range(n)]
+        assert cyclo_family._crt_index(primes, 3) == [position[crt_split(primes, x)] for x in range(3)]
         top = euler_phi(n)
         rng = random.Random(n)
         for subset in [(), (top,), tuple(range(top + 1)), tuple(sorted(rng.sample(range(top + 1), top // 2)))]:
             data = CycloComplexData.build(primes, subset)
             free = [x for x in range(top + 1) if x not in subset]
-            assert cyclo_family._free_points(data) == sorted(crt_split(primes, x) for x in free)
+            assert cyclo_family._free_indices(data) == sorted(position[crt_split(primes, x)] for x in free)
 
 
 @pytest.mark.parametrize("entry", [1.5, True, -1, 9])
@@ -394,7 +398,7 @@ def test_cycle_matrix_factors_match_dense_smith(primes, subset):
     # unless it is a top cell, the point 0 meets every column: a dense
     # row on one side, a dense column on the other
     data = CycloComplexData.build(primes, subset)
-    rows, columns = complexes._assemble_cycles(family_colors(primes), cyclo_family._free_points(data))
+    rows, columns = complexes._assemble_cycles(family_colors(primes), cyclo_family._free_indices(data))
     p = IntMatrix(len(rows), len(columns), tuple(row.get(c, 0) for row in rows for c in range(len(columns))))
     assert sparse_invariant_factors(rows) == smith_normal_form(p).invariant_factors
     assert sparse_invariant_factors(columns) == smith_normal_form(p.transpose()).invariant_factors
@@ -544,7 +548,7 @@ def test_lattice_routes_do_not_use_the_coboundary(monkeypatch):
 
     monkeypatch.setattr(complexes, "coboundary_top_matrix", forbidden)
     monkeypatch.setattr(complexes, "coboundary_restriction", forbidden)
-    monkeypatch.setattr(cyclo_family, "coboundary_restriction", forbidden)
+    monkeypatch.setattr(cyclo_family, "_coboundary_columns", forbidden)
     assert root_relation_lattice((2, 3, 5), (2, 6)).rank > 0
     colors = tuple(FiniteAbelianGroup((p,)) for p in (2, 3, 5))
     assert fourier_lattice(colors, nested_elements(colors)).rank == 22
@@ -595,12 +599,12 @@ def fresh_certificate():
         cached.cache_clear()
 
 
-CRT_POINTS = cyclo_family._crt_points
+CRT_INDEX = cyclo_family._crt_index
 
 
-def swapped_crt_points(primes):
-    """The CRT table with the points of residues 1 and 2 exchanged."""
-    table = CRT_POINTS(primes)
+def swapped_crt_index(primes, stop):
+    """The CRT indices with the points of residues 1 and 2 exchanged."""
+    table = CRT_INDEX(primes, stop)
     table[1], table[2] = table[2], table[1]
     return table
 
@@ -668,7 +672,7 @@ def test_pullback_check_fails_when_a_column_leaves_the_kernel(monkeypatch, fresh
     primes, subset = (2, 3, 5), tuple(range(9))
     assert pullback_matches_root_kernel(primes, subset)
 
-    monkeypatch.setattr(cyclo_family, "_crt_points", swapped_crt_points)
+    monkeypatch.setattr(cyclo_family, "_crt_index", swapped_crt_index)
     cyclo_family._pullback_certificate.cache_clear()
     contained, closed, *_ = cyclo_family._pullback_certificate(primes)
     assert not (contained and closed)
@@ -685,14 +689,14 @@ def test_pullback_check_fails_when_a_column_leaves_the_kernel(monkeypatch, fresh
 def test_containment_matches_the_partial_sum_oracle(monkeypatch, fresh_certificate, primes, mutation):
     # containment (the base columns, through residue 0, summed) with
     # closure under the shift equals the sum over every column, on the true
-    # rows and on rows with residues 1 and 2 swapped in the CRT table, a
+    # rows and on rows with residues 1 and 2 swapped in the CRT indices, a
     # column's sign flipped (still in the kernel, and closed up to sign), a
     # base column's entry at residue 0 doubled, or a column moved off its
     # fibre at one residue. The moved column misses residue 0, so from
     # n = 30 on containment holds and only closure sees it
     n = prod(primes)
     if mutation == "swap":
-        monkeypatch.setattr(cyclo_family, "_crt_points", swapped_crt_points)
+        monkeypatch.setattr(cyclo_family, "_crt_index", swapped_crt_index)
     rows = pullback_rows(primes)
     # a column through residue 1; never a base column, as 1 is a multiple of no n/p
     c = min(rows[1])
@@ -721,7 +725,7 @@ def test_containment_sums_only_the_base_columns(primes):
     # the k+1 fibres {a * n/p_i} of the colors, in color order; closure
     # carries every other column to +- one of them
     n = prod(primes)
-    columns = cyclo_family._coboundary_columns(family_colors(primes), cyclo_family._crt_points(primes))
+    columns = cyclo_family._coboundary_columns(family_colors(primes), cyclo_family._crt_index(primes, n))
     base = [column for column in columns if 0 in column]
     assert base == [{a * (n // p): -1 if i % 2 else 1 for a in range(p)} for i, p in enumerate(primes)]
 
@@ -730,18 +734,16 @@ def test_pullback_check_fails_on_a_proper_sublattice(monkeypatch, fresh_certific
     # every coboundary entry doubled: each column still lies in the kernel
     # and the columns are still closed under the shift, but the peel can
     # clear no odd coefficient of Phi_n and leaves a remainder, so Phi_n is
-    # not shown to lie in the lattice; the Hermite comparison, with the
-    # dense matrix doubled, rejects the sublattice too
+    # not shown to lie in the lattice; the Hermite comparison, whose form
+    # is eliminated from the same doubled columns over the top indices
+    # alone, rejects the sublattice too
     primes = (2, 3, 5)
-    rows = [{c: 2 * x for c, x in row.items()} for row in pullback_rows(primes)]
-    columns = columns_of(rows, len(oracles.top_coboundary_domain(family_colors(primes))))
+    build = cyclo_family._coboundary_columns
 
-    def doubled_dense(colors, points):
-        m = complexes.coboundary_restriction(colors, points)
-        return IntMatrix(m.rows, m.cols, tuple(2 * x for x in m.entries))
+    def doubled(colors, index):
+        return tuple({x: 2 * e for x, e in column.items()} for column in build(colors, index))
 
-    monkeypatch.setattr(cyclo_family, "_coboundary_columns", lambda colors, points: columns)
-    monkeypatch.setattr(cyclo_family, "coboundary_restriction", doubled_dense)
+    monkeypatch.setattr(cyclo_family, "_coboundary_columns", doubled)
     contained, closed, solved, _, remainder = cyclo_family._pullback_certificate(primes)
     assert (contained, closed, solved) == (True, True, False)
     assert remainder
@@ -792,7 +794,7 @@ def test_pullback_check_builds_no_dense_matrix(monkeypatch):
 
     for module, name in [
         (complexes, "coboundary_top_matrix"),
-        (cyclo_family, "coboundary_restriction"),
+        (cyclo_family, "_dense"),
         (cyclo_family, "hermite_normal_form"),
         (cyclo_family, "_root_relation_kernel"),
         (cyclo_family, "eval_at_root"),
@@ -820,6 +822,28 @@ def test_certificates_need_no_dense_lattice_routine(monkeypatch):
     assert pullback_matches_root_kernel((3, 5, 7), (0, 7, 48))
     assert coefficient_vector_is_coboundary((3, 5, 7))
     assert complexes.coboundary_matches_fourier((z3, z5, z7), [((0,), (1,), (2,)), ((2,), (4,), (6,))])
+
+
+def test_the_engine_builds_no_point_tuple(monkeypatch, fresh_certificate):
+    # inside the routes a point of the join is its index: with crt_split
+    # and nested_elements refused where the engine lives, and every cache
+    # that could hold a point set cleared, both certificates, the
+    # coefficient coboundary, the homology tables and the presentation run
+    def refuse(*args):
+        raise AssertionError("the engine built a point tuple")
+
+    for module in (complexes, cyclo_family):
+        for name in ("crt_split", "nested_elements"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    complexes._fourier_certificate.cache_clear()
+    complexes._point_set.cache_clear()
+    assert cyclo_family._pullback_certificate((3, 5, 7))[:3] == (True, True, True)
+    assert coefficient_vector_is_coboundary((5, 7, 11))
+    assert verify_homology_tables((2, 3, 5, 7), (0, 3, 7, 8, 48)).match
+    assert quotient_presentation((2, 3, 5), (1, 4, 7)).ok
+    z22, z3, z4 = (FiniteAbelianGroup(orders) for orders in ((2, 2), (3,), (4,)))
+    for colors in [(z3, FiniteAbelianGroup((5,)), FiniteAbelianGroup((7,))), (z22, z4, z3)]:
+        assert complexes._fourier_certificate(colors) is True
 
 
 def test_certificates_read_neither_the_remainder_stream_nor_the_power_table(monkeypatch):
@@ -867,7 +891,6 @@ CACHE_BOUNDS = {"_tuples": 16}
 @pytest.mark.parametrize(
     "cached",
     [
-        cyclo_family._crt_inverse,
         cyclo_family._family_record,
         importlib.import_module("balacyc.cyclotomic")._packed_cofactor,
         oracles.top_coboundary_domain,
@@ -1114,11 +1137,12 @@ def test_presentation_generators_are_checked_against_the_coboundary(monkeypatch)
     report = quotient_presentation(primes, subset)
     assert report.ok
 
-    def doubled(colors, points):
-        m = complexes.coboundary_restriction(colors, points)
-        return IntMatrix(m.rows, m.cols, tuple(2 * x for x in m.entries))
+    build = cyclo_family._coboundary_columns
 
-    monkeypatch.setattr(cyclo_family, "coboundary_restriction", doubled)
+    def doubled(colors, index):
+        return tuple({x: 2 * e for x, e in column.items()} for column in build(colors, index))
+
+    monkeypatch.setattr(cyclo_family, "_coboundary_columns", doubled)
     corrupted = quotient_presentation(primes, subset)
     assert corrupted.ambient_quotient == report.ambient_quotient
     assert corrupted.quotient_ok
