@@ -301,13 +301,6 @@ def _exhaustive_subsets(universe, min_size: int, max_size) -> list:
     return list(bounded_subsets(universe, min_size, max_size))
 
 
-def _subset_items_table(items) -> str:
-    lines = [f"A={item['A']}: {'ok' if item['ok'] else 'MISMATCH'}" for item in items]
-    good = sum(1 for item in items if item["ok"])
-    lines.append(f"{good}/{len(items)} verified")
-    return "\n".join(lines)
-
-
 def _check_selection(args) -> None:
     """UsageError unless one selection flag is given, --max-size only with
     --all-subsets, and --random N at most MAX_ENUMERATED_SETS."""
@@ -317,6 +310,16 @@ def _check_selection(args) -> None:
         raise UsageError("--max-size needs --all-subsets")
     if args.random and args.random > MAX_ENUMERATED_SETS:
         raise UsageError(f"--random {args.random} is over the limit of {MAX_ENUMERATED_SETS} sets")
+
+
+def _selection_report(args, head: dict, items) -> tuple[dict, bool, str]:
+    """The report, verdict and table of a selection command: its items
+    after the command's own fields (head)."""
+    ok = all(item["ok"] for item in items)
+    report = {"schema": 1, "command": args.command, **head, "seed": args.seed, "ok": ok, "items": items}
+    lines = [f"A={item['A']}: {'ok' if item['ok'] else 'MISMATCH'}" for item in items]
+    lines.append(f"{sum(1 for item in items if item['ok'])}/{len(items)} verified")
+    return report, ok, "\n".join(lines)
 
 
 def _cmd_verify_coboundaries(args):
@@ -330,20 +333,14 @@ def _cmd_verify_coboundaries(args):
         point_sets = _exhaustive_subsets(nested_elements(colors), 0, args.max_size)
     else:
         point_sets = sorted(random_point_subsets(colors, args.random, random.Random(args.seed)))
-    items = run_coboundary_sweep(colors, point_sets)
-    ok = all(item["ok"] for item in items)
-    report = {
-        "schema": 1,
-        "command": "verify-coboundaries",
-        "groups": [g.to_json() for g in colors],
-        "seed": args.seed,
-        "ok": ok,
-        "items": items,
-    }
-    return report, ok, _subset_items_table(items)
+    return _selection_report(args, {"groups": [g.to_json() for g in colors]}, run_coboundary_sweep(colors, point_sets))
 
 
-def _index_subsets_from_args(args, data: CycloComplexData, nonempty: bool):
+def _cmd_verify_indexed(args, nonempty: bool, run):
+    """verify-pullback (run_pullback_sweep, the empty set allowed) and
+    verify-homology (run_family_sweep, nonempty sets only)."""
+    primes = _parse_primes(args.primes)
+    data = CycloComplexData.build(primes, ())
     _check_selection(args)
     if args.subset is not None:
         subset = _parse_index_set(args.subset)
@@ -351,47 +348,13 @@ def _index_subsets_from_args(args, data: CycloComplexData, nonempty: bool):
             raise UsageError("this command needs a nonempty subset")
         # checks the range 0..phi(n)
         _checked(CycloComplexData.build, data.primes, subset)
-        return [subset]
-    if args.exhaustive:
-        return _exhaustive_subsets(range(data.totient + 1), int(nonempty), args.max_size)
-    drawn = random_index_subsets(data.totient, args.random, random.Random(args.seed), nonempty)
-    return sorted(drawn, key=lambda s: (len(s), s))
-
-
-def _cmd_verify_pullback(args):
-    primes = _parse_primes(args.primes)
-    data = CycloComplexData.build(primes, ())
-    subsets = _index_subsets_from_args(args, data, nonempty=False)
-    items = run_pullback_sweep(primes, subsets)
-    ok = all(item["ok"] for item in items)
-    report = {
-        "schema": 1,
-        "command": "verify-pullback",
-        "primes": list(primes),
-        "n": data.n,
-        "seed": args.seed,
-        "ok": ok,
-        "items": items,
-    }
-    return report, ok, _subset_items_table(items)
-
-
-def _cmd_verify_homology(args):
-    primes = _parse_primes(args.primes)
-    data = CycloComplexData.build(primes, ())
-    subsets = _index_subsets_from_args(args, data, nonempty=True)
-    items = run_family_sweep(primes, subsets)
-    ok = all(item["ok"] for item in items)
-    report = {
-        "schema": 1,
-        "command": "verify-homology",
-        "primes": list(primes),
-        "n": data.n,
-        "seed": args.seed,
-        "ok": ok,
-        "items": items,
-    }
-    return report, ok, _subset_items_table(items)
+        subsets = [subset]
+    elif args.exhaustive:
+        subsets = _exhaustive_subsets(range(data.totient + 1), int(nonempty), args.max_size)
+    else:
+        drawn = random_index_subsets(data.totient, args.random, random.Random(args.seed), nonempty)
+        subsets = sorted(drawn, key=lambda s: (len(s), s))
+    return _selection_report(args, {"primes": list(primes), "n": data.n}, run(primes, subsets))
 
 
 def _cmd_verify_coeff_coboundary(args):
@@ -482,8 +445,9 @@ _DISPATCH = {
     "cyclo": _cmd_cyclo,
     "homology": _cmd_homology,
     "verify-coboundaries": _cmd_verify_coboundaries,
-    "verify-pullback": _cmd_verify_pullback,
-    "verify-homology": _cmd_verify_homology,
+    # the runners are looked up at call time, so a rebinding of their names is seen
+    "verify-pullback": lambda args: _cmd_verify_indexed(args, False, run_pullback_sweep),
+    "verify-homology": lambda args: _cmd_verify_indexed(args, True, run_family_sweep),
     "verify-coeff-coboundary": _cmd_verify_coeff_coboundary,
     "sweep": _cmd_sweep,
 }

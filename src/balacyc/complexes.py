@@ -29,6 +29,13 @@ skeleton below the top is implied by the colors, and its cells are
 enumerated on demand, for boundary_matrix. Its (co)homology is computed
 once, on first use, from the complement of its top cells.
 
+Sets of top cells come in one way, _checked_points: the arities, and each
+color's vertices against that color's elements, are checked as sets, and
+no copy of the join is built. Only a set that fails is walked point by
+point, which words the error. normalize_top_cells sorts the checked
+points, coboundary_restriction keeps their order, and
+coboundary_matches_fourier only checks them.
+
 The two lattice descriptions are compared once per color tuple, on the
 full join (_fourier_certificate): when the top coboundary image equals
 the transform-vanishing lattice there, every restriction to a set of top
@@ -109,33 +116,33 @@ def nested_elements(colors) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(itertools.product(*(g.elements() for g in colors)))
 
 
-@lru_cache(maxsize=8)
-def _point_set(colors: tuple[FiniteAbelianGroup, ...]) -> frozenset:
-    return frozenset(nested_elements(colors))
+def _checked_points(colors, points) -> list[tuple[tuple[int, ...], ...]]:
+    """The points as per-color tuples, in the order given; ValueError
+    unless each picks one vertex of each color and no point repeats.
+
+    The arities are one set, and each slot's vertices one set checked
+    against its color's elements, all in C-level passes. Only a set that
+    fails is walked point by point, which words the error.
+    """
+    cells = [tuple(map(tuple, a)) for a in points]
+    if (
+        set(map(len, cells)) <= {len(colors)}
+        and all(set(map(itemgetter(i), cells)).issubset(g.elements()) for i, g in enumerate(colors))
+        and len(set(cells)) == len(cells)
+    ):
+        return cells
+    for a in cells:
+        if len(a) != len(colors):
+            raise ValueError("top cell must pick one vertex per color")
+        for g, v in zip(colors, a):
+            if not g.contains(v):
+                raise ValueError(f"vertex {v} is outside its color group")
+    raise ValueError("duplicate top cells")
 
 
 def normalize_top_cells(colors, top_cells) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Validate and canonically sort a set of product-group points.
-
-    A cell that is a point of the product passes with one lookup in the
-    product's point set; any other is checked vertex by vertex, which words
-    the error.
-    """
-    colors = tuple(colors)
-    points = _point_set(colors)
-    seen = []
-    for a in top_cells:
-        a = tuple(tuple(v) for v in a)
-        if a not in points:
-            if len(a) != len(colors):
-                raise ValueError("top cell must pick one vertex per color")
-            for g, v in zip(colors, a):
-                if not g.contains(v):
-                    raise ValueError(f"vertex {v} is outside its color group")
-        seen.append(a)
-    if len(set(seen)) != len(seen):
-        raise ValueError("duplicate top cells")
-    return tuple(sorted(seen))
+    """Validate (_checked_points) and canonically sort a set of product-group points."""
+    return tuple(sorted(_checked_points(tuple(colors), top_cells)))
 
 
 def check_colors(colors) -> tuple[FiniteAbelianGroup, ...]:
@@ -406,13 +413,10 @@ def coboundary_restriction(colors, points_in_order) -> IntMatrix:
 
     The sparse columns of _coboundary_columns over the given points'
     indices alone, densified. ValueError unless the colors pass
-    check_colors and the points are distinct points of the join.
+    check_colors and the points pass _checked_points, with its messages.
     """
     colors = check_colors(colors)
-    chosen = [tuple(tuple(v) for v in g) for g in points_in_order]
-    join = _point_set(colors)
-    if len(set(chosen)) != len(chosen) or not join.issuperset(chosen):
-        raise ValueError("the points must be distinct points of the join")
+    chosen = _checked_points(colors, points_in_order)
     return _dense(len(chosen), _coboundary_columns(colors, _point_indices(colors, chosen)))
 
 
@@ -474,13 +478,13 @@ def coboundary_matches_fourier(colors, top_cells) -> bool:
     The restricted coboundary image and the restricted transform-vanishing
     lattice agree for every set of top cells once they agree on the full
     join, so the colors and the cells are only validated (check_colors and
-    normalize_top_cells, ValueError as in build_complex), and every set of
-    top cells over these colors shares the verdict of _fourier_certificate.
-    The per-set Hermite comparison of the two restricted lattices is the
-    test oracle (tests/oracles.py).
+    _checked_points, ValueError as in build_complex; the cells are not
+    sorted), and every set of top cells over these colors shares the
+    verdict of _fourier_certificate. The per-set Hermite comparison of the
+    two restricted lattices is the test oracle (tests/oracles.py).
     """
     colors = check_colors(colors)
-    normalize_top_cells(colors, top_cells)
+    _checked_points(colors, top_cells)
     return _fourier_certificate(colors)
 
 

@@ -362,17 +362,17 @@ def pullback_matches_root_kernel(primes, subset) -> bool:
     return contained and closed and solved
 
 
-def transform_pullback_check(primes, h: GroupFunction, m: int | None = None) -> bool:
+def transform_pullback_check(primes, h: GroupFunction) -> bool:
     """Exact intertwining of the two Fourier transforms through the CRT map.
 
-    The Z_n-transform of the pullback of h, taken at unit * m, must equal
-    the product-group transform of h at the character indexed by the CRT
-    split of m. With m=None every residue of Z_n is checked against one
-    shared transform. Also checks that multiplication by the unit permutes
-    the units of Z_n.
+    For every residue m of Z_n, the Z_n-transform of the pullback of h,
+    taken at unit * m, must equal the product-group transform of h at the
+    character indexed by the CRT split of m; all n residues share one
+    product-group transform. Also checks that multiplication by the unit
+    permutes the units of Z_n.
 
     The Z_n side is summed in the group ring Z[Z_n], h(x) going into bucket
-    residue(x) * unit * m mod n, and reduced to Z[zeta_n] once by
+    residue(x) * unit * m mod n, and reduced to Z[zeta_n] once per m by
     eval_at_root. The twisted residue residue(x) * unit mod n is computed
     once per support point, before the loop over m. The Z_n side's
     exponents come from the CRT residues, the product-group side's from
@@ -392,11 +392,11 @@ def transform_pullback_check(primes, h: GroupFunction, m: int | None = None) -> 
     weights = [low for _, low, _ in _radix(family_colors(data.primes))]
     twisted = [(residue[sum(map(mul, x, weights))] * data.unit % n, v) for x, v in h.values.items()]
     hat = fourier_transform(h)
-    for point in range(n) if m is None else (m,):
+    for m in range(n):
         buckets = [0] * n
         for r, v in twisted:
-            buckets[r * point % n] += v
-        if eval_at_root(buckets, n) != hat[tuple(point % p for p in data.primes)]:
+            buckets[r * m % n] += v
+        if eval_at_root(buckets, n) != hat[tuple(m % p for p in data.primes)]:
             return False
     return True
 

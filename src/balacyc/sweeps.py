@@ -60,15 +60,15 @@ def bounded_subsets(universe, min_size=0, max_size=None):
         yield from itertools.combinations(universe, size)
 
 
+def _random_subsets(universe: list, count: int, rng: random.Random, low: int) -> list[tuple]:
+    """count seeded subsets of universe, a set may come twice: each is a
+    size from low up to len(universe), then a sorted sample of that size."""
+    return [tuple(sorted(rng.sample(universe, rng.randint(low, len(universe))))) for _ in range(count)]
+
+
 def random_index_subsets(totient: int, count: int, rng: random.Random, nonempty: bool):
     """Seeded random subsets of {0, ..., totient}."""
-    universe = list(range(totient + 1))
-    low = 1 if nonempty else 0
-    out = []
-    for _ in range(count):
-        size = rng.randint(low, len(universe))
-        out.append(tuple(sorted(rng.sample(universe, size))))
-    return out
+    return _random_subsets(list(range(totient + 1)), count, rng, 1 if nonempty else 0)
 
 
 def family_subsets(primes, exhaustive_max, random_count, seed, min_size=1):
@@ -92,12 +92,7 @@ def pullback_subsets(primes, exhaustive_max, random_count, seed):
 
 def random_point_subsets(colors, count, rng: random.Random):
     """Seeded random subsets of the product-group point set."""
-    universe = list(nested_elements(colors))
-    out = []
-    for _ in range(count):
-        size = rng.randint(0, len(universe))
-        out.append(tuple(sorted(rng.sample(universe, size))))
-    return out
+    return _random_subsets(list(nested_elements(colors)), count, rng, 0)
 
 
 def run_family_sweep(primes, subsets) -> list[dict]:

@@ -86,22 +86,72 @@ def test_build_rejects_bad_input():
 
 
 def test_top_cell_validation_words_each_error():
-    # cells outside the product's point set are checked vertex by vertex,
-    # so every rejection keeps its message
+    # a set that fails the per-color check is walked point by point, so
+    # every rejection keeps its message
     cases = [
-        ([((0,),)], "top cell must pick one vertex per color"),
-        ([((0,), (1,), (0,))], "top cell must pick one vertex per color"),
-        ([((0,), (3,))], "vertex (3,) is outside its color group"),
-        ([((-1,), (0,))], "vertex (-1,) is outside its color group"),
-        ([((0, 0), (0,))], "vertex (0, 0) is outside its color group"),
-        ([((0,), (1,)), [[0], [1]]], "duplicate top cells"),
+        ((Z2, Z3), [((0,),)], "top cell must pick one vertex per color"),
+        ((Z2, Z3), [((0,), (1,), (0,))], "top cell must pick one vertex per color"),
+        ((Z2, Z3), [((0,), (3,))], "vertex (3,) is outside its color group"),
+        ((Z2, Z3), [((-1,), (0,))], "vertex (-1,) is outside its color group"),
+        ((Z2, Z3), [((0, 0), (0,))], "vertex (0, 0) is outside its color group"),
+        # (2,) is a vertex of the second color only
+        ((Z2, Z3), [((2,), (0,))], "vertex (2,) is outside its color group"),
+        ((Z22, Z3), [((0, 1), (2,)), ((1, 2), (0,))], "vertex (1, 2) is outside its color group"),
+        ((Z2, Z3), [((0,), (1,)), [[0], [1]]], "duplicate top cells"),
     ]
-    for cells, message in cases:
+    for colors, cells, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
-            complexes.normalize_top_cells((Z2, Z3), cells)
+            complexes.normalize_top_cells(colors, cells)
     normalized = complexes.normalize_top_cells((Z2, Z3), [[[1], [2]], ((0,), (1,))])
     assert normalized == (((0,), (1,)), ((1,), (2,)))
-    assert complexes._point_set.cache_info().maxsize == 8
+    # the check keeps nothing: no copy of the join is cached
+    assert not hasattr(complexes._checked_points, "cache_info")
+
+
+@st.composite
+def _colors_and_points(draw):
+    """Cyclic and non-cyclic colors, and points over them that may break
+    the rule: arity k - 1, k or k + 1, vertices of any arity up to one past
+    the color's, coordinates from -1 up to the order, and repeats."""
+    color = st.lists(st.integers(2, 4), min_size=1, max_size=2).map(lambda o: FiniteAbelianGroup(tuple(o)))
+    colors = tuple(draw(st.lists(color, min_size=1, max_size=3)))
+    k = len(colors)
+    vertex = st.sampled_from(colors).flatmap(
+        lambda g: st.lists(st.integers(-1, g.order), min_size=len(g.orders) - 1, max_size=len(g.orders) + 1)
+    ).map(tuple)
+    valid = st.tuples(*(st.tuples(*(st.integers(0, m - 1) for m in g.orders)) for g in colors))
+    loose = st.tuples(*(st.tuples(*(st.integers(-1, m) for m in g.orders)) for g in colors))
+    wrong_arity = st.sampled_from([k - 1, k + 1]).flatmap(lambda a: st.tuples(*(vertex for _ in range(a))))
+    point = st.one_of(valid, valid, loose, wrong_arity, st.tuples(*(vertex for _ in colors)))
+    points = draw(st.lists(point, max_size=5))
+    if points and draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))
+    return colors, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(_colors_and_points())
+@example(((Z2, Z3), [((2,), (0,))]))
+@example(((Z22, Z3), [((0, 1), (2,)), ((0, 1), (2,))]))
+def test_checked_points_accepts_exactly_the_per_vertex_rule(case):
+    # the per-color set check accepts exactly when every point picks one
+    # vertex of each color, inside that color, and no point repeats; a
+    # refusal words the first bad point, or the repeat
+    colors, points = case
+    k = len(colors)
+    bad = [a for a in points if len(a) != k or not all(g.contains(v) for g, v in zip(colors, a))]
+    if not bad and len(set(points)) == len(points):
+        assert complexes._checked_points(colors, points) == points
+        return
+    if not bad:
+        message = "duplicate top cells"
+    elif len(bad[0]) != k:
+        message = "top cell must pick one vertex per color"
+    else:
+        v = next(v for g, v in zip(colors, bad[0]) if not g.contains(v))
+        message = f"vertex {v} is outside its color group"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        complexes._checked_points(colors, points)
 
 
 @pytest.mark.parametrize(
@@ -122,13 +172,13 @@ def test_lattice_comparison_refuses_the_colors_build_complex_refuses(colors, poi
 
 def test_lattice_comparison_validates_cells_once(monkeypatch):
     calls = []
-    original = complexes.normalize_top_cells
+    original = complexes._checked_points
 
     def counting(colors, cells):
         calls.append(len(cells))
         return original(colors, cells)
 
-    monkeypatch.setattr(complexes, "normalize_top_cells", counting)
+    monkeypatch.setattr(complexes, "_checked_points", counting)
     assert coboundary_matches_fourier((Z2, Z3), full((Z2, Z3)))
     assert calls == [6]
 
@@ -752,9 +802,9 @@ def test_coboundary_restriction_builds_columns_over_the_given_points_only(monkey
 
 def test_coboundary_restriction_refuses_repeated_or_foreign_points():
     colors = (Z2, Z3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate top cells"):
         coboundary_restriction(colors, [((0,), (1,)), ((0,), (1,))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("vertex (3,) is outside its color group")):
         coboundary_restriction(colors, [((0,), (3,))])
 
 

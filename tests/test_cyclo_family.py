@@ -826,9 +826,10 @@ def test_certificates_need_no_dense_lattice_routine(monkeypatch):
 
 def test_the_engine_builds_no_point_tuple(monkeypatch, fresh_certificate):
     # inside the routes a point of the join is its index: with crt_split
-    # and nested_elements refused where the engine lives, and every cache
-    # that could hold a point set cleared, both certificates, the
-    # coefficient coboundary, the homology tables and the presentation run
+    # and nested_elements refused where the engine lives, both
+    # certificates, the coefficient coboundary, the homology tables and the
+    # presentation run, and so do the public verdicts on point sets, whose
+    # check reads each color's elements and never the join's points
     def refuse(*args):
         raise AssertionError("the engine built a point tuple")
 
@@ -836,14 +837,21 @@ def test_the_engine_builds_no_point_tuple(monkeypatch, fresh_certificate):
         for name in ("crt_split", "nested_elements"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     complexes._fourier_certificate.cache_clear()
-    complexes._point_set.cache_clear()
     assert cyclo_family._pullback_certificate((3, 5, 7))[:3] == (True, True, True)
     assert coefficient_vector_is_coboundary((5, 7, 11))
     assert verify_homology_tables((2, 3, 5, 7), (0, 3, 7, 8, 48)).match
     assert quotient_presentation((2, 3, 5), (1, 4, 7)).ok
-    z22, z3, z4 = (FiniteAbelianGroup(orders) for orders in ((2, 2), (3,), (4,)))
-    for colors in [(z3, FiniteAbelianGroup((5,)), FiniteAbelianGroup((7,))), (z22, z4, z3)]:
+    z22, z3, z4, z5, z7 = (FiniteAbelianGroup(orders) for orders in ((2, 2), (3,), (4,), (5,), (7,)))
+    for colors, points, free_rank, width in [
+        ((z3, z5, z7), [((2,), (4,), (6,)), ((0,), (1,), (2,))], 55, 71),
+        ((z22, z4, z3), [((1, 0), (3,), (2,)), ((0, 1), (0,), (0,))], 28, 40),
+    ]:
         assert complexes._fourier_certificate(colors) is True
+        assert complexes.coboundary_matches_fourier(colors, points) is True
+        m = complexes.coboundary_restriction(colors, points)
+        assert (m.rows, m.cols) == (2, width)
+        # the join less two points, less the z cycles that P takes injectively
+        assert str(reduced_homology(build_complex(colors, points), 1)) == f"Z^{free_rank}"
 
 
 def test_certificates_read_neither_the_remainder_stream_nor_the_power_table(monkeypatch):
@@ -958,9 +966,8 @@ def test_transform_pullback_zero_and_indicator():
     g = product_group(family_colors((2, 3)))
     zero = GroupFunction.zero(g)
     assert transform_pullback_check((2, 3), zero)
-    indicator = GroupFunction(g, {(1, 2): 1})
-    for m in range(6):
-        assert transform_pullback_check((2, 3), indicator, m)
+    # the full check: every residue m of Z_6
+    assert transform_pullback_check((2, 3), GroupFunction(g, {(1, 2): 1}))
 
 
 def test_transform_pullback_random_functions():
@@ -1038,7 +1045,7 @@ def test_transform_pullback_fails_without_the_crt_twist(vec):
 
 def test_transform_pullback_rejects_wrong_group():
     with pytest.raises(ValueError):
-        transform_pullback_check((2, 3), GroupFunction.zero(product_group(family_colors((2, 5)))), 0)
+        transform_pullback_check((2, 3), GroupFunction.zero(product_group(family_colors((2, 5)))))
 
 
 # --- coefficient coboundary and presentation ----------------------------------------

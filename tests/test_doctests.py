@@ -4,12 +4,14 @@ import contextlib
 import doctest
 import importlib
 import io
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import balacyc
 from balacyc import cli
 
 MODULE_NAMES = [
@@ -61,3 +63,23 @@ def test_readme_cli_block(tmp_path, capsys):
         assert cli.main(argv) == 0, line
         assert Path(target).read_text()
     assert capsys.readouterr().out == ""
+
+
+def test_readme_counts_the_caches_and_the_exported_names():
+    # every lru_cache defined in balacyc is bounded, and README states how
+    # many there are and how many names balacyc exports
+    caches = []
+    # balacyc.__main__ runs the CLI when imported, and defines nothing
+    for info in (m for m in pkgutil.iter_modules(balacyc.__path__) if m.name != "__main__"):
+        module = importlib.import_module(f"balacyc.{info.name}")
+        classes = [c for c in vars(module).values() if isinstance(c, type) and c.__module__ == module.__name__]
+        for owner in [module, *classes]:
+            for value in vars(owner).values():
+                if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                    caches.append(value)
+    assert {f.__name__ for f in caches} >= {"_tuples", "cyclotomic", "_fourier_certificate"}
+    for f in caches:
+        assert f.cache_info().maxsize == (16 if f.__name__ == "_tuples" else 8), f.__qualname__
+    text = " ".join(README.read_text().split())
+    assert f"kept in {len(caches)} bounded caches" in text
+    assert f"exports the {len(balacyc.__all__)} names of `balacyc.__all__`" in text
