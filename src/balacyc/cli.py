@@ -36,10 +36,9 @@ from .complexes import (
 )
 from .cyclo_family import (
     CycloComplexData,
-    _free_indices,
+    _cycle_rows,
     check_primes,
     coefficient_vector_is_coboundary,
-    family_colors,
 )
 from .cyclotomic import cyclotomic
 from .groups import FiniteAbelianGroup
@@ -250,8 +249,9 @@ def _cmd_homology(args):
         primes = _parse_primes(args.primes)
         subset = _parse_index_set(args.subset or "")
         data = _checked(CycloComplexData.build, primes, subset)
-        # the groups of build_family_complex, read off the free indices alone
-        homology, cohomology = _cycle_groups(family_colors(data.primes), _free_indices(data))
+        # the groups of build_family_complex, from the cycle matrix that
+        # verify-homology reads, the empty subset included
+        homology, cohomology = _cycle_groups(len(data.primes) - 1, _cycle_rows(data), data.totient)
         report = {
             "schema": 1,
             "command": "homology",

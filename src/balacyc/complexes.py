@@ -18,11 +18,13 @@ i < k - 1, H_{k-1}(X) is the cokernel of the restriction P of that basis
 to the free points, those outside the top cells, and H_k(X) is its
 kernel. P is one sparse matrix of entries +-1, assembled row by row from
 the sorted free points (_assemble_cycles), with work per free point and
-per entry of P. _cycle_groups builds it once and eliminates it over its
-rows for homology and over its columns for cohomology, two separate runs
-with different pivot orders, so the universal-coefficient check
-(uct_holds) cross-checks them. It reads only the colors and the free
-points, so the cyclotomic family calls it without building a complex.
+per entry of P. _cycle_groups takes P's rows, reads its columns off
+them once, and eliminates P over its rows for homology and over its
+columns for cohomology, two separate runs with different pivot orders,
+each handed the other side as its transpose, so the universal-coefficient
+check (uct_holds) cross-checks them. It reads only the top dimension and
+P, so the cyclotomic family calls it without building a complex: there
+every P is cut from one cached matrix per n (cyclo_family._family_cycles).
 
 A complex therefore stores only its colors and its top cells: the
 skeleton below the top is implied by the colors, and its cells are
@@ -108,7 +110,9 @@ class BalancedComplex:
     def _groups(self) -> tuple[dict[int, AbelianGroupStructure], dict[int, AbelianGroupStructure]]:
         # not a field: outside equality, hashing and repr, and released with the complex
         taken = set(_point_indices(self.colors, self.top_cells))
-        return _cycle_groups(self.colors, [f for f in range(prod(g.order for g in self.colors)) if f not in taken])
+        free = [f for f in range(prod(g.order for g in self.colors)) if f not in taken]
+        width = prod(g.order - 1 for g in self.colors)
+        return _cycle_groups(self.top_dim, _assemble_cycles(self.colors, free), width)
 
 
 def nested_elements(colors) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -211,8 +215,8 @@ def _dense(n_rows: int, columns) -> IntMatrix:
     return IntMatrix(n_rows, width, tuple(entries))
 
 
-def _assemble_cycles(colors, free):
-    """The top cycles of the join, restricted to the free points, as (rows, columns).
+def _assemble_cycles(colors, free) -> tuple[dict[int, int], ...]:
+    """The rows of the top cycles of the join, restricted to the free points.
 
     Rows are the m free points, the points of G_0 x ... x G_k outside the
     top cells, given by their sorted indices (_radix). Columns are the z
@@ -220,49 +224,59 @@ def _assemble_cycles(colors, free):
     element of each color. Column h is the cycle
     (e_{h_0} - e_0) x ... x (e_{h_k} - e_0): the entry (-1)**#{i : g_i = 0}
     at each point g with every g_i in {0, h_i}, at most 2**(k+1) of them.
-    rows[r] maps column indices to the entries of row r and columns[c] row
-    indices to those of column c, keys increasing.
+    rows[r] maps column indices to the entries of row r, keys increasing;
+    _transpose gives the columns.
 
     With S the slots where a free point g is 0, row g holds (-1)**|S| at
     every column h that agrees with g off S, where digit i of g's index is
     0. A column's index is a mixed radix over each color's nonzero
     elements, so the row's columns are g's share of that index off S, a
     digit d adding d - 1 times the slot's stride, plus one offset per
-    choice of h on S, and the offsets are computed once per S. The columns
-    are filled in the same pass: one step per free point and one per
-    entry of P.
+    choice of h on S. The offsets are computed once per S, one slot of S
+    at a time: one step per free point and one per entry of P.
     """
     strides = [prod(g.order - 1 for g in colors[i + 1 :]) for i in range(len(colors))]
-    slots = [(low, block, s) for (_, low, block), s in zip(_radix(colors), strides)]
+    steps = [range(0, (g.order - 1) * s, s) for g, s in zip(colors, strides)]
+    slots = [(low, block, s, 1 << i) for i, ((_, low, block), s) in enumerate(zip(_radix(colors), strides))]
     spans = {}
     rows = []
-    columns = tuple({} for _ in range(prod(g.order - 1 for g in colors)))
     for f in free:
         mask = base = 0
-        for i, (low, block, s) in enumerate(slots):
+        for low, block, s, bit in slots:
             d = f % block // low
             if d:
                 base += (d - 1) * s
             else:
-                mask |= 1 << i
+                mask |= bit
         if mask not in spans:
-            on_s = [range(0, (c.order - 1) * s, s) for i, (c, s) in enumerate(zip(colors, strides)) if mask >> i & 1]
-            spans[mask] = -1 if len(on_s) % 2 else 1, [sum(t) for t in itertools.product(*on_s)]
+            offsets = [0]
+            for i, step in enumerate(steps):
+                if mask >> i & 1:
+                    offsets = [o + t for o in offsets for t in step]
+            spans[mask] = -1 if mask.bit_count() % 2 else 1, offsets
         sign, offsets = spans[mask]
-        r = len(rows)
-        row = {base + o: sign for o in offsets}
-        for c in row:
-            columns[c][r] = sign
-        rows.append(row)
-    return tuple(rows), columns
+        rows.append({base + o: sign for o in offsets})
+    return tuple(rows)
 
 
-def _cycle_groups(colors, free) -> tuple[dict[int, AbelianGroupStructure], dict[int, AbelianGroupStructure]]:
-    """Reduced homology and cohomology, dimension -> group for 0..k, of the
-    complex over these colors whose free points have sorted indices `free`.
+def _transpose(rows, width: int) -> tuple[dict[int, int], ...]:
+    """The columns 0..width-1 of the sparse rows, {row index: entry} each,
+    keys increasing: one pass over the entries."""
+    columns = tuple({} for _ in range(width))
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            columns[c][r] = x
+    return columns
 
-    P = _assemble_cycles(colors, free), m x z, is assembled once and
-    eliminated twice. Over its rows, with r nonzero invariant factors:
+
+def _cycle_groups(k: int, rows, width: int) -> tuple[dict[int, AbelianGroupStructure], dict[int, AbelianGroupStructure]]:
+    """Reduced homology and cohomology, dimension -> group for 0..k, of a
+    complex of top dimension k whose restricted top cycles P, m x z with
+    z = width, have these rows (_assemble_cycles).
+
+    The columns are read off the rows once (_transpose), and P is
+    eliminated twice, each run handed the other side as its transpose.
+    Over its rows, with r nonzero invariant factors:
     H_k = Z^(z - r), the cycles of the join supported on the top cells,
     and H_(k-1) = coker P, that is Z^(m - r) plus the torsion of the
     factors. Over its columns, the transpose's own run with its own pivot
@@ -271,12 +285,12 @@ def _cycle_groups(colors, free) -> tuple[dict[int, AbelianGroupStructure], dict[
     because the complex contains the full (k-1)-skeleton of the join,
     whose reduced homology is concentrated in dimension k.
     """
-    k = len(colors) - 1
     zero = AbelianGroupStructure(0)
-    rows, columns = _assemble_cycles(colors, free)
+    columns = _transpose(rows, width)
     groups = []
     for cohomology in (False, True):
-        factors = sparse_invariant_factors(columns if cohomology else rows)
+        lines, transpose = (columns, rows) if cohomology else (rows, columns)
+        factors = sparse_invariant_factors(lines, transpose)
         # the torsion sits in the cokernel: H_(k-1) for homology, H^k for cohomology
         below = AbelianGroupStructure.from_parts(len(rows) - len(factors), () if cohomology else factors)
         top = AbelianGroupStructure.from_parts(len(columns) - len(factors), factors if cohomology else ())

@@ -325,12 +325,19 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     return SmithForm(d, u, v, rank)
 
 
-def sparse_invariant_factors(rows) -> tuple[int, ...]:
+def sparse_invariant_factors(rows, transpose=None) -> tuple[int, ...]:
     """Nonzero invariant factors of a sparse integer matrix; no transforms.
 
     `rows` holds one {column index: entry} mapping per row and is not
-    modified. Entries of absolute value 1 are eliminated first, in two
-    steps, and each such unit pivot contributes the factor 1.
+    modified. A caller that already holds the matrix's columns may pass
+    them as `transpose`, one {row index: entry} mapping per column index,
+    also not modified. It must be the exact transpose of `rows`, and
+    neither may hold a zero entry: they are then copied as they are, one
+    dict and one set per line, with no filtering. Without it the columns
+    are collected from the rows, and zero entries are dropped. Either way
+    the elimination below is the same. Entries of absolute value 1 are
+    eliminated first, in two steps, and each such unit pivot contributes
+    the factor 1.
 
     The singleton pass does no arithmetic. A row whose only entry is a unit
     is a pivot whose row operations only clear its column, so the row and
@@ -362,15 +369,21 @@ def sparse_invariant_factors(rows) -> tuple[int, ...]:
     (2, 4)
     >>> sparse_invariant_factors([{0: 1, 2: 1}, {1: 3}, {}])
     (1, 3)
+    >>> sparse_invariant_factors([{0: 1, 2: 1}, {1: 3}, {}], [{0: 1}, {1: 3}, {0: 1}])
+    (1, 3)
     """
     work = {}
     cols: dict[int, set[int]] = {}
-    for r, row in enumerate(rows):
-        row = {c: x for c, x in row.items() if x}
-        if row:
-            work[r] = row
-            for c in row:
-                cols.setdefault(c, set()).add(r)
+    if transpose is None:
+        for r, row in enumerate(rows):
+            row = {c: x for c, x in row.items() if x}
+            if row:
+                work[r] = row
+                for c in row:
+                    cols.setdefault(c, set()).add(r)
+    else:
+        work = {r: dict(row) for r, row in enumerate(rows) if row}
+        cols = {c: set(column) for c, column in enumerate(transpose) if column}
     units = 0
 
     queue = [r for r, row in work.items() if len(row) == 1]

@@ -550,7 +550,8 @@ def free_indices(x: BalancedComplex) -> list[int]:
 
 
 def column_cycle_matrix(x: BalancedComplex):
-    """complexes._assemble_cycles assembled column by column, from its definition.
+    """The rows of complexes._assemble_cycles and the columns complexes._transpose
+    reads off them, assembled column by column, from the definition.
 
     Column h, every h_i nonzero, looks up each of the 2**(k+1) points g with
     g_i in {0, h_i} among the free points and gives it the sign

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
@@ -69,11 +70,15 @@ def test_homology_primes_subset(capsys):
     assert data["homology"]["2"] == {"rank": 2, "torsion": []}
 
 
-@pytest.mark.parametrize("primes, subset", [("2,3,5", "2,6"), ("2,3,5,7", "0,3,7,8,48"), ("2,3,5,7,11", "1,5,100,480")])
+@pytest.mark.parametrize(
+    "primes, subset", [("2,3,5", "2,6"), ("2,3,5,7", "0,3,7,8,48"), ("2,3,5,7,11", "1,5,100,480"), ("3,5,7", "")]
+)
 def test_homology_primes_reads_only_the_free_points(capsys, monkeypatch, primes, subset):
     # the report holds the groups of the family complex, but the command
-    # builds the configuration once and never enumerates the join
-    x = cyclo_family.build_family_complex([int(p) for p in primes.split(",")], [int(a) for a in subset.split(",")])
+    # builds the configuration once and never enumerates the join; its
+    # matrix is cut from the cycle matrix of the empty subset, assembled
+    # once over every residue 0..phi(n), as verify-homology cuts it
+    x = cyclo_family.build_family_complex([int(p) for p in primes.split(",")], [int(a) for a in subset.split(",") if a])
     expected = {
         "homology": {str(i): g.to_json_dict() for i, g in complexes.homology_profile(x).items()},
         "cohomology": {str(i): g.to_json_dict() for i, g in complexes.cohomology_profile(x).items()},
@@ -89,10 +94,39 @@ def test_homology_primes_reads_only_the_free_points(capsys, monkeypatch, primes,
     monkeypatch.setattr(
         cyclo_family.CycloComplexData, "build", classmethod(lambda cls, *args: builds.append(args) or build(*args))
     )
+    assembled = []
+    assemble = cyclo_family._assemble_cycles
+    monkeypatch.setattr(
+        cyclo_family, "_assemble_cycles", lambda colors, free: assembled.append(free) or assemble(colors, free)
+    )
+    cyclo_family._family_cycles.cache_clear()
     code, out, _ = run(capsys, "homology", "--primes", primes, "--set", subset, "--format", "json")
     assert code == 0 and len(builds) == 1
+    assert [len(free) for free in assembled] == [math.prod(int(p) - 1 for p in primes.split(",")) + 1]
     data = json.loads(out)
     assert {key: data[key] for key in expected} == expected
+
+
+def test_verify_homology_assembles_one_cycle_matrix_per_tuple_of_primes(capsys, monkeypatch):
+    # every item cuts its matrix from the cached one of its primes, and
+    # still eliminates that matrix itself, over its rows and its columns,
+    # each run handed the other side as its transpose
+    assembled, eliminated = [], []
+    assemble = cyclo_family._assemble_cycles
+    monkeypatch.setattr(
+        cyclo_family, "_assemble_cycles", lambda colors, free: assembled.append(len(colors)) or assemble(colors, free)
+    )
+    factors = complexes.sparse_invariant_factors
+    monkeypatch.setattr(
+        complexes, "sparse_invariant_factors", lambda *args: eliminated.append(len(args)) or factors(*args)
+    )
+    cyclo_family._family_cycles.cache_clear()
+    for primes in ("2,3,5,7", "3,5,7,11", "2,3,5,7"):
+        argv = ["verify-homology", "--primes", primes, "--random", "20", "--seed", "0", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["items"]) == 20
+    assert assembled == [4, 4]
+    assert eliminated == [2] * 120
 
 
 def test_homology_needs_exactly_one_source(capsys):

@@ -374,6 +374,12 @@ def small_family_complexes(draw):
     return build_family_complex(primes, rng.sample(range(top + 1), rng.randint(0, top + 1)))
 
 
+def _assembled_cycles(x):
+    # the rows, and the columns that _cycle_groups reads off them
+    rows = complexes._assemble_cycles(x.colors, free_indices(x))
+    return rows, complexes._transpose(rows, prod(g.order - 1 for g in x.colors))
+
+
 def _layouts(matrix):
     # every entry in its row and its column, keys in order: both
     # eliminations see the same matrix in the same order
@@ -391,14 +397,14 @@ def _layouts(matrix):
 @example(build_complex((Z4, Z22, Z3), full((Z4, Z22, Z3))[::5]))
 @example(build_family_complex((2, 3, 5, 11), (0, 5, 17, 80)))
 def test_cycle_matrix_matches_column_assembly(x):
-    assert _layouts(complexes._assemble_cycles(x.colors, free_indices(x))) == _layouts(column_cycle_matrix(x))
+    assert _layouts(_assembled_cycles(x)) == _layouts(column_cycle_matrix(x))
 
 
 def test_cycle_matrix_at_15015_matches_column_assembly():
     # the first five-prime case, whose elimination leaves the dense core
     # that no Smith reduction here finishes yet: P must stay this matrix
     x = build_family_complex((3, 5, 7, 11, 13), (0,))
-    rows, columns = complexes._assemble_cycles(x.colors, free_indices(x))
+    rows, columns = _assembled_cycles(x)
     assert (len(rows), len(columns)) == (5760, 5760)
     assert _layouts((rows, columns)) == _layouts(column_cycle_matrix(x))
 

@@ -398,10 +398,63 @@ def test_cycle_matrix_factors_match_dense_smith(primes, subset):
     # unless it is a top cell, the point 0 meets every column: a dense
     # row on one side, a dense column on the other
     data = CycloComplexData.build(primes, subset)
-    rows, columns = complexes._assemble_cycles(family_colors(primes), cyclo_family._free_indices(data))
+    rows = complexes._assemble_cycles(family_colors(primes), cyclo_family._free_indices(data))
+    columns = complexes._transpose(rows, data.totient)
     p = IntMatrix(len(rows), len(columns), tuple(row.get(c, 0) for row in rows for c in range(len(columns))))
-    assert sparse_invariant_factors(rows) == smith_normal_form(p).invariant_factors
-    assert sparse_invariant_factors(columns) == smith_normal_form(p.transpose()).invariant_factors
+    assert (
+        sparse_invariant_factors(rows)
+        == sparse_invariant_factors(rows, columns)
+        == smith_normal_form(p).invariant_factors
+    )
+    assert (
+        sparse_invariant_factors(columns)
+        == sparse_invariant_factors(columns, rows)
+        == smith_normal_form(p.transpose()).invariant_factors
+    )
+
+
+def test_cycle_rows_are_cut_from_the_family_matrix():
+    # P_A is P_S without the rows of A: the rows outside A, the same dicts
+    # with the same key order, in the order of their indices
+    def check(primes, subset):
+        data = CycloComplexData.build(primes, subset)
+        cut = cyclo_family._cycle_rows(data)
+        rows = complexes._assemble_cycles(family_colors(primes), cyclo_family._free_indices(data))
+        assert [list(row.items()) for row in cut] == [list(row.items()) for row in rows]
+        assert len(cut) == data.totient + 1 - len(data.subset)
+
+    for primes in ((2, 3), (2, 3, 5)):
+        residues = range(prod(p - 1 for p in primes) + 1)
+        for size in range(len(residues) + 1):
+            for subset in combinations(residues, size):
+                check(primes, subset)
+    rng = random.Random(39)
+    for primes in ((2, 3, 5, 7), (3, 5, 7, 11), (2, 3, 5, 7, 11)):
+        totient = prod(p - 1 for p in primes)
+        for size in [0, 1, totient + 1] + [rng.randint(1, totient + 1) for _ in range(4)]:
+            check(primes, rng.sample(range(totient + 1), size))
+
+
+@pytest.fixture
+def fresh_family_cycles():
+    # a test that edits a cached P_S leaves no edited copy behind
+    cyclo_family._family_cycles.cache_clear()
+    yield
+    cyclo_family._family_cycles.cache_clear()
+
+
+def test_a_flipped_sign_in_the_family_matrix_fails_some_subset(fresh_family_cycles):
+    # the per-subset route reads the cached matrix: one wrong sign in P_S
+    # shows up as a mismatch against the coefficient predictions
+    primes = (2, 3, 5)
+    subsets = [s for size in range(1, 10) for s in combinations(range(9), size)]
+    assert all(verify_homology_tables(primes, s).match for s in subsets)
+    rows, row_of = cyclo_family._family_cycles(primes)
+    # the row of residue 0 meets every column; flip its last entry
+    row = rows[row_of[0]]
+    c = max(row)
+    row[c] = -row[c]
+    assert not all(verify_homology_tables(primes, s).match for s in subsets)
 
 
 def test_verification_report_json_shape():

@@ -7,6 +7,7 @@ import io
 import pkgutil
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,8 +70,7 @@ def test_readme_counts_the_caches_and_the_exported_names():
     # every lru_cache defined in balacyc is bounded, and README states how
     # many there are and how many names balacyc exports
     caches = []
-    # balacyc.__main__ runs the CLI when imported, and defines nothing
-    for info in (m for m in pkgutil.iter_modules(balacyc.__path__) if m.name != "__main__"):
+    for info in pkgutil.iter_modules(balacyc.__path__):
         module = importlib.import_module(f"balacyc.{info.name}")
         classes = [c for c in vars(module).values() if isinstance(c, type) and c.__module__ == module.__name__]
         for owner in [module, *classes]:
@@ -83,3 +83,13 @@ def test_readme_counts_the_caches_and_the_exported_names():
     text = " ".join(README.read_text().split())
     assert f"kept in {len(caches)} bounded caches" in text
     assert f"exports the {len(balacyc.__all__)} names of `balacyc.__all__`" in text
+
+
+def test_importing_the_main_module_runs_nothing(monkeypatch, capsys):
+    # a walk of the package imports balacyc.__main__ under its own argv:
+    # only `python -m balacyc` runs the CLI
+    monkeypatch.setattr(sys, "argv", ["walker", "--no-such-option"])
+    monkeypatch.delitem(sys.modules, "balacyc.__main__", raising=False)
+    module = importlib.import_module("balacyc.__main__")
+    assert module.entry is cli.entry
+    assert capsys.readouterr() == ("", "")

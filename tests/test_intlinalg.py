@@ -318,6 +318,21 @@ def test_unit_phase_on_planted_structure_matches_dense_smith(m):
     assert not any(x in (1, -1) for core in cores for x in core)
 
 
+@settings(max_examples=200)
+@given(st.one_of(planted_sparse_matrices(), sparse_test_matrices), st.sampled_from((1, 2, 3)))
+def test_handed_transpose_gives_the_factors_of_the_rows_alone(m, scale):
+    # the columns handed in are copied, not collected from the rows; empty
+    # rows and columns stay empty lines, and scaled by a non-unit the whole
+    # matrix is the core left for the dense loop
+    m = IntMatrix(m.rows, m.cols, tuple(scale * x for x in m.entries))
+    for a in (m, m.transpose()):
+        rows, columns = sparse_rows(a), sparse_rows(a.transpose())
+        snapshot = [dict(line) for line in rows + columns]
+        factors = sparse_invariant_factors(rows, columns)
+        assert factors == sparse_invariant_factors(rows) == smith_normal_form(a).invariant_factors
+        assert rows + columns == snapshot
+
+
 # --- Hermite normal form ------------------------------------------------------
 
 
